@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidSpecError, NotCertifiableError
+from .errors import InvalidSpecError, InvariantError, NotCertifiableError
 from .intervals import (
     BOX,
     UNIT,
@@ -110,9 +110,20 @@ class DiffBracket:
     missing_inner: IntervalUnion  # [-1,1] minus outer, inside S
 
     def __post_init__(self) -> None:
-        assert self.inner.is_subset(self.outer)
-        assert self.missing_inner.is_subset(self.missing_outer)
-        assert all(self.missing_outer.contains_point(x) for x in (-1, 0, 1))
+        invariants = (
+            (self.inner.is_subset(self.outer), "inner bracket inside the outer one"),
+            (
+                self.missing_inner.is_subset(self.missing_outer),
+                "inner missing bracket inside the outer one",
+            ),
+            (
+                all(self.missing_outer.contains_point(x) for x in (-1, 0, 1)),
+                "-1, 0 and 1 in the outer missing bracket",
+            ),
+        )
+        for holds, invariant in invariants:
+            if not holds:
+                raise InvariantError(f"stage {self.n}: expected the {invariant}")
 
 
 def difference_bracket(stage: CantorStage) -> DiffBracket:
@@ -384,7 +395,11 @@ def rightmost_gap_chain(
         hi = 1 - spec.component_length(k)
         gap = by_position[(lo, hi)]
         cert = dominant_gap_certificate(stage, gap, 0, lo - prev_right)
-        assert cert.certified == Interval.open(prev_right, hi)
+        if cert.certified != Interval.open(prev_right, hi):
+            raise InvariantError(
+                f"chain link at step {k} certifies {cert.certified}, not the "
+                f"interval ({prev_right}, {hi}) between consecutive right ends"
+            )
         links.append(GapChainLink(gap, cert))
         prev_right = hi
     return tuple(links)

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .analysis import difference_bracket, zone_measure_rows
-from .constructions import DEFAULT_BUDGET, CentralSpec, PerturbedSpec
+from .constructions import DEFAULT_BUDGET
 from .errors import CantorDiffError
 from .jsonio import (
     GAP_TABLE_HEADER,
@@ -45,12 +45,12 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _clamped_max_stage(spec, max_stage: int, budget: int) -> int:
-    """Binary families have 2^n components; clamp n to what the budget
-    allows rather than failing mid-run."""
-    if not isinstance(spec, (CentralSpec, PerturbedSpec)):
+    """Families with a component count known in advance (2^n, binary)
+    clamp n to what the budget allows rather than failing mid-run."""
+    if spec.component_count(max_stage) is None:
         return max_stage
     clamped = max_stage
-    while clamped > 0 and 2 ** clamped > budget:
+    while clamped > 0 and spec.component_count(clamped) > budget:
         clamped -= 1
     if clamped != max_stage:
         print(

@@ -1,27 +1,34 @@
 """Stage-by-stage generators for the four Cantor-set families.
 
-Each generator is a deterministic pure function of (spec, n) producing an
-immutable :class:`CantorStage`: the closed component union, the labeled
-gap records accumulated so far, and the sorted endpoint set.  Component
-endpoints are preserved by every refinement step in every family, so
-each stage endpoint belongs to the limit set; the certified analysis in
-:mod:`cantordiff.analysis` depends on exactly that.
+Stage n of a spec is a deterministic pure function of (spec, n): an
+immutable :class:`CantorStage` holding the closed component union, the
+labeled gap records accumulated so far, and the sorted endpoint set.
+Component endpoints are preserved by every refinement step in every
+family, so each stage endpoint belongs to the limit set; the certified
+analysis in :mod:`cantordiff.analysis` depends on exactly that.
+
+Every spec has one stage sequence, built one step at a time by its
+family's step generator and kept in one bounded cache keyed by the spec
+alone.  A component budget limits each request, not what is cached, and
+a sequence whose step raises is discarded.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Any, Callable, Iterator, NamedTuple, Union
 
 from .errors import (
     AvoidanceExhaustedError,
     BudgetExceededError,
     InvalidSpecError,
+    InvariantError,
 )
 from .intervals import (
     HALF,
@@ -30,6 +37,7 @@ from .intervals import (
     IntervalUnion,
     RationalLike,
     as_rational,
+    format_rational,
     normalize,
     points_union,
 )
@@ -124,24 +132,19 @@ class CantorStage:
     def endpoint_union(self) -> IntervalUnion:
         return points_union(self.endpoints)
 
-    def max_component_length(self) -> Fraction:
-        return self.components.max_component_length()
 
-
-def _stage_endpoints(components: IntervalUnion) -> tuple[Fraction, ...]:
-    values: set[Fraction] = set()
-    for p in components:
-        values.add(p.lo)
-        values.add(p.hi)
-    return tuple(sorted(values))
-
-
-def _sorted_gaps(gaps: list[GapRecord]) -> tuple[GapRecord, ...]:
-    return tuple(sorted(gaps, key=lambda g: (g.stage_created, g.interval.lo)))
+def _make_stage(
+    n: int, components: IntervalUnion, gaps: list[GapRecord], family: str, **fields
+) -> CantorStage:
+    """A stage with its gaps ordered by (stage_created, position) and its
+    sorted distinct component endpoints."""
+    endpoints = sorted({x for p in components for x in (p.lo, p.hi)})
+    ordered = sorted(gaps, key=lambda g: (g.stage_created, g.interval.lo))
+    return CantorStage(n, components, tuple(ordered), tuple(endpoints), family, **fields)
 
 
 # ---------------------------------------------------------------------
-# ratio rules and central stages
+# ratio rules
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,9 @@ class ConstantRatios:
 
     def tail_ratio_sum(self, after: int) -> Fraction | None:
         return None  # constant tails are not summable
+
+    def to_obj(self) -> dict[str, Any]:
+        return {"rule": "constant", "value": format_rational(self.value)}
 
 
 @dataclass(frozen=True)
@@ -192,6 +198,13 @@ class ListRatios:
     def tail_ratio_sum(self, after: int) -> Fraction | None:
         return None
 
+    def to_obj(self) -> dict[str, Any]:
+        return {
+            "rule": "list",
+            "values": [format_rational(v) for v in self.values],
+            "tail": format_rational(self.tail),
+        }
+
 
 @dataclass(frozen=True)
 class GeometricRatios:
@@ -214,8 +227,98 @@ class GeometricRatios:
         # sum_{k > after} base**k
         return self.base ** (after + 1) / (1 - self.base)
 
+    def to_obj(self) -> dict[str, Any]:
+        return {"rule": "geometric", "base": format_rational(self.base)}
+
 
 RatioRule = Union[ConstantRatios, ListRatios, GeometricRatios]
+
+
+# ---------------------------------------------------------------------
+# stage sequences: one per spec, in one bounded cache
+
+_MAX_CACHED_SPECS = 32
+
+
+class _StageSequence:
+    """Stages 0..k of one spec, already built, extended one step at a time
+    by the spec's step generator under one lock."""
+
+    def __init__(self, spec) -> None:
+        self._spec = spec
+        self._steps = spec._steps()
+        self._built: list = []
+        self._lock = threading.Lock()
+
+    def get(self, n: int, budget: int | None = None):
+        """Item n, building the missing steps in order.  With ``budget``,
+        the request is refused at the first stage up to n that holds more
+        components, before any later stage is built."""
+        with self._lock:
+            for m in range(n + 1):
+                if m == len(self._built):
+                    try:
+                        self._built.append(next(self._steps))
+                    except BaseException:
+                        # The step generator is finished once it raises:
+                        # discard everything so the next request starts fresh.
+                        self._built.clear()
+                        self._steps = self._spec._steps()
+                        raise
+                if budget is not None and len(self._built[m].components) > budget:
+                    raise BudgetExceededError(len(self._built[m].components), budget)
+            return self._built[n]
+
+
+@functools.lru_cache(maxsize=_MAX_CACHED_SPECS)
+def _sequence(spec) -> _StageSequence:
+    return _StageSequence(spec)
+
+
+def _stage(spec, n: int, budget: int):
+    """Item n of ``spec``'s sequence for a request allowed ``budget``
+    components.  The budget limits the request, never what is cached."""
+    if n < 0:
+        raise ValueError("stage index must be >= 0")
+    # Stage n of every family is built from binary stages of 2^n
+    # components (its own or its sources'); a count not known in
+    # advance is checked on each built stage up to n as well.
+    if 2 ** n > budget:
+        raise BudgetExceededError(2 ** n, budget)
+    known = spec.component_count(n) is not None
+    return _sequence(spec).get(n, None if known else budget)
+
+
+def _half(spec, n: int) -> IntervalUnion:
+    """Stage-n components of a unit-frame source, scaled into [0, 1/2]."""
+    return _sequence(spec).get(n).components.scale(Fraction(1, 2))
+
+
+def _split_stage(
+    n: int,
+    parts: tuple[Interval, ...],
+    cuts: list[tuple[Fraction, Fraction]],
+    gaps: list[GapRecord],
+    family: str,
+) -> CantorStage:
+    """Stage n of a binary family: the open gap ``cuts[i]`` is removed
+    from stage-(n-1) part i; ``gaps`` accumulates every step's records."""
+    comps: list[Interval] = []
+    for idx, (part, (gl, gr)) in enumerate(zip(parts, cuts)):
+        address = format(idx, f"0{n - 1}b") if n > 1 else ""
+        gaps.append(GapRecord(address, Interval.open(gl, gr), n))
+        comps.append(Interval(part.lo, gl, True, True))
+        comps.append(Interval(gr, part.hi, True, True))
+    return _make_stage(n, IntervalUnion(tuple(comps)), gaps, family)
+
+
+# ---------------------------------------------------------------------
+# central family
+#
+# Every family spec answers one protocol: component_count(n) (None when
+# a stage must be built to know it), to_obj() for the JSON dialect,
+# stage(n, budget=...) for its unit-frame stage through the family's
+# public function, and _steps(), the generator of its stage sequence.
 
 
 @dataclass(frozen=True)
@@ -256,44 +359,35 @@ class CentralSpec:
         """Length of every gap removed at step k (k >= 1)."""
         return self.ratio(k) * self.component_length(k - 1)
 
+    def component_count(self, n: int) -> int:
+        return 2 ** n
 
-_central_cache: dict[tuple[CentralSpec, int], CantorStage] = {}
+    def to_obj(self) -> dict[str, Any]:
+        return {"family": "central", "ratios": self.ratios.to_obj()}
+
+    def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
+        return central_stage(self, n, budget=budget)
+
+    def _steps(self) -> Iterator[CantorStage]:
+        parts: tuple[Interval, ...] = (UNIT,)
+        gaps: list[GapRecord] = []
+        yield _make_stage(0, IntervalUnion(parts), gaps, "central")
+        for n in itertools.count(1):
+            ratio = self.ratio(n)
+            cuts = []
+            for part in parts:
+                length = part.hi - part.lo
+                child = (length - ratio * length) / 2
+                cuts.append((part.lo + child, part.hi - child))
+            stage = _split_stage(n, parts, cuts, gaps, "central")
+            parts = stage.components.parts
+            yield stage
 
 
 def central_stage(
     spec: CentralSpec, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> CantorStage:
-    if n < 0:
-        raise ValueError("stage index must be >= 0")
-    if 2 ** n > budget:
-        raise BudgetExceededError(2 ** n, budget)
-    key = (spec, n)
-    cached = _central_cache.get(key)
-    if cached is not None:
-        return cached
-    if n > 0:
-        prev = central_stage(spec, n - 1, budget=budget)
-        comps: list[Interval] = []
-        gaps = list(prev.gaps)
-        ratio = spec.ratio(n)
-        for idx, part in enumerate(prev.components):
-            address = format(idx, f"0{n - 1}b") if n > 1 else ""
-            length = part.hi - part.lo
-            child = (length - ratio * length) / 2
-            gl = part.lo + child
-            gr = part.hi - child
-            gaps.append(GapRecord(address, Interval.open(gl, gr), n))
-            comps.append(Interval(part.lo, gl, True, True))
-            comps.append(Interval(gr, part.hi, True, True))
-        components = IntervalUnion(tuple(comps))
-        stage = CantorStage(
-            n, components, _sorted_gaps(gaps), _stage_endpoints(components), "central"
-        )
-    else:
-        components = IntervalUnion((UNIT,))
-        stage = CantorStage(0, components, (), (Fraction(0), Fraction(1)), "central")
-    _central_cache[key] = stage
-    return stage
+    return _stage(spec, n, budget)
 
 
 def rightmost_branch_gap_end(spec: CentralSpec, k: int) -> Fraction:
@@ -341,92 +435,65 @@ class PerturbedSpec:
         if not 0 < self.interior_gap_fraction <= 1:
             raise InvalidSpecError("interior_gap_fraction out of (0,1]")
 
+    def component_count(self, n: int) -> int:
+        return 2 ** n
 
-class _PerturbedState(NamedTuple):
-    stage: CantorStage
-    gap_length: Fraction  # c at this stage (length of the aligned gaps)
+    def to_obj(self) -> dict[str, Any]:
+        return {
+            "family": "perturbed",
+            "c1": format_rational(self.c1),
+            "shrink": format_rational(self.shrink),
+            "interior_gap_fraction": format_rational(self.interior_gap_fraction),
+        }
 
+    def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
+        return perturbed_stage(self, n, budget=budget)
 
-_perturbed_cache: dict[tuple[PerturbedSpec, int], _PerturbedState] = {}
-
-
-def _perturbed_state(
-    spec: PerturbedSpec, n: int, budget: int
-) -> _PerturbedState:
-    key = (spec, n)
-    cached = _perturbed_cache.get(key)
-    if cached is not None:
-        return cached
-    if n == 0:
-        stage = CantorStage(
-            0,
-            IntervalUnion((UNIT,)),
-            (),
-            (Fraction(0), Fraction(1)),
-            "perturbed",
-        )
-        state = _PerturbedState(stage, Fraction(0))
-    else:
-        prev = _perturbed_state(spec, n - 1, budget)
-        prev_parts = prev.stage.components.parts
-        leftmost_len = prev_parts[0].hi - prev_parts[0].lo
-        if n == 1:
-            c = spec.c1
-        else:
-            c = spec.shrink * min(prev.gap_length, leftmost_len)
-            if not c < prev.gap_length:
-                raise InvalidSpecError(
-                    f"gap length fails to shrink at step {n}: {c} >= {prev.gap_length}"
+    def _steps(self) -> Iterator[CantorStage]:
+        parts: tuple[Interval, ...] = (UNIT,)
+        gaps: list[GapRecord] = []
+        c = self.c1  # length of the aligned gaps cut at the current step
+        yield _make_stage(0, IntervalUnion(parts), gaps, "perturbed")
+        for n in itertools.count(1):
+            if n > 1:
+                leftmost_len = parts[0].hi - parts[0].lo
+                prev, c = c, self.shrink * min(c, leftmost_len)
+                if not c < prev:
+                    raise InvalidSpecError(
+                        f"gap length fails to shrink at step {n}: {c} >= {prev}"
+                    )
+                if not c < leftmost_len / 2:
+                    raise InvalidSpecError(
+                        f"gap length {c} at step {n} is not below half the leftmost "
+                        f"component ({leftmost_len / 2}); pick a smaller c1 or shrink"
+                    )
+            last = len(parts) - 1
+            cuts = []
+            for idx, part in enumerate(parts):
+                mid = (part.lo + part.hi) / 2
+                if n == 1:
+                    cuts.append((mid - c / 2, mid + c / 2))
+                elif idx == 0:
+                    cuts.append((mid, mid + c))
+                elif idx == last:
+                    cuts.append((mid - c, mid))
+                else:
+                    g = min(self.interior_gap_fraction * c, (part.hi - part.lo) / 2)
+                    cuts.append((mid - g / 2, mid + g / 2))
+            stage = _split_stage(n, parts, cuts, gaps, "perturbed")
+            parts = stage.components.parts
+            if parts[0].length != parts[-1].length:
+                raise InvariantError(
+                    f"perturbed stage {n}: the extreme branches must stay equal "
+                    f"in length, got {parts[0].length} and {parts[-1].length}"
                 )
-            if not c < leftmost_len / 2:
-                raise InvalidSpecError(
-                    f"gap length {c} at step {n} is not below half the leftmost "
-                    f"component ({leftmost_len / 2}); pick a smaller c1 or shrink"
-                )
-        comps: list[Interval] = []
-        gaps = list(prev.stage.gaps)
-        last = len(prev_parts) - 1
-        for idx, part in enumerate(prev_parts):
-            address = format(idx, f"0{n - 1}b") if n > 1 else ""
-            mid = (part.lo + part.hi) / 2
-            if n == 1:
-                gl, gr = mid - c / 2, mid + c / 2
-            elif idx == 0:
-                gl, gr = mid, mid + c
-            elif idx == last:
-                gl, gr = mid - c, mid
-            else:
-                g = min(
-                    spec.interior_gap_fraction * c, (part.hi - part.lo) / 2
-                )
-                gl, gr = mid - g / 2, mid + g / 2
-            gaps.append(GapRecord(address, Interval.open(gl, gr), n))
-            comps.append(Interval(part.lo, gl, True, True))
-            comps.append(Interval(gr, part.hi, True, True))
-        components = IntervalUnion(tuple(comps))
-        assert (
-            components.parts[0].length == components.parts[-1].length
-        ), "extreme branches must stay equal in length"
-        stage = CantorStage(
-            n,
-            components,
-            _sorted_gaps(gaps),
-            _stage_endpoints(components),
-            "perturbed",
-        )
-        state = _PerturbedState(stage, c)
-    _perturbed_cache[key] = state
-    return state
+            yield stage
 
 
 def perturbed_stage(
     spec: PerturbedSpec, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> CantorStage:
-    if n < 0:
-        raise ValueError("stage index must be >= 0")
-    if 2 ** n > budget:
-        raise BudgetExceededError(2 ** n, budget)
-    return _perturbed_state(spec, n, budget).stage
+    return _stage(spec, n, budget)
 
 
 # ---------------------------------------------------------------------
@@ -439,13 +506,7 @@ def half_scaled_components(
     spec: HalfSourceSpec, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> IntervalUnion:
     """Stage-n components of a unit-frame family, scaled into [0, 1/2]."""
-    if isinstance(spec, CentralSpec):
-        stage = central_stage(spec, n, budget=budget)
-    elif isinstance(spec, PerturbedSpec):
-        stage = perturbed_stage(spec, n, budget=budget)
-    else:
-        raise InvalidSpecError(f"unsupported half-frame source: {type(spec).__name__}")
-    return stage.components.scale(Fraction(1, 2))
+    return spec.stage(n, budget=budget).components.scale(Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -455,91 +516,66 @@ class CompositeSpec:
     a_source: HalfSourceSpec
     b_source: HalfSourceSpec
 
+    def component_count(self, n: int) -> None:
+        return None
+
+    def to_obj(self) -> dict[str, Any]:
+        return {
+            "family": "tab",
+            "a": self.a_source.to_obj(),
+            "b": self.b_source.to_obj(),
+        }
+
+    def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
+        return composite_stage(self, n, budget=budget)
+
+    def _steps(self) -> Iterator[CantorStage]:
+        return _composite_steps(
+            functools.partial(_half, self.a_source),
+            functools.partial(_half, self.b_source),
+            "tab",
+        )
+
 
 _HALF_TO_ONE = IntervalUnion((Interval.closed(Fraction(1, 2), 1),))
 
 
-class _CompositeAssembler:
-    """Builds composite stages incrementally, tracking when each maximal
-    gap of the complement first appeared."""
-
-    def __init__(
-        self,
-        a_components: Callable[[int], IntervalUnion],
-        b_components: Callable[[int], IntervalUnion],
-        family: str,
-    ):
-        self._a = a_components
-        self._b = b_components
-        self._family = family
-        self._stages: list[CantorStage] = []
-        self._gap_created: dict[tuple[Fraction, Fraction], int] = {}
-        self._lock = threading.Lock()
-
-    def stage(self, n: int, budget: int) -> CantorStage:
-        with self._lock:
-            while len(self._stages) <= n:
-                self._advance(budget)
-            stage = self._stages[n]
-        if len(stage.components) > budget:
-            raise BudgetExceededError(len(stage.components), budget)
-        return stage
-
-    def _advance(self, budget: int) -> None:
-        m = len(self._stages)
-        a = self._a(m)
-        b = self._b(m)
+def _composite_steps(
+    a_components: Callable[[int], IntervalUnion],
+    b_components: Callable[[int], IntervalUnion],
+    family: str,
+) -> Iterator[CantorStage]:
+    """Composite stages from the stage-m unions of A and B on [0, 1/2],
+    tracking when each maximal gap of the complement first appeared."""
+    gap_created: dict[tuple[Fraction, Fraction], int] = {}
+    prev_max: Fraction | None = None
+    for m in itertools.count():
+        a = a_components(m)
+        b = b_components(m)
         summed = a.minkowski_sum(b).translate(Fraction(1, 2))
-        trimmed = summed.intersect(_HALF_TO_ONE)
-        components = a.union(trimmed)
-        if len(components) > budget:
-            raise BudgetExceededError(len(components), budget)
+        components = a.union(summed.intersect(_HALF_TO_ONE))
+        cur_max = components.max_component_length()
         notes: tuple[str, ...] = ()
-        if self._stages:
-            prev_max = self._stages[-1].max_component_length()
-            cur_max = components.max_component_length()
-            if cur_max >= prev_max and m > 0:
-                message = (
-                    f"max component length did not decrease at stage {m} "
-                    f"({cur_max} >= {prev_max}); the source pair may not "
-                    f"produce a Cantor set"
-                )
-                warnings.warn(message, stacklevel=3)
-                notes = (message,)
+        if prev_max is not None and cur_max >= prev_max:
+            message = (
+                f"max component length did not decrease at stage {m} "
+                f"({cur_max} >= {prev_max}); the source pair may not "
+                f"produce a Cantor set"
+            )
+            warnings.warn(message, stacklevel=2)
+            notes = (message,)
+        prev_max = cur_max
         gaps = []
         for part in components.complement_within(UNIT):
-            key = (part.lo, part.hi)
-            created = self._gap_created.setdefault(key, m)
+            created = gap_created.setdefault((part.lo, part.hi), m)
             gaps.append(GapRecord(None, Interval.open(part.lo, part.hi), created))
-        stage = CantorStage(
-            m,
-            components,
-            _sorted_gaps(gaps),
-            _stage_endpoints(components),
-            self._family,
-            notes=notes,
-        )
-        self._stages.append(stage)
-
-
-_composite_assemblers: dict[tuple[CompositeSpec, int], _CompositeAssembler] = {}
+        yield _make_stage(m, components, gaps, family, notes=notes)
 
 
 def composite_stage(
     spec: CompositeSpec, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> CantorStage:
-    if n < 0:
-        raise ValueError("stage index must be >= 0")
-    key = (spec, budget)
-    assembler = _composite_assemblers.get(key)
-    if assembler is None:
-        assembler = _CompositeAssembler(
-            lambda m: half_scaled_components(spec.a_source, m, budget=budget),
-            lambda m: half_scaled_components(spec.b_source, m, budget=budget),
-            "tab",
-        )
-        _composite_assemblers[key] = assembler
-    return assembler.stage(n, budget)
+    return _stage(spec, n, budget)
 
 
 # ---------------------------------------------------------------------
@@ -574,6 +610,23 @@ class GreedySpec:
     margin: Callable[[int], Fraction] = quartic_margin
     candidates: Callable[[], Iterator[Fraction]] = dyadic_candidates
 
+    def component_count(self, n: int) -> None:
+        return None
+
+    def to_obj(self) -> dict[str, Any]:
+        return {"family": "greedy", "b": self.b_source.to_obj()}
+
+    def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
+        return greedy_stage(self, n, budget=budget).c_stage
+
+    def _steps(self) -> Iterator[CantorStage]:
+        a_half = _GreedyA(self)
+        return _composite_steps(
+            lambda m: _sequence(a_half).get(m).stage.components,
+            functools.partial(_half, self.b_source),
+            "greedy",
+        )
+
 
 class AdmittedPoint(NamedTuple):
     value: Fraction
@@ -601,8 +654,27 @@ class GreedyStages(NamedTuple):
     c_stage: CantorStage  # composite on [0, 1]
 
 
+class _GreedyStep(NamedTuple):
+    stage: CantorStage  # A on [0, 1/2]
+    points: tuple[AdmittedPoint, ...]
+    deferrals: tuple[DeferralEvent, ...]
+
+
+@dataclass(frozen=True)
+class _GreedyA:
+    """Cache key of a greedy spec's A half, whose sequence yields one
+    :class:`_GreedyStep` per stage."""
+
+    spec: GreedySpec
+
+    def component_count(self, n: int) -> int:
+        return 2 ** n
+
+    def _steps(self) -> Iterator[_GreedyStep]:
+        return _greedy_a_steps(self.spec)
+
+
 _QUARTER = Fraction(1, 4)
-_THREE_QUARTERS = Fraction(3, 4)
 
 _MAX_STAGE_ATTEMPTS = 64
 
@@ -623,180 +695,109 @@ def _closed_within(part: Interval, from_left: bool) -> Fraction:
     return part.hi - (part.hi - part.lo) * _QUARTER
 
 
-class _GreedyBuilder:
-    def __init__(self, spec: GreedySpec, budget: int):
-        self.spec = spec
-        self.budget = budget
-        root = ("", Interval(Fraction(0), Fraction(1, 2), True, True))
-        self._components: list[list[tuple[str, Interval]]] = [[root]]
-        self._gaps: list[GapRecord] = []
-        self._admitted: list[AdmittedPoint] = []
-        self._deferred: list[Fraction] = []
-        self._events: list[DeferralEvent] = []
-        self._stream = spec.candidates()
-        self._a_stages: list[CantorStage] = [self._make_a_stage(0)]
-        self._lock = threading.RLock()
-        self._assembler = _CompositeAssembler(
-            lambda m: self.a_union(m), lambda m: self._b(m), "greedy"
-        )
-
-    def _b(self, m: int) -> IntervalUnion:
-        return half_scaled_components(self.spec.b_source, m, budget=self.budget)
-
-    def a_union(self, m: int) -> IntervalUnion:
-        self.ensure(m)
-        return IntervalUnion(tuple(iv for _, iv in self._components[m]))
-
-    def a_stage(self, m: int) -> CantorStage:
-        self.ensure(m)
-        return self._a_stages[m]
-
-    def c_stage(self, m: int) -> CantorStage:
-        self.ensure(m)
-        return self._assembler.stage(m, self.budget)
-
-    def admitted(self, m: int) -> tuple[AdmittedPoint, ...]:
-        self.ensure(m)
-        return tuple(p for p in self._admitted if p.stage <= m)
-
-    def events(self, m: int) -> tuple[DeferralEvent, ...]:
-        self.ensure(m)
-        return tuple(e for e in self._events if e.stage <= m)
-
-    def ensure(self, m: int) -> None:
-        if 2 ** m > self.budget:
-            raise BudgetExceededError(2 ** m, self.budget)
-        with self._lock:
-            while len(self._components) <= m:
-                self._advance()
-
-    def _make_a_stage(self, m: int) -> CantorStage:
-        comps = IntervalUnion(tuple(iv for _, iv in self._components[m]))
-        return CantorStage(
-            m,
-            comps,
-            _sorted_gaps(list(self._gaps)),
-            _stage_endpoints(comps),
-            "greedy-a",
-            frame=HALF,
-        )
-
-    def _avoid_union(
-        self, points: list[Fraction], b: IntervalUnion, delta: Fraction
-    ) -> IntervalUnion:
-        padded: list[Interval] = []
-        for d in points:
-            for part in b.reflect().translate(d):
-                padded.append(Interval(part.lo - delta, part.hi + delta, True, True))
-        return normalize(padded)
-
-    def _split_all(
-        self, parent_stage: int, avoid: IntervalUnion
-    ) -> tuple[list[tuple[str, Interval]], list[GapRecord]]:
-        new_stage = parent_stage + 1
-        children: list[tuple[str, Interval]] = []
-        gaps: list[GapRecord] = []
-        for address, part in self._components[parent_stage]:
-            allowed = IntervalUnion((part,)).difference(avoid)
-            if allowed.is_empty:
-                raise _ComponentEmptied(address)
-            first, last = allowed.parts[0], allowed.parts[-1]
-            # Parent endpoints must survive so they stay in the limit set.
-            if not (first.lo == part.lo and first.lo_closed):
-                raise _ComponentEmptied(address)
-            if not (last.hi == part.hi and last.hi_closed):
-                raise _ComponentEmptied(address)
-            if first is last:
-                length = part.hi - part.lo
-                x = part.lo + length * _QUARTER
-                y = part.hi - length * _QUARTER
-            else:
-                x = _closed_within(first, from_left=False)
-                y = _closed_within(last, from_left=True)
-            if not x < y:
-                raise _ComponentEmptied(address)
-            children.append((address + "0", Interval(part.lo, x, True, True)))
-            children.append((address + "1", Interval(y, part.hi, True, True)))
-            gaps.append(GapRecord(address, Interval.open(x, y), new_stage))
-        return children, gaps
-
-    def _advance(self) -> None:
-        m = len(self._components)  # building A_m from A_{m-1}
-        b = self._b(m)
-        b_forbidden = b.union(b.translate(Fraction(1, 2)))
-        delta = self.spec.margin(m)
-        active = [p.value for p in self._admitted]
-        base_avoid = self._avoid_union(active, b, delta)
-
-        admitted_value: Fraction | None = None
-        split_result = None
-        retries = list(self._deferred)
-        self._deferred = []
-        attempts = 0
-        while attempts < _MAX_STAGE_ATTEMPTS:
-            attempts += 1
-            candidate = retries.pop(0) if retries else next(self._stream)
-            if b_forbidden.contains_point(candidate):
-                # Certified-inside points are skipped outright.
-                continue
-            avoid = self._avoid_union([candidate], b, delta).union(base_avoid)
-            try:
-                split_result = self._split_all(m - 1, avoid)
-            except _ComponentEmptied as emptied:
-                self._events.append(DeferralEvent(candidate, emptied.address, m))
-                logger.info(
-                    "deferred avoidance point %s at stage %d (component %s emptied)",
-                    candidate,
-                    m,
-                    emptied.address or "root",
-                )
-                self._deferred.append(candidate)
-                continue
-            admitted_value = candidate
-            break
-        self._deferred = retries + self._deferred
-        if admitted_value is None or split_result is None:
-            raise AvoidanceExhaustedError(m, attempts)
-
-        children, gaps = split_result
-        self._admitted.append(AdmittedPoint(admitted_value, m))
-        self._components.append(children)
-        self._gaps.extend(gaps)
-        self._a_stages.append(self._make_a_stage(m))
+def _avoid_union(
+    points: list[Fraction], b: IntervalUnion, delta: Fraction
+) -> IntervalUnion:
+    padded: list[Interval] = []
+    for d in points:
+        for part in b.reflect().translate(d):
+            padded.append(Interval(part.lo - delta, part.hi + delta, True, True))
+    return normalize(padded)
 
 
-_greedy_builders: dict[tuple[GreedySpec, int], _GreedyBuilder] = {}
+def _split_all(
+    components: list[tuple[str, Interval]], new_stage: int, avoid: IntervalUnion
+) -> tuple[list[tuple[str, Interval]], list[GapRecord]]:
+    children: list[tuple[str, Interval]] = []
+    gaps: list[GapRecord] = []
+    for address, part in components:
+        allowed = IntervalUnion((part,)).difference(avoid)
+        if allowed.is_empty:
+            raise _ComponentEmptied(address)
+        first, last = allowed.parts[0], allowed.parts[-1]
+        # Parent endpoints must survive so they stay in the limit set.
+        if not (first.lo == part.lo and first.lo_closed):
+            raise _ComponentEmptied(address)
+        if not (last.hi == part.hi and last.hi_closed):
+            raise _ComponentEmptied(address)
+        if first is last:
+            length = part.hi - part.lo
+            x = part.lo + length * _QUARTER
+            y = part.hi - length * _QUARTER
+        else:
+            x = _closed_within(first, from_left=False)
+            y = _closed_within(last, from_left=True)
+        if not x < y:
+            raise _ComponentEmptied(address)
+        children.append((address + "0", Interval(part.lo, x, True, True)))
+        children.append((address + "1", Interval(y, part.hi, True, True)))
+        gaps.append(GapRecord(address, Interval.open(x, y), new_stage))
+    return children, gaps
 
 
-def _greedy_builder(spec: GreedySpec, budget: int) -> _GreedyBuilder:
-    key = (spec, budget)
-    builder = _greedy_builders.get(key)
-    if builder is None:
-        builder = _GreedyBuilder(spec, budget)
-        _greedy_builders[key] = builder
-    return builder
+def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
+    components = [("", Interval(Fraction(0), Fraction(1, 2), True, True))]
+    gaps: list[GapRecord] = []
+    admitted: list[AdmittedPoint] = []
+    deferred: list[Fraction] = []
+    events: list[DeferralEvent] = []
+    stream = spec.candidates()
+    for m in itertools.count():
+        if m:  # build A_m from A_{m-1}
+            b = _half(spec.b_source, m)
+            b_forbidden = b.union(b.translate(Fraction(1, 2)))
+            delta = spec.margin(m)
+            base_avoid = _avoid_union([p.value for p in admitted], b, delta)
+            retries, deferred = deferred, []
+            split = None
+            attempts = 0
+            while split is None and attempts < _MAX_STAGE_ATTEMPTS:
+                attempts += 1
+                candidate = retries.pop(0) if retries else next(stream, None)
+                if candidate is None:  # the candidate stream ran out
+                    break
+                if b_forbidden.contains_point(candidate):
+                    # Certified-inside points are skipped outright.
+                    continue
+                avoid = _avoid_union([candidate], b, delta).union(base_avoid)
+                try:
+                    split = _split_all(components, m, avoid)
+                except _ComponentEmptied as emptied:
+                    events.append(DeferralEvent(candidate, emptied.address, m))
+                    logger.info(
+                        "deferred avoidance point %s at stage %d (component %s emptied)",
+                        candidate,
+                        m,
+                        emptied.address or "root",
+                    )
+                    deferred.append(candidate)
+            deferred = retries + deferred
+            if split is None:
+                raise AvoidanceExhaustedError(m, attempts)
+            components, new_gaps = split
+            admitted.append(AdmittedPoint(candidate, m))
+            gaps.extend(new_gaps)
+        a = IntervalUnion(tuple(iv for _, iv in components))
+        stage = _make_stage(m, a, gaps, "greedy-a", frame=HALF)
+        yield _GreedyStep(stage, tuple(admitted), tuple(events))
 
 
 def greedy_stage(
     spec: GreedySpec, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> GreedyStages:
-    if n < 0:
-        raise ValueError("stage index must be >= 0")
-    builder = _greedy_builder(spec, budget)
-    return GreedyStages(builder.a_stage(n), builder.c_stage(n))
+    a = _stage(_GreedyA(spec), n, budget)
+    return GreedyStages(a.stage, _stage(spec, n, budget))
 
 
 def greedy_certificate(
     spec: GreedySpec, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> GreedyCertificate:
     """Check that no admitted point is reachable as a sum from A_n + B_n."""
-    builder = _greedy_builder(spec, budget)
-    points = builder.admitted(n)
-    a = builder.a_union(n)
+    a = _stage(_GreedyA(spec), n, budget)
     b = half_scaled_components(spec.b_source, n, budget=budget)
-    reachable = a.minkowski_sum(b)
-    verified = all(not reachable.contains_point(p.value) for p in points)
-    return GreedyCertificate(n, points, builder.events(n), verified)
+    reachable = a.stage.components.minkowski_sum(b)
+    verified = all(not reachable.contains_point(p.value) for p in a.points)
+    return GreedyCertificate(n, a.points, a.deferrals, verified)
 
 
 # ---------------------------------------------------------------------

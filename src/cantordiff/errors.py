@@ -29,6 +29,11 @@ class NotCertifiableError(CantorDiffError):
     """
 
 
+class InvariantError(CantorDiffError):
+    """A computed stage or bracket breaks an invariant that the finite-stage
+    soundness argument relies on; the result must not be reported."""
+
+
 class AvoidanceExhaustedError(CantorDiffError):
     """The greedy construction could not admit any candidate for a full stage."""
 

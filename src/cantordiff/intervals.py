@@ -53,6 +53,11 @@ def as_rational(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def format_rational(q: Fraction) -> str:
+    """Canonical "p/q" text (q > 0, reduced) of the package's JSON dialect."""
+    return f"{q.numerator}/{q.denominator}"
+
+
 @dataclass(frozen=True, slots=True)
 class Interval:
     """A nonempty rational interval with per-endpoint openness.

@@ -26,7 +26,7 @@ from .constructions import (
     RatioRule,
 )
 from .errors import InvalidSpecError
-from .intervals import Interval, IntervalUnion
+from .intervals import Interval, IntervalUnion, format_rational
 
 __all__ = [
     "format_rational",
@@ -50,14 +50,10 @@ __all__ = [
 FamilySpec = CentralSpec | PerturbedSpec | CompositeSpec | GreedySpec
 
 
-def format_rational(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InvalidSpecError(f"invalid rational {text!r}: {exc}") from exc
 
 
@@ -154,57 +150,47 @@ def gap_table_rows(stage: CantorStage) -> list[list[str]]:
 # spec files
 
 
-def _ratios_to_obj(rule: RatioRule) -> dict[str, Any]:
-    if isinstance(rule, ConstantRatios):
-        return {"rule": "constant", "value": format_rational(rule.value)}
-    if isinstance(rule, ListRatios):
-        return {
-            "rule": "list",
-            "values": [format_rational(v) for v in rule.values],
-            "tail": format_rational(rule.tail),
-        }
-    if isinstance(rule, GeometricRatios):
-        return {"rule": "geometric", "base": format_rational(rule.base)}
-    raise InvalidSpecError(f"unknown ratio rule {type(rule).__name__}")
+def _field(obj: dict[str, Any], key: str, path: str, what: str) -> Any:
+    if key not in obj:
+        raise InvalidSpecError(f"{path}: {what} needs '{key}'")
+    return obj[key]
 
 
-def _ratios_from_obj(obj: Any) -> RatioRule:
+def _rational(value: Any, path: str) -> Fraction:
+    try:
+        return parse_rational(value)
+    except InvalidSpecError as exc:
+        raise InvalidSpecError(f"{path}: {exc}") from exc
+
+
+def _ratios_from_obj(obj: Any, path: str) -> RatioRule:
     if isinstance(obj, str):
-        return ConstantRatios(parse_rational(obj))
+        return ConstantRatios(_rational(obj, path))
     if not isinstance(obj, dict) or "rule" not in obj:
-        raise InvalidSpecError("ratios must be a 'p/q' string or a rule object")
+        raise InvalidSpecError(
+            f"{path}: ratios must be a 'p/q' string or a rule object"
+        )
     kind = obj["rule"]
     if kind == "constant":
-        return ConstantRatios(parse_rational(obj["value"]))
+        value = _field(obj, "value", path, "constant rule")
+        return ConstantRatios(_rational(value, f"{path}.value"))
     if kind == "list":
+        values = _field(obj, "values", path, "list rule")
+        if not isinstance(values, list):
+            raise InvalidSpecError(f"{path}.values: expected a list of rationals")
+        tail = _field(obj, "tail", path, "list rule")
         return ListRatios(
-            tuple(parse_rational(v) for v in obj["values"]),
-            parse_rational(obj["tail"]),
+            tuple(_rational(v, f"{path}.values[{i}]") for i, v in enumerate(values)),
+            _rational(tail, f"{path}.tail"),
         )
     if kind == "geometric":
-        return GeometricRatios(parse_rational(obj["base"]))
-    raise InvalidSpecError(f"unknown ratio rule {kind!r}")
+        base = _field(obj, "base", path, "geometric rule")
+        return GeometricRatios(_rational(base, f"{path}.base"))
+    raise InvalidSpecError(f"{path}: unknown ratio rule {kind!r}")
 
 
 def spec_to_obj(spec: FamilySpec) -> dict[str, Any]:
-    if isinstance(spec, CentralSpec):
-        return {"family": "central", "ratios": _ratios_to_obj(spec.ratios)}
-    if isinstance(spec, PerturbedSpec):
-        return {
-            "family": "perturbed",
-            "c1": format_rational(spec.c1),
-            "shrink": format_rational(spec.shrink),
-            "interior_gap_fraction": format_rational(spec.interior_gap_fraction),
-        }
-    if isinstance(spec, CompositeSpec):
-        return {
-            "family": "tab",
-            "a": spec_to_obj(spec.a_source),
-            "b": spec_to_obj(spec.b_source),
-        }
-    if isinstance(spec, GreedySpec):
-        return {"family": "greedy", "b": spec_to_obj(spec.b_source)}
-    raise InvalidSpecError(f"unknown spec type {type(spec).__name__}")
+    return spec.to_obj()
 
 
 def spec_from_obj(obj: Any, *, path: str = "spec") -> FamilySpec:
@@ -212,35 +198,25 @@ def spec_from_obj(obj: Any, *, path: str = "spec") -> FamilySpec:
         raise InvalidSpecError(f"{path}: expected an object")
     family = obj.get("family")
     if family == "central":
-        if "ratios" not in obj:
-            raise InvalidSpecError(f"{path}: central spec needs 'ratios'")
-        return CentralSpec(_ratios_from_obj(obj["ratios"]))
+        ratios = _field(obj, "ratios", path, "central spec")
+        return CentralSpec(_ratios_from_obj(ratios, f"{path}.ratios"))
     if family == "perturbed":
-        if "c1" not in obj:
-            raise InvalidSpecError(f"{path}: perturbed spec needs 'c1'")
+        c1 = _rational(_field(obj, "c1", path, "perturbed spec"), f"{path}.c1")
         kwargs: dict[str, Fraction] = {}
-        if "shrink" in obj:
-            kwargs["shrink"] = parse_rational(obj["shrink"])
-        if "interior_gap_fraction" in obj:
-            kwargs["interior_gap_fraction"] = parse_rational(
-                obj["interior_gap_fraction"]
-            )
-        return PerturbedSpec(parse_rational(obj["c1"]), **kwargs)
+        for key in ("shrink", "interior_gap_fraction"):
+            if key in obj:
+                kwargs[key] = _rational(obj[key], f"{path}.{key}")
+        return PerturbedSpec(c1, **kwargs)
     if family == "tab":
-        for key in ("a", "b"):
-            if key not in obj:
-                raise InvalidSpecError(f"{path}: tab spec needs '{key}'")
-        a = spec_from_obj(obj["a"], path=f"{path}.a")
-        b = spec_from_obj(obj["b"], path=f"{path}.b")
+        a = spec_from_obj(_field(obj, "a", path, "tab spec"), path=f"{path}.a")
+        b = spec_from_obj(_field(obj, "b", path, "tab spec"), path=f"{path}.b")
         if isinstance(a, (CompositeSpec, GreedySpec)) or isinstance(
             b, (CompositeSpec, GreedySpec)
         ):
             raise InvalidSpecError(f"{path}: tab sources must be central or perturbed")
         return CompositeSpec(a, b)
     if family == "greedy":
-        if "b" not in obj:
-            raise InvalidSpecError(f"{path}: greedy spec needs 'b'")
-        b = spec_from_obj(obj["b"], path=f"{path}.b")
+        b = spec_from_obj(_field(obj, "b", path, "greedy spec"), path=f"{path}.b")
         if isinstance(b, (CompositeSpec, GreedySpec)):
             raise InvalidSpecError(
                 f"{path}: greedy source must be central or perturbed"

@@ -30,9 +30,7 @@ from .constructions import (
     GreedySpec,
     PerturbedSpec,
     central_stage,
-    composite_stage,
     greedy_certificate,
-    greedy_stage,
     half_scaled_components,
     perturbed_stage,
     rightmost_branch_gap_end,
@@ -92,15 +90,7 @@ def family_stage(
     spec: FamilySpec, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> CantorStage:
     """Unit-frame stage for any family spec."""
-    if isinstance(spec, CentralSpec):
-        return central_stage(spec, n, budget=budget)
-    if isinstance(spec, PerturbedSpec):
-        return perturbed_stage(spec, n, budget=budget)
-    if isinstance(spec, CompositeSpec):
-        return composite_stage(spec, n, budget=budget)
-    if isinstance(spec, GreedySpec):
-        return greedy_stage(spec, n, budget=budget).c_stage
-    raise InvalidSpecError(f"unknown spec type {type(spec).__name__}")
+    return spec.stage(n, budget=budget)
 
 
 def _check(condition: bool, aid: str, description: str, **details: Any) -> Assertion:
@@ -450,7 +440,9 @@ def _suite_steinhaus(
         ),
     ]
     final = rows[-1]
-    if isinstance(spec, (CentralSpec, PerturbedSpec)):
+    # Binary families (component count known in advance) must empty the
+    # middle band; composite families are held to an empirical threshold.
+    if spec.component_count(final.n) is not None:
         assertions.append(
             _check(
                 final.middle == 0,

@@ -1,9 +1,14 @@
 """Tests for brackets, certificates, and the chain machinery."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import cantordiff
 from cantordiff.analysis import (
     difference_bracket,
     dominant_gap_certificate,
@@ -135,6 +140,30 @@ class TestBracket:
                 assert prev.inner.is_subset(bracket.inner)
                 assert bracket.outer.is_subset(prev.outer)
             prev = bracket
+
+    def test_sandwich_is_checked_under_optimize(self):
+        # The bracket invariants are explicit checks, not asserts that
+        # python -O strips: an inner bracket outside the outer one is refused.
+        code = (
+            "from cantordiff.analysis import DiffBracket\n"
+            "from cantordiff.errors import CantorDiffError\n"
+            "from cantordiff.intervals import BOX, EMPTY, union_of\n"
+            "box = union_of(BOX)\n"
+            "try:\n"
+            "    DiffBracket(0, box, EMPTY, box, EMPTY)\n"
+            "except CantorDiffError as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        src = str(Path(cantordiff.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert "refused: stage 0: expected the inner bracket" in result.stdout
 
 
 class TestDominantGapCertificate:

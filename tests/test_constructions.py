@@ -1,5 +1,6 @@
 """Tests for the four stage generators."""
 
+import itertools
 import warnings
 from fractions import Fraction as F
 
@@ -18,6 +19,7 @@ from cantordiff.constructions import (
     builtin_ternary,
     central_stage,
     composite_stage,
+    dyadic_candidates,
     greedy_certificate,
     greedy_stage,
     half_scaled_components,
@@ -190,17 +192,15 @@ class TestComposite:
 
     def test_max_component_warning_path(self):
         # a source that never refines cannot shrink the components;
-        # the assembler must report it instead of silently accepting
-        from cantordiff.constructions import _CompositeAssembler
+        # the composite step must report it instead of silently accepting
+        from cantordiff.constructions import _composite_steps
 
         frozen = union_of(Interval.closed(0, F(1, 2)))
-        assembler = _CompositeAssembler(
-            lambda n: frozen, lambda n: frozen, "tab"
-        )
+        steps = _composite_steps(lambda n: frozen, lambda n: frozen, "tab")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assembler.stage(0, 2 ** 10)
-            stage = assembler.stage(1, 2 ** 10)
+            next(steps)
+            stage = next(steps)
         assert any("did not decrease" in str(w.message) for w in caught)
         assert stage.notes
 
@@ -268,12 +268,36 @@ class TestGreedyFailureModes:
         with pytest.raises(BudgetExceededError):
             greedy_stage(builtin_fat_composite(), 6, budget=16)
 
+    def test_failed_build_is_not_kept_for_the_next_request(self):
+        # 64 certified-inside candidates exhaust stage 1; a retry must start
+        # from a fresh candidate stream, not from the one the failure consumed
+        from cantordiff.errors import AvoidanceExhaustedError
+
+        spec = GreedySpec(
+            CentralSpec.geometric(F(1, 4)),
+            candidates=lambda: itertools.chain([F(0)] * 64, dyadic_candidates()),
+        )
+        for _ in range(2):
+            with pytest.raises(AvoidanceExhaustedError):
+                greedy_stage(spec, 1)
+
 
 class TestCompositeBudget:
     def test_budget_guard(self):
         spec = CompositeSpec(CentralSpec.constant(F(1, 2)), CentralSpec.constant(F(1, 2)))
         with pytest.raises(BudgetExceededError):
             composite_stage(spec, 4, budget=4)
+
+    def test_budget_checks_each_request_against_cached_stages(self):
+        # stages built under a large budget are shared, but a later request
+        # with a small budget is refused at the first stage it cannot hold
+        spec = builtin_composite_pair()
+        counts = [len(composite_stage(spec, n).components) for n in range(5)]
+        assert counts == [1, 3, 8, 21, 56]
+        assert composite_stage(spec, 2, budget=8).n == 2
+        with pytest.raises(BudgetExceededError) as caught:
+            composite_stage(spec, 4, budget=20)
+        assert (caught.value.requested, caught.value.budget) == (21, 20)
 
 
 class TestParallelGeneration:
@@ -291,6 +315,32 @@ class TestParallelGeneration:
             )
         assert all(s == tab_results[0] for s in tab_results)
         assert all(s == greedy_results[0] for s in greedy_results)
+
+    def test_concurrent_requests_with_different_budgets(self):
+        # one shared sequence serves every budget; each request gets its own
+        # verdict (stage 5 holds 153 components: over 100, under 2^14)
+        import concurrent.futures
+        import sys
+
+        spec = CompositeSpec(
+            CentralSpec.from_list((), F(1, 2)), CentralSpec.constant(F(1, 2))
+        )
+
+        def request(budget):
+            try:
+                return len(composite_stage(spec, 5, budget=budget).components)
+            except BudgetExceededError as exc:
+                return -exc.requested
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(request, b) for b in [100, 2 ** 14] * 8]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [-153, 153] * 8
 
 
 class TestBranchShift:

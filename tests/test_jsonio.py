@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantordiff.constructions import (
     CentralSpec,
@@ -114,8 +115,53 @@ def test_spec_shorthand_constant_ratio():
             },
             "central or perturbed",
         ),
+        (
+            {"family": "central", "ratios": {"rule": "list", "values": 5, "tail": "1/3"}},
+            r"spec\.ratios\.values",
+        ),
+        ({"family": "central", "ratios": {"rule": "constant"}}, r"spec\.ratios: .*'value'"),
     ],
 )
 def test_spec_errors(obj, fragment):
     with pytest.raises(InvalidSpecError, match=fragment):
         spec_from_obj(obj)
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["1/3", "1/0", "2", "x", "central", "tab", "list"])
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_SPEC_LIKE = st.recursive(
+    _JSON,
+    lambda inner: st.fixed_dictionaries(
+        {"family": st.sampled_from(["central", "perturbed", "tab", "greedy", "x"])},
+        optional={
+            "ratios": inner
+            | st.fixed_dictionaries(
+                {"rule": st.sampled_from(["constant", "list", "geometric", "x"])},
+                optional={"value": inner, "values": inner, "tail": inner, "base": inner},
+            ),
+            "c1": inner,
+            "shrink": inner,
+            "interior_gap_fraction": inner,
+            "a": inner,
+            "b": inner,
+        },
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SPEC_LIKE)
+def test_spec_from_obj_raises_only_invalid_spec(obj):
+    try:
+        spec_from_obj(obj)
+    except InvalidSpecError:
+        pass
