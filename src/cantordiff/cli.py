@@ -74,8 +74,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
     out = Path(args.out)
     max_stage = _clamped_max_stage(spec, args.max_stage, args.budget)
-    for n in range(max_stage + 1):
-        stage = family_stage(spec, n, budget=args.budget)
+    # Build every stage before writing, so a refused stage leaves no files.
+    stages = [family_stage(spec, n, budget=args.budget) for n in range(max_stage + 1)]
+    for n, stage in enumerate(stages):
         _write_text(out / f"stage_{n:03d}.json", dump_json(stage_to_obj(stage)))
         _write_text(
             out / f"gaps_{n:03d}.csv",

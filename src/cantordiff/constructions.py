@@ -710,11 +710,18 @@ def _split_all(
 ) -> tuple[list[tuple[str, Interval]], list[GapRecord]]:
     children: list[tuple[str, Interval]] = []
     gaps: list[GapRecord] = []
+    # One difference for all components, whose closed parts lie apart:
+    # each allowed piece falls inside exactly one component.
+    allowed = IntervalUnion(tuple(part for _, part in components)).difference(avoid)
+    i = 0
     for address, part in components:
-        allowed = IntervalUnion((part,)).difference(avoid)
-        if allowed.is_empty:
+        j = i
+        while j < len(allowed) and allowed.parts[j].hi <= part.hi:
+            j += 1
+        if j == i:
             raise _ComponentEmptied(address)
-        first, last = allowed.parts[0], allowed.parts[-1]
+        first, last = allowed.parts[i], allowed.parts[j - 1]
+        i = j
         # Parent endpoints must survive so they stay in the limit set.
         if not (first.lo == part.lo and first.lo_closed):
             raise _ComponentEmptied(address)

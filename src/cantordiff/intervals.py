@@ -7,17 +7,22 @@ immutable values and return normalized unions: parts sorted by left
 endpoint, pairwise disjoint, with only open/open adjacencies (genuine
 single-point punctures) left unmerged.
 
-Internally the heavy operations run on an integer grid.  Every endpoint
-is scaled by the least common multiple of the denominators in play and
-openness is encoded as an infinitesimal offset ``eps``:
+Every set operation runs on one integer key per endpoint.  On the grid
+of step ``1/scale`` (the least common multiple of the denominators in
+play) the point ``x`` has key ``3*x*scale``; an open start adds 1 and an
+open end subtracts 1.  A part is then the inclusive key range
+``[start, end]``, nonempty iff ``start <= end``, and an open cell
+between grid points holds two keys, so nothing is lost.  With
+``A = a*scale`` and ``B = b*scale``:
 
-    (x, -1)  just below x      (open right end)
-    (x,  0)  exactly x         (closed end)
-    (x, +1)  just above x      (open left end)
+    [a, b]  ->  [3A, 3B]        (a, b)  ->  [3A + 1, 3B - 1]
 
-Two parts merge exactly when the next start is at or before the
-successor of the previous end in this encoding, which reproduces the
-puncture-preserving adjacency rule with plain integer comparisons.
+Two ranges in start order merge iff ``next_start <= prev_end + 1``,
+which merges closed touches and keeps open/open punctures apart; a
+union is normalized iff its keys strictly increase with at least one
+key between consecutive ranges.  Intersection and difference are
+two-pointer walks over key ranges, and a Minkowski sum adds keys,
+taking one unit back at an end where both summands are open.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, pairwise
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -137,78 +144,127 @@ class Interval:
         return f"{left}{self.lo}, {self.hi}{right}"
 
 
-# Endpoint keys: (coordinate, eps).  Start keys use eps in {0, +1},
-# end keys use eps in {-1, 0}; both live on the same ordered axis.
-
-def _skey(p: Interval) -> tuple[Fraction, int]:
-    return (p.lo, 0 if p.lo_closed else 1)
-
-
-def _ekey(p: Interval) -> tuple[Fraction, int]:
-    return (p.hi, 0 if p.hi_closed else -1)
-
-
-def _span_nonempty(s: tuple[Fraction, int], e: tuple[Fraction, int]) -> bool:
-    # A real point x satisfies s <= (x, 0) <= e iff the span is nonempty.
-    return s[0] < e[0] or (s[0] == e[0] and s[1] == 0 and e[1] == 0)
-
-
-def _span_interval(s: tuple[Fraction, int], e: tuple[Fraction, int]) -> Interval:
-    return Interval(s[0], e[0], s[1] == 0, e[1] == 0)
-
-
-# -- scaled-integer engine -------------------------------------------
+# -- integer endpoint keys ---------------------------------------------
 #
-# A scaled term is (lo, lo_eps, hi, hi_eps) with lo/hi integers over a
-# shared denominator.  Terms sort lexicographically in sweep order.
+# A key range is (start, end), both keys on one grid of step 1/scale.
 
-_Term = tuple[int, int, int, int]
+_Range = tuple[int, int]
 
 
-def _scaled_terms(parts: Sequence[Interval]) -> tuple[int, list[_Term]]:
-    dens = {p.lo.denominator for p in parts} | {p.hi.denominator for p in parts}
-    scale = lcm(*dens) if dens else 1
-    terms = [
+def _grid(*groups: Sequence[Interval]) -> int:
+    """Least common multiple of every endpoint denominator."""
+    dens: set[int] = set()
+    for parts in groups:
+        dens.update(p.lo.denominator for p in parts)
+        dens.update(p.hi.denominator for p in parts)
+    return lcm(*dens)
+
+
+def _ranges(parts: Iterable[Interval], scale: int) -> Iterator[_Range]:
+    k = 3 * scale
+    return (
         (
-            p.lo.numerator * (scale // p.lo.denominator),
-            0 if p.lo_closed else 1,
-            p.hi.numerator * (scale // p.hi.denominator),
-            0 if p.hi_closed else -1,
+            p.lo.numerator * (k // p.lo.denominator) + (not p.lo_closed),
+            p.hi.numerator * (k // p.hi.denominator) - (not p.hi_closed),
         )
         for p in parts
-    ]
-    return scale, terms
+    )
 
 
-def _rescale(terms: list[_Term], factor: int) -> list[_Term]:
-    if factor == 1:
-        return terms
-    return [(lo * factor, sl, hi * factor, sh) for lo, sl, hi, sh in terms]
+def _common_ranges(
+    a: "IntervalUnion", b: "IntervalUnion"
+) -> tuple[int, Iterator[_Range], Iterator[_Range]]:
+    scale = _grid(a.parts, b.parts)
+    return scale, _ranges(a.parts, scale), _ranges(b.parts, scale)
 
 
-def _sweep(terms: list[_Term]) -> list[_Term]:
-    """Merge a sorted list of scaled terms into normalized form."""
-    out: list[_Term] = []
-    clo = csl = chi = csh = None
-    for lo, sl, hi, sh in terms:
-        if clo is None:
-            clo, csl, chi, csh = lo, sl, hi, sh
-        elif lo < chi or (lo == chi and sl <= csh + 1):
-            if hi > chi or (hi == chi and sh > csh):
-                chi, csh = hi, sh
-        else:
-            out.append((clo, csl, chi, csh))
-            clo, csl, chi, csh = lo, sl, hi, sh
-    if clo is not None:
-        out.append((clo, csl, chi, csh))
+def _increasing(ranges: Iterable[_Range]) -> bool:
+    """Normalized order: at least one key between consecutive ranges."""
+    return all(e + 1 < s for (_, e), (s, _) in pairwise(ranges))
+
+
+def _merge(ranges: Iterable[_Range]) -> list[_Range]:
+    """Merge ranges given in start order; open/open punctures stay apart."""
+    it = iter(ranges)
+    for cs, ce in it:
+        break
+    else:
+        return []
+    out: list[_Range] = []
+    for s, e in it:
+        if s > ce + 1:
+            out.append((cs, ce))
+            cs, ce = s, e
+        elif e > ce:
+            ce = e
+    out.append((cs, ce))
     return out
 
 
-def _parts_from_terms(terms: Iterable[_Term], scale: int) -> tuple[Interval, ...]:
-    return tuple(
-        Interval(Fraction(lo, scale), Fraction(hi, scale), sl == 0, sh == 0)
-        for lo, sl, hi, sh in terms
-    )
+def _meet(a: Iterator[_Range], b: Iterator[_Range]) -> list[_Range]:
+    """The keys held by both normalized, nonempty ``a`` and ``b``."""
+    out: list[_Range] = []
+    (sa, ea), (sb, eb) = next(a), next(b)
+    try:
+        while True:
+            s, e = max(sa, sb), min(ea, eb)
+            if s <= e:
+                out.append((s, e))
+            if ea <= eb:
+                sa, ea = next(a)
+            else:
+                sb, eb = next(b)
+    except StopIteration:
+        return out
+
+
+def _minus(a: Iterable[_Range], b: Iterator[_Range]) -> list[_Range]:
+    """The keys of normalized ``a`` that no range of normalized ``b`` holds."""
+    out: list[_Range] = []
+    cut = next(b, None)
+    for s, e in a:
+        while cut is not None and cut[0] <= e:
+            bs, be = cut
+            if s < bs:
+                out.append((s, bs - 1))
+            s = max(s, be + 1)
+            if be > e:  # the cut reaches into the next range of a
+                break
+            cut = next(b, None)
+        if s <= e:
+            out.append((s, e))
+    return out
+
+
+def _row_sums(a: list[_Range], b: list[_Range]) -> Iterator[Iterator[_Range]]:
+    """Per range of ``a``, its sums with every range of ``b`` in start order.
+
+    A sum end is attained iff both summand ends are: where the ``a`` end
+    is open, the ``b`` end enters with its closed key (``3*x*scale``), so
+    the one open unit is counted once.
+    """
+    starts = ([s for s, _ in b], [s - s % 3 for s, _ in b])
+    ends = ([e for _, e in b], [e + e % 3 // 2 for _, e in b])
+    for sa, ea in a:
+        yield zip(map(sa.__add__, starts[sa % 3]), map(ea.__add__, ends[ea % 3 // 2]))
+
+
+def _from_ranges(ranges: list[_Range], scale: int) -> "IntervalUnion":
+    """The union of normalized key ranges, checked on the keys themselves."""
+    if not _increasing(ranges):
+        raise ValueError("IntervalUnion parts not normalized")
+    parts = []
+    for s, e in ranges:
+        lo, lo_open = divmod(s, 3)
+        hi, hi_closed = divmod(e + 1, 3)
+        parts.append(
+            Interval(
+                Fraction(lo, scale), Fraction(hi, scale), not lo_open, hi_closed == 1
+            )
+        )
+    union = object.__new__(IntervalUnion)
+    object.__setattr__(union, "parts", tuple(parts))
+    return union
 
 
 # Pair counts up to this limit go through one dedup set; larger products
@@ -217,56 +273,25 @@ _PRODUCT_DEDUP_LIMIT = 3_000_000
 _CHUNK_PARTS = 1_500_000
 
 
-def _big_product(small: list[_Term], big: list[_Term]) -> list[_Term]:
-    """Pairwise sums of two term lists, memory-bounded.
+def _big_product(small: list[_Range], big: list[_Range]) -> list[_Range]:
+    """Pairwise sums of two range lists, memory-bounded.
 
-    ``big`` is normalized, so each translated copy of it is already
-    sorted and can be pre-merged in one linear pass; chunks of surviving
-    parts are then sorted and swept, and the chunk outputs merged once.
+    ``big`` is normalized, so each translated copy of it is already in
+    start order and is merged in one linear pass; chunks of surviving
+    ranges are then sorted and merged, and the chunk outputs merged once.
     """
-    partials: list[list[_Term]] = []
-    buf: list[_Term] = []
-    for al, asl, ah, ash in small:
-        clo = csl = chi = csh = None
-        for bl, bsl, bh, bsh in big:
-            lo = al + bl
-            sl = asl | bsl
-            hi = ah + bh
-            sh = ash | bsh
-            if clo is None:
-                clo, csl, chi, csh = lo, sl, hi, sh
-            elif lo < chi or (lo == chi and sl <= csh + 1):
-                if hi > chi or (hi == chi and sh > csh):
-                    chi, csh = hi, sh
-            else:
-                buf.append((clo, csl, chi, csh))
-                clo, csl, chi, csh = lo, sl, hi, sh
-        buf.append((clo, csl, chi, csh))
+    partials: list[list[_Range]] = []
+    buf: list[_Range] = []
+    for row in _row_sums(small, big):
+        buf += _merge(row)
         if len(buf) >= _CHUNK_PARTS:
             buf.sort()
-            partials.append(_sweep(buf))
+            partials.append(_merge(buf))
             buf = []
     if buf:
         buf.sort()
-        partials.append(_sweep(buf))
-    if len(partials) == 1:
-        return partials[0]
-    merged: list[_Term] = []
-    for p in partials:
-        merged.extend(p)
-    merged.sort()
-    return _sweep(merged)
-
-
-def _check_normalized(parts: tuple[Interval, ...]) -> bool:
-    for prev, nxt in zip(parts, parts[1:]):
-        pe = _ekey(prev)
-        ns = _skey(nxt)
-        # A genuine gap requires the next start strictly beyond the
-        # successor of the previous end.
-        if not (ns > (pe[0], pe[1] + 1)):
-            return False
-    return True
+        partials.append(_merge(buf))
+    return _merge(sorted(chain.from_iterable(partials)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,7 +300,7 @@ class IntervalUnion:
 
     Construct through :func:`normalize` (or the ``union_of`` helper)
     unless the parts are already in normalized order; the constructor
-    asserts normalization in debug builds.
+    raises ``ValueError`` on parts that are not.
     """
 
     parts: tuple[Interval, ...] = ()
@@ -283,7 +308,10 @@ class IntervalUnion:
     def __post_init__(self) -> None:
         if not isinstance(self.parts, tuple):
             object.__setattr__(self, "parts", tuple(self.parts))
-        assert _check_normalized(self.parts), "IntervalUnion parts not normalized"
+        if len(self.parts) > 1 and not _increasing(
+            _ranges(self.parts, _grid(self.parts))
+        ):
+            raise ValueError("IntervalUnion parts not normalized")
 
     # -- basic queries -----------------------------------------------
 
@@ -328,8 +356,7 @@ class IntervalUnion:
 
     def contains_point(self, x: RationalLike) -> bool:
         x = as_rational(x)
-        los = [p.lo for p in self.parts]
-        i = bisect_right(los, x)
+        i = bisect_right(self.parts, x, key=attrgetter("lo"))
         return i > 0 and self.parts[i - 1].contains(x)
 
     def __contains__(self, x: RationalLike) -> bool:
@@ -348,71 +375,28 @@ class IntervalUnion:
         return self.union(other)
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        out: list[Interval] = []
-        a_parts, b_parts = self.parts, other.parts
-        i = j = 0
-        while i < len(a_parts) and j < len(b_parts):
-            a, b = a_parts[i], b_parts[j]
-            s = max(_skey(a), _skey(b))
-            e = min(_ekey(a), _ekey(b))
-            if _span_nonempty(s, e):
-                out.append(_span_interval(s, e))
-            if _ekey(a) <= _ekey(b):
-                i += 1
-            else:
-                j += 1
-        return IntervalUnion(tuple(out))
+        if self.is_empty or other.is_empty:
+            return EMPTY
+        scale, a, b = _common_ranges(self, other)
+        return _from_ranges(_meet(a, b), scale)
 
     def __and__(self, other: "IntervalUnion") -> "IntervalUnion":
         return self.intersect(other)
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
         """Set difference self minus other (not the algebraic difference)."""
-        out: list[Interval] = []
-        b_parts = other.parts
-        nb = len(b_parts)
-        j = 0
-        for a in self.parts:
-            cur = _skey(a)
-            aend = _ekey(a)
-            while j < nb and _ekey(b_parts[j]) < cur:
-                j += 1
-            k = j
-            while k < nb:
-                b = b_parts[k]
-                bs = _skey(b)
-                if bs > aend:
-                    break
-                gap_end = (bs[0], bs[1] - 1)
-                if _span_nonempty(cur, gap_end):
-                    out.append(_span_interval(cur, gap_end))
-                be = _ekey(b)
-                nxt = (be[0], be[1] + 1)
-                if nxt > cur:
-                    cur = nxt
-                k += 1
-            if _span_nonempty(cur, aend):
-                out.append(_span_interval(cur, aend))
-        return IntervalUnion(tuple(out))
+        if self.is_empty or other.is_empty:
+            return self
+        scale, a, b = _common_ranges(self, other)
+        return _from_ranges(_minus(a, b), scale)
 
     def complement_within(self, frame: Interval) -> "IntervalUnion":
         """Frame minus self; parts of self outside the frame are ignored."""
         return IntervalUnion((frame,)).difference(self)
 
     def is_subset(self, other: "IntervalUnion") -> bool:
-        b_parts = other.parts
-        nb = len(b_parts)
-        j = 0
-        for a in self.parts:
-            sa, ea = _skey(a), _ekey(a)
-            while j < nb and _ekey(b_parts[j]) < ea:
-                j += 1
-            if j == nb:
-                return False
-            b = b_parts[j]
-            if not (_skey(b) <= sa and ea <= _ekey(b)):
-                return False
-        return True
+        _, a, b = _common_ranges(self, other)
+        return not _minus(a, b)
 
     # -- affine maps ---------------------------------------------------
 
@@ -468,23 +452,18 @@ class IntervalUnion:
         """
         if self.is_empty or other.is_empty:
             return EMPTY
-        scale_a, terms_a = _scaled_terms(self.parts)
-        scale_b, terms_b = _scaled_terms(other.parts)
-        scale = lcm(scale_a, scale_b)
-        terms_a = _rescale(terms_a, scale // scale_a)
-        terms_b = _rescale(terms_b, scale // scale_b)
-        if len(terms_a) > len(terms_b):
-            terms_a, terms_b = terms_b, terms_a
-        if len(terms_a) * len(terms_b) <= _PRODUCT_DEDUP_LIMIT:
-            products = {
-                (al + bl, asl | bsl, ah + bh, ash | bsh)
-                for al, asl, ah, ash in terms_a
-                for bl, bsl, bh, bsh in terms_b
-            }
-            merged = _sweep(sorted(products))
+        scale, a, b = _common_ranges(self, other)
+        a, b = list(a), list(b)
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) * len(b) <= _PRODUCT_DEDUP_LIMIT:
+            products: set[_Range] = set()
+            for row in _row_sums(a, b):
+                products.update(row)
+            merged = _merge(sorted(products))
         else:
-            merged = _big_product(terms_a, terms_b)
-        return IntervalUnion(_parts_from_terms(merged, scale))
+            merged = _big_product(a, b)
+        return _from_ranges(merged, scale)
 
     def __add__(self, other: "IntervalUnion") -> "IntervalUnion":
         return self.minkowski_sum(other)
@@ -499,9 +478,8 @@ def normalize(intervals: Iterable[Interval]) -> IntervalUnion:
     parts = list(intervals)
     if not parts:
         return EMPTY
-    scale, terms = _scaled_terms(parts)
-    terms.sort()
-    return IntervalUnion(_parts_from_terms(_sweep(terms), scale))
+    scale = _grid(parts)
+    return _from_ranges(_merge(sorted(_ranges(parts, scale))), scale)
 
 
 def union_of(*intervals: Interval) -> IntervalUnion:

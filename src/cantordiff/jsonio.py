@@ -51,6 +51,11 @@ FamilySpec = CentralSpec | PerturbedSpec | CompositeSpec | GreedySpec
 
 
 def parse_rational(text: str) -> Fraction:
+    # Fraction would expand "1e99999999" into a 10^8-digit integer.
+    if isinstance(text, str) and "e" in text.lower():
+        raise InvalidSpecError(
+            f"invalid rational {text!r}: exponent notation is not accepted"
+        )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:

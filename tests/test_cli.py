@@ -1,9 +1,15 @@
 """End-to-end CLI tests."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import cantordiff
 from cantordiff.cli import main
 
 
@@ -75,6 +81,42 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     )
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_exponent_notation_is_refused_at_once(tmp_path):
+    # Fraction expands "1e99999999" into a 10^8-digit integer; the
+    # spec reader refuses exponent notation before that starts.
+    spec = tmp_path / "huge.json"
+    spec.write_text('{"family": "perturbed", "c1": "1e99999999"}')
+    src = str(Path(cantordiff.__file__).parents[1])
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", "construct", "--spec", str(spec),
+         "--max-stage", "1", "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    elapsed = time.perf_counter() - started
+    assert result.returncode == 2, result.stderr
+    assert "spec.c1: invalid rational '1e99999999'" in result.stderr
+    assert elapsed < 10
+
+
+def test_construct_over_budget_writes_nothing(tmp_path, capsys):
+    # Tab 1/2,1/2 fits the budget of 8 up to stage 2 and fails at stage 3:
+    # no stage file may be left behind.
+    spec = tmp_path / "tab.json"
+    spec.write_text(TAB_SPEC)
+    out = tmp_path / "out"
+    code = main(
+        ["construct", "--spec", str(spec), "--max-stage", "4", "--budget", "8",
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert "budget allows 8" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_diff_bounds_csv(tmp_path, ternary_spec):

@@ -1,16 +1,22 @@
 """Unit and property tests for the exact interval algebra."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cantordiff
 from cantordiff.intervals import (
     BOX,
     EMPTY,
     UNIT,
     Interval,
+    IntervalUnion,
     normalize,
     points_union,
     union_of,
@@ -64,6 +70,46 @@ class TestNormalize:
         assert len(u.parts) == 2  # (.., 1) and (1, ..): puncture at 1
         v = normalize([Interval.right_open(0, 1), iv(1, 2)])
         assert v.parts == (iv(0, 2),)
+
+    def test_unnormalized_parts_are_refused(self):
+        with pytest.raises(ValueError):
+            IntervalUnion((iv(0, 1), iv(1, 2)))
+        with pytest.raises(ValueError):
+            IntervalUnion((iv(1, 2), iv(0, F(1, 2))))
+        with pytest.raises(ValueError):
+            IntervalUnion((Interval.right_open(0, 1), iv(1, 2)))
+        assert len(IntervalUnion((Interval.open(0, 1), Interval.open(1, 2)))) == 2
+
+    def test_normalization_is_checked_under_optimize(self):
+        # The check is a raise, not an assert that python -O strips: a
+        # union of two touching closed parts would otherwise measure 2.
+        code = (
+            "from cantordiff.intervals import Interval, IntervalUnion\n"
+            "from cantordiff.jsonio import union_from_obj\n"
+            "for build in (\n"
+            "    lambda: IntervalUnion("
+            "(Interval.closed(0, 1), Interval.closed(1, 2))),\n"
+            "    lambda: union_from_obj(["
+            "{'lo': '0/1', 'hi': '1/1', 'lo_closed': True, 'hi_closed': True},"
+            "{'lo': '1/1', 'hi': '2/1', 'lo_closed': True, 'hi_closed': True}]),\n"
+            "):\n"
+            "    try:\n"
+            "        print('accepted, measure', build().measure())\n"
+            "    except ValueError as exc:\n"
+            "        print('refused:', exc)\n"
+        )
+        src = str(Path(cantordiff.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "refused: IntervalUnion parts not normalized"
+        ] * 2
 
 
 class TestBooleanOps:
@@ -203,6 +249,14 @@ def test_randomized_oracle_agreement():
         assert a.difference(b) == oracle.oracle_difference(a, b)
         assert a.complement_within(BOX) == oracle.oracle_complement_within(a, BOX)
         assert a.minkowski_sum(b) == oracle.oracle_minkowski(a, b)
+        for sub, sup in ((a, b), (a, a.union(b)), (a.difference(b), a)):
+            assert sub.is_subset(sup) == oracle.oracle_difference(sub, sup).is_empty
+        scale = oracle._common_scale(a)
+        pa = oracle._scaled_parts(a, scale)
+        ends = sorted({v for lo, _, hi, _ in pa for v in (lo, hi)})
+        probes = ends + [(x + y) // 2 for x, y in zip(ends, ends[1:])]
+        for x in probes:
+            assert a.contains_point(F(x, scale)) == oracle._member(pa, x)
 
 
 def test_openness_soundness_spot_check():

@@ -120,6 +120,17 @@ def test_spec_shorthand_constant_ratio():
             r"spec\.ratios\.values",
         ),
         ({"family": "central", "ratios": {"rule": "constant"}}, r"spec\.ratios: .*'value'"),
+        # exponent notation is refused before Fraction expands it
+        ({"family": "perturbed", "c1": "1E5"}, r"^spec\.c1: invalid rational '1E5'"),
+        (
+            {"family": "perturbed", "c1": "1/5", "shrink": "5e-1"},
+            r"^spec\.shrink: invalid rational '5e-1'",
+        ),
+        (
+            {"family": "central",
+             "ratios": {"rule": "list", "values": ["1/3", "2e-1"], "tail": "1/3"}},
+            r"^spec\.ratios\.values\[1\]: invalid rational",
+        ),
     ],
 )
 def test_spec_errors(obj, fragment):
