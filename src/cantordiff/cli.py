@@ -11,9 +11,12 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
+from typing import Any
 
-from .analysis import difference_bracket, zone_measure_rows
+from .analysis import DiffBracket, difference_bracket, zone_measure_rows
 from .constructions import DEFAULT_BUDGET
 from .errors import CantorDiffError
 from .jsonio import (
@@ -21,7 +24,7 @@ from .jsonio import (
     bracket_to_obj,
     decimal_str,
     dump_json,
-    format_rational,
+    exact_to_obj,
     gap_table_rows,
     load_spec_file,
     stage_to_obj,
@@ -61,13 +64,11 @@ def _clamped_max_stage(spec, max_stage: int, budget: int) -> int:
     return clamped
 
 
-def _add_common(parser: argparse.ArgumentParser, *, out_required: bool) -> None:
-    parser.add_argument("--spec", required=True, help="spec JSON file")
-    parser.add_argument("--max-stage", type=int, default=4)
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    parser.add_argument("--out", required=out_required, help="output directory")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--plot-data", action="store_true")
+def _stage_number(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -85,136 +86,83 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-_BOUNDS_HEADER = [
-    "n",
-    "m_inner",
-    "m_outer",
-    "m_missing_outer",
-    "missing_point_parts",
-    "m_inner_decimal",
-    "m_outer_decimal",
-    "m_missing_outer_decimal",
-]
-
-
-def _cmd_diff_bounds(args: argparse.Namespace) -> int:
+def _stage_brackets(args: argparse.Namespace) -> list[DiffBracket]:
     spec = load_spec_file(args.spec)
-    out = Path(args.out)
     max_stage = _clamped_max_stage(spec, args.max_stage, args.budget)
-    rows = []
-    plot_lines = ["# n m_inner m_outer m_missing_outer"]
-    records = []
-    for n in range(max_stage + 1):
-        bracket = difference_bracket(family_stage(spec, n, budget=args.budget))
-        m_inner = bracket.inner.measure()
-        m_outer = bracket.outer.measure()
-        m_missing = bracket.missing_outer.measure()
-        points = len(bracket.missing_outer.point_parts())
-        rows.append(
-            [
-                str(n),
-                format_rational(m_inner),
-                format_rational(m_outer),
-                format_rational(m_missing),
-                str(points),
-                decimal_str(m_inner),
-                decimal_str(m_outer),
-                decimal_str(m_missing),
-            ]
-        )
-        records.append(
-            {
-                "n": n,
-                "m_inner": format_rational(m_inner),
-                "m_outer": format_rational(m_outer),
-                "m_missing_outer": format_rational(m_missing),
-                "missing_point_parts": points,
-                "bracket": bracket_to_obj(bracket),
-            }
-        )
-        plot_lines.append(
-            f"{n} {decimal_str(m_inner)} {decimal_str(m_outer)} {decimal_str(m_missing)}"
-        )
-    if args.format == "csv":
-        _write_text(out / "diff_bounds.csv", _csv_text(_BOUNDS_HEADER, rows))
-    else:
-        _write_text(out / "diff_bounds.json", dump_json(records))
-    if args.plot_data:
-        _write_text(out / "diff_bounds.dat", "\n".join(plot_lines) + "\n")
-    return 0
-
-
-_SCAN_HEADER = [
-    "n",
-    "m_middle",
-    "m_far_negative",
-    "m_near_negative",
-    "m_near_positive",
-    "m_far_positive",
-    "m_missing_total",
-    "m_outer",
-    "missing_point_parts",
-    "missing_interval_parts",
-    "m_middle_decimal",
-    "m_missing_total_decimal",
-    "m_outer_decimal",
-]
-
-
-def _cmd_measure_scan(args: argparse.Namespace) -> int:
-    spec = load_spec_file(args.spec)
-    out = Path(args.out)
-    max_stage = _clamped_max_stage(spec, args.max_stage, args.budget)
-    brackets = [
+    return [
         difference_bracket(family_stage(spec, n, budget=args.budget))
         for n in range(max_stage + 1)
     ]
-    scan = zone_measure_rows(brackets)
-    rows = []
-    records = []
-    plot_lines = ["# n m_middle m_missing_total m_outer"]
-    for r in scan:
-        rows.append(
-            [
-                str(r.n),
-                format_rational(r.middle),
-                format_rational(r.far_negative),
-                format_rational(r.near_negative),
-                format_rational(r.near_positive),
-                format_rational(r.far_positive),
-                format_rational(r.missing_total),
-                format_rational(r.outer_total),
-                str(r.missing_point_parts),
-                str(r.missing_interval_parts),
-                decimal_str(r.middle),
-                decimal_str(r.missing_total),
-                decimal_str(r.outer_total),
-            ]
-        )
-        records.append(
-            {
-                "n": r.n,
-                "m_middle": format_rational(r.middle),
-                "m_far_negative": format_rational(r.far_negative),
-                "m_near_negative": format_rational(r.near_negative),
-                "m_near_positive": format_rational(r.near_positive),
-                "m_far_positive": format_rational(r.far_positive),
-                "m_missing_total": format_rational(r.missing_total),
-                "m_outer": format_rational(r.outer_total),
-                "missing_point_parts": r.missing_point_parts,
-                "missing_interval_parts": r.missing_interval_parts,
-            }
-        )
-        plot_lines.append(
-            f"{r.n} {decimal_str(r.middle)} {decimal_str(r.missing_total)} "
-            f"{decimal_str(r.outer_total)}"
-        )
+
+
+def _write_rows(
+    args: argparse.Namespace,
+    stem: str,
+    rows: list[dict[str, int | Fraction]],
+    decimals: tuple[str, ...],
+    extra: list[dict[str, Any]] | None = None,
+) -> None:
+    """Write per-stage rows of exact values: CSV (the exact columns, then
+    a non-authoritative ``<name>_decimal`` column per decimal column) or
+    JSON (with the ``extra`` fields of each row), and with
+    ``--plot-data`` a ``.dat`` file of ``n`` and the decimal columns."""
+    out = Path(args.out)
+    records = [exact_to_obj(row) for row in rows]
     if args.format == "csv":
-        _write_text(out / "measure_scan.csv", _csv_text(_SCAN_HEADER, rows))
+        header = [*rows[0], *(f"{name}_decimal" for name in decimals)]
+        lines = [
+            [*map(str, record.values()), *(decimal_str(row[c]) for c in decimals)]
+            for record, row in zip(records, rows)
+        ]
+        _write_text(out / f"{stem}.csv", _csv_text(header, lines))
     else:
-        _write_text(out / "measure_scan.json", dump_json(records))
+        for record, fields in zip(records, extra or ()):
+            record.update(fields)
+        _write_text(out / f"{stem}.json", dump_json(records))
     if args.plot_data:
-        _write_text(out / "measure_scan.dat", "\n".join(plot_lines) + "\n")
+        plot_lines = [" ".join(("# n", *decimals))] + [
+            " ".join((str(row["n"]), *(decimal_str(row[c]) for c in decimals)))
+            for row in rows
+        ]
+        _write_text(out / f"{stem}.dat", "\n".join(plot_lines) + "\n")
+
+
+def _cmd_diff_bounds(args: argparse.Namespace) -> int:
+    brackets = _stage_brackets(args)
+    rows = [
+        {
+            "n": b.n,
+            "m_inner": b.inner.measure(),
+            "m_outer": b.outer.measure(),
+            "m_missing_outer": b.missing_outer.measure(),
+            "missing_point_parts": len(b.missing_outer.point_parts()),
+        }
+        for b in brackets
+    ]
+    _write_rows(
+        args,
+        "diff_bounds",
+        rows,
+        ("m_inner", "m_outer", "m_missing_outer"),
+        extra=[{"bracket": bracket_to_obj(b)} for b in brackets],
+    )
+    return 0
+
+
+def _scan_column(field: str, value: int | Fraction) -> str:
+    if field == "outer_total":
+        return "m_outer"
+    return f"m_{field}" if isinstance(value, Fraction) else field
+
+
+def _cmd_measure_scan(args: argparse.Namespace) -> int:
+    rows = [
+        {_scan_column(f, v): v for f, v in asdict(r).items()}
+        for r in zone_measure_rows(_stage_brackets(args))
+    ]
+    _write_rows(
+        args, "measure_scan", rows, ("m_middle", "m_missing_total", "m_outer")
+    )
     return 0
 
 
@@ -252,28 +200,31 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_construct = sub.add_parser(
-        "construct", help="export stage JSON and gap tables"
-    )
-    _add_common(p_construct, out_required=True)
-    p_construct.set_defaults(func=_cmd_construct)
-
-    p_bounds = sub.add_parser(
-        "diff-bounds", help="per-stage bracket measures"
-    )
-    _add_common(p_bounds, out_required=True)
-    p_bounds.set_defaults(func=_cmd_diff_bounds)
-
-    p_scan = sub.add_parser(
-        "measure-scan", help="per-stage zone measures of the missing bracket"
-    )
-    _add_common(p_scan, out_required=True)
-    p_scan.set_defaults(func=_cmd_measure_scan)
-
-    p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES))
-    _add_common(p_verify, out_required=False)
-    p_verify.set_defaults(func=_cmd_verify)
+    report_flags = ("--format", "--plot-data")
+    commands = {
+        "construct": (_cmd_construct, "export stage JSON and gap tables", ()),
+        "diff-bounds": (_cmd_diff_bounds, "per-stage bracket measures", report_flags),
+        "measure-scan": (
+            _cmd_measure_scan,
+            "per-stage zone measures of the missing bracket",
+            report_flags,
+        ),
+        "verify": (_cmd_verify, "run a named verification suite", ("--format",)),
+    }
+    for name, (func, help_text, flags) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "verify":
+            p.add_argument("suite", choices=sorted(SUITES))
+        p.add_argument("--spec", required=True, help="spec JSON file")
+        p.add_argument("--max-stage", type=_stage_number, default=4)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        # verify writes its report to stdout when --out is absent.
+        p.add_argument("--out", required=name != "verify", help="output directory")
+        if "--format" in flags:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        if "--plot-data" in flags:
+            p.add_argument("--plot-data", action="store_true")
+        p.set_defaults(func=func)
 
     args = parser.parse_args(argv)
     try:

@@ -600,15 +600,14 @@ def quartic_margin(n: int) -> Fraction:
 class GreedySpec:
     """Builds A inside [0, 1/2] avoiding translated copies of B.
 
-    At each stage one new avoidance point is admitted from ``candidates``
-    (deferred candidates retried first); every component of A splits into
-    two closed children that keep the parent endpoints and stay clear of
-    the padded avoidance set around every admitted point.
+    At each stage m one new avoidance point is admitted from
+    :func:`dyadic_candidates` (deferred candidates retried first); every
+    component of A splits into two closed children that keep the parent
+    endpoints and stay clear of every admitted point's avoidance set,
+    padded by ``quartic_margin(m)``.
     """
 
     b_source: HalfSourceSpec
-    margin: Callable[[int], Fraction] = quartic_margin
-    candidates: Callable[[], Iterator[Fraction]] = dyadic_candidates
 
     def component_count(self, n: int) -> None:
         return None
@@ -748,12 +747,12 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
     admitted: list[AdmittedPoint] = []
     deferred: list[Fraction] = []
     events: list[DeferralEvent] = []
-    stream = spec.candidates()
+    stream = dyadic_candidates()
     for m in itertools.count():
         if m:  # build A_m from A_{m-1}
             b = _half(spec.b_source, m)
             b_forbidden = b.union(b.translate(Fraction(1, 2)))
-            delta = spec.margin(m)
+            delta = quartic_margin(m)
             base_avoid = _avoid_union([p.value for p in admitted], b, delta)
             retries, deferred = deferred, []
             split = None

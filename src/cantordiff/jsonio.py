@@ -11,7 +11,7 @@ import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from .constructions import (
     CantorStage,
@@ -32,6 +32,7 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "decimal_str",
+    "exact_to_obj",
     "interval_to_obj",
     "interval_from_obj",
     "union_to_obj",
@@ -66,6 +67,14 @@ def decimal_str(q: Fraction) -> str:
     with localcontext() as ctx:
         ctx.prec = 20
         return str(Decimal(q.numerator) / Decimal(q.denominator))
+
+
+def exact_to_obj(values: Mapping[str, int | Fraction]) -> dict[str, int | str]:
+    """Ints stay ints; Fractions become canonical "p/q" strings."""
+    return {
+        key: format_rational(v) if isinstance(v, Fraction) else v
+        for key, v in values.items()
+    }
 
 
 def interval_to_obj(interval: Interval) -> dict[str, Any]:
@@ -233,13 +242,16 @@ def spec_from_obj(obj: Any, *, path: str = "spec") -> FamilySpec:
 
 
 def load_spec_file(path: str | Path) -> FamilySpec:
-    text = Path(path).read_text()
     try:
-        obj = json.loads(text)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InvalidSpecError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    # A missing file, bytes that are not UTF-8, an integer past Python's
+    # digit limit (ValueError) and nesting past the recursion limit.
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InvalidSpecError(f"{path}: cannot read spec: {exc}") from exc
     return spec_from_obj(obj)
 
 

@@ -8,7 +8,7 @@ Suite keys are opaque selector names fixed by the external interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -40,6 +40,7 @@ from .intervals import Interval, IntervalUnion, normalize, points_union
 from .jsonio import (
     FamilySpec,
     decimal_str,
+    exact_to_obj,
     format_rational,
     interval_to_obj,
     spec_to_obj,
@@ -411,27 +412,12 @@ def _suite_steinhaus(
         for n in range(max_stage + 1)
     ]
     rows = zone_measure_rows(brackets)
-    row_objs = [
-        {
-            "n": r.n,
-            "middle": format_rational(r.middle),
-            "far_negative": format_rational(r.far_negative),
-            "near_negative": format_rational(r.near_negative),
-            "near_positive": format_rational(r.near_positive),
-            "far_positive": format_rational(r.far_positive),
-            "missing_total": format_rational(r.missing_total),
-            "outer_total": format_rational(r.outer_total),
-            "missing_point_parts": r.missing_point_parts,
-            "missing_interval_parts": r.missing_interval_parts,
-        }
-        for r in rows
-    ]
     assertions = [
         _check(
             all(a.middle >= b.middle for a, b in zip(rows, rows[1:])),
             "steinhaus-middle-monotone",
             "the middle-band missing measure never increases",
-            rows=row_objs,
+            rows=[exact_to_obj(asdict(r)) for r in rows],
         ),
         _check(
             all(r.outer_total > Fraction(3, 2) for r in rows),

@@ -262,3 +262,64 @@ def test_verify_deterministic_bytes(tmp_path, ternary_spec):
         ) == 0
     for name in ("verify_tamc.json", "verify_tamc.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+UNREADABLE_SPECS = {
+    "missing": None,
+    "not-utf8": b"\xff\xfe",
+    "long-integer": b'{"family":"perturbed","c1":1' + b"0" * 5000 + b"}",
+    "deep-nesting": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE_SPECS)
+def test_unreadable_spec_is_config_error(tmp_path, capsys, name):
+    content = UNREADABLE_SPECS[name]
+    spec = tmp_path / f"{name}.json"
+    if content is not None:
+        spec.write_bytes(content)
+    code = main(
+        ["construct", "--spec", str(spec), "--max-stage", "1", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert f"error: {spec}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["construct"],
+        ["diff-bounds"],
+        ["measure-scan"],
+        ["verify", "steinhaus"],
+        ["verify", "t13"],
+    ],
+    ids=" ".join,
+)
+def test_negative_max_stage_is_refused(tmp_path, ternary_spec, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as caught:
+        main([*command, "--spec", str(ternary_spec), "--max-stage", "-1",
+              "--out", str(out)])
+    assert caught.value.code == 2
+    assert "--max-stage: must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["construct", "--format", "csv"],
+        ["construct", "--plot-data"],
+        ["verify", "ccp", "--plot-data"],
+    ],
+    ids=" ".join,
+)
+def test_flags_a_subcommand_ignores_are_refused(
+    tmp_path, ternary_spec, capsys, command
+):
+    with pytest.raises(SystemExit) as caught:
+        main([*command, "--spec", str(ternary_spec), "--max-stage", "1",
+              "--out", str(tmp_path / "out")])
+    assert caught.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

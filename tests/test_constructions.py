@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cantordiff import constructions
 from cantordiff.constructions import (
     CentralSpec,
     CompositeSpec,
@@ -254,13 +255,24 @@ class TestGreedy:
 
 
 class TestGreedyFailureModes:
-    def test_avoidance_deadlock_aborts_with_diagnostic(self):
+    # These specs equal builtin_fat_composite(): clear the stage cache around
+    # each test so neither a cached nor a hostile sequence leaks across.
+    @pytest.fixture
+    def fresh_sequences(self):
+        constructions._sequence.cache_clear()
+        yield
+        constructions._sequence.cache_clear()
+
+    def test_avoidance_deadlock_aborts_with_diagnostic(
+        self, monkeypatch, fresh_sequences
+    ):
         from cantordiff.errors import AvoidanceExhaustedError
 
         def hostile_margin(n):
             return F(10)  # padding swallows the whole half frame
 
-        spec = GreedySpec(CentralSpec.geometric(F(1, 4)), margin=hostile_margin)
+        monkeypatch.setattr(constructions, "quartic_margin", hostile_margin)
+        spec = GreedySpec(CentralSpec.geometric(F(1, 4)))
         with pytest.raises(AvoidanceExhaustedError):
             greedy_stage(spec, 1)
 
@@ -268,15 +280,19 @@ class TestGreedyFailureModes:
         with pytest.raises(BudgetExceededError):
             greedy_stage(builtin_fat_composite(), 6, budget=16)
 
-    def test_failed_build_is_not_kept_for_the_next_request(self):
+    def test_failed_build_is_not_kept_for_the_next_request(
+        self, monkeypatch, fresh_sequences
+    ):
         # 64 certified-inside candidates exhaust stage 1; a retry must start
         # from a fresh candidate stream, not from the one the failure consumed
         from cantordiff.errors import AvoidanceExhaustedError
 
-        spec = GreedySpec(
-            CentralSpec.geometric(F(1, 4)),
-            candidates=lambda: itertools.chain([F(0)] * 64, dyadic_candidates()),
+        monkeypatch.setattr(
+            constructions,
+            "dyadic_candidates",
+            lambda: itertools.chain([F(0)] * 64, dyadic_candidates()),
         )
+        spec = GreedySpec(CentralSpec.geometric(F(1, 4)))
         for _ in range(2):
             with pytest.raises(AvoidanceExhaustedError):
                 greedy_stage(spec, 1)
