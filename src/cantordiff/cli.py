@@ -50,11 +50,10 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 def _clamped_max_stage(spec, max_stage: int, budget: int) -> int:
     """Families with a component count known in advance (2^n, binary)
     clamp n to what the budget allows rather than failing mid-run."""
-    if spec.component_count(max_stage) is None:
+    if spec.component_count(0) is None:
         return max_stage
-    clamped = max_stage
-    while clamped > 0 and spec.component_count(clamped) > budget:
-        clamped -= 1
+    # 2^n <= budget  iff  n < budget.bit_length(); a budget below 1 holds none.
+    clamped = max(0, min(max_stage, max(budget, 0).bit_length() - 1))
     if clamped != max_stage:
         print(
             f"warning: budget {budget} cannot hold 2^{max_stage} components; "

@@ -694,16 +694,6 @@ def _closed_within(part: Interval, from_left: bool) -> Fraction:
     return part.hi - (part.hi - part.lo) * _QUARTER
 
 
-def _avoid_union(
-    points: list[Fraction], b: IntervalUnion, delta: Fraction
-) -> IntervalUnion:
-    padded: list[Interval] = []
-    for d in points:
-        for part in b.reflect().translate(d):
-            padded.append(Interval(part.lo - delta, part.hi + delta, True, True))
-    return normalize(padded)
-
-
 def _split_all(
     components: list[tuple[str, Interval]], new_stage: int, avoid: IntervalUnion
 ) -> tuple[list[tuple[str, Interval]], list[GapRecord]]:
@@ -753,7 +743,11 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
             b = _half(spec.b_source, m)
             b_forbidden = b.union(b.translate(Fraction(1, 2)))
             delta = quartic_margin(m)
-            base_avoid = _avoid_union([p.value for p in admitted], b, delta)
+            # -B padded by delta: admitted point d avoids d + padded.
+            padded = normalize(
+                Interval.closed(-p.hi - delta, -p.lo + delta) for p in b
+            )
+            base_avoid = points_union(p.value for p in admitted).minkowski_sum(padded)
             retries, deferred = deferred, []
             split = None
             attempts = 0
@@ -765,7 +759,7 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
                 if b_forbidden.contains_point(candidate):
                     # Certified-inside points are skipped outright.
                     continue
-                avoid = _avoid_union([candidate], b, delta).union(base_avoid)
+                avoid = padded.translate(candidate).union(base_avoid)
                 try:
                     split = _split_all(components, m, avoid)
                 except _ComponentEmptied as emptied:

@@ -23,6 +23,11 @@ union is normalized iff its keys strictly increase with at least one
 key between consecutive ranges.  Intersection and difference are
 two-pointer walks over key ranges, and a Minkowski sum adds keys,
 taking one unit back at an end where both summands are open.
+
+A Minkowski sum has one path for every size (``_sum_rows``): rows of
+translates, each merged, are combined pairwise like a binary counter.
+It holds one merged partial union per level, so memory follows the
+sizes of those unions rather than the number of pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, pairwise
+from itertools import pairwise
 from math import lcm
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
@@ -267,31 +272,32 @@ def _from_ranges(ranges: list[_Range], scale: int) -> "IntervalUnion":
     return union
 
 
-# Pair counts up to this limit go through one dedup set; larger products
-# stream per-part runs and merge them in bounded chunks.
-_PRODUCT_DEDUP_LIMIT = 3_000_000
-_CHUNK_PARTS = 1_500_000
+def _sum_rows(a: list[_Range], b: list[_Range]) -> list[_Range]:
+    """Merged pairwise sums of normalized ``a`` and ``b``.
 
-
-def _big_product(small: list[_Range], big: list[_Range]) -> list[_Range]:
-    """Pairwise sums of two range lists, memory-bounded.
-
-    ``big`` is normalized, so each translated copy of it is already in
-    start order and is merged in one linear pass; chunks of surviving
-    ranges are then sorted and merged, and the chunk outputs merged once.
+    Each row is a translate of ``b``, so it is already in start order
+    and is merged on its own.  Merged rows are combined like a binary
+    counter: whenever the two newest partial unions cover equal numbers
+    of rows, they are concatenated, sorted (Timsort sees two runs) and
+    merged; what is left at the end is merged newest first.  A range
+    takes part in at most about ``log2(len(a))`` merges, and the stack
+    holds one merged partial union per level, never the whole product.
     """
-    partials: list[list[_Range]] = []
-    buf: list[_Range] = []
-    for row in _row_sums(small, big):
-        buf += _merge(row)
-        if len(buf) >= _CHUNK_PARTS:
-            buf.sort()
-            partials.append(_merge(buf))
-            buf = []
-    if buf:
-        buf.sort()
-        partials.append(_merge(buf))
-    return _merge(sorted(chain.from_iterable(partials)))
+    stack: list[tuple[int, list[_Range]]] = []
+    for row in _row_sums(a, b):
+        rows, ranges = 1, _merge(row)
+        while stack and stack[-1][0] == rows:
+            below = stack.pop()[1]
+            below += ranges
+            below.sort()
+            rows, ranges = 2 * rows, _merge(below)
+        stack.append((rows, ranges))
+    merged: list[_Range] = []
+    for _, ranges in reversed(stack):
+        merged += ranges
+        merged.sort()
+        merged = _merge(merged)
+    return merged
 
 
 @dataclass(frozen=True, slots=True)
@@ -448,22 +454,15 @@ class IntervalUnion:
 
         A result endpoint is attained (closed) iff both contributing
         endpoints are attained; pairwise interval sums are exact under
-        this rule, and the products are then normalized.
+        this rule, and they are merged row by row (see ``_sum_rows``).
         """
         if self.is_empty or other.is_empty:
             return EMPTY
         scale, a, b = _common_ranges(self, other)
         a, b = list(a), list(b)
-        if len(a) > len(b):
+        if len(a) > len(b):  # fewer, longer rows: fewer merge levels
             a, b = b, a
-        if len(a) * len(b) <= _PRODUCT_DEDUP_LIMIT:
-            products: set[_Range] = set()
-            for row in _row_sums(a, b):
-                products.update(row)
-            merged = _merge(sorted(products))
-        else:
-            merged = _big_product(a, b)
-        return _from_ranges(merged, scale)
+        return _from_ranges(_sum_rows(a, b), scale)
 
     def __add__(self, other: "IntervalUnion") -> "IntervalUnion":
         return self.minkowski_sum(other)

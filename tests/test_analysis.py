@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -86,6 +87,22 @@ class TestInnerDifference:
         for n in range(5):
             stage = composite_stage(builtin_composite_pair(), n)
             assert inner_difference(stage) == oracle.oracle_inner_difference(stage)
+
+    def test_product_memory_does_not_hold_every_pair(self):
+        # Perturbed stage 8: 255 gaps x 512 endpoints = 130,560 pairs that
+        # collapse to 6 parts; the sum must not hold the whole product.
+        stage = perturbed_stage(builtin_perturbed(), 8)
+        gaps = stage.gap_union()
+        negated_endpoints = points_union(-e for e in stage.endpoints)
+        assert len(gaps) * len(negated_endpoints) == 130_560
+        tracemalloc.start()
+        try:
+            result = gaps.minkowski_sum(negated_endpoints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 6
+        assert peak < 2 * 2**20
 
     def test_sweep_measure_crosscheck(self):
         for n in range(5):

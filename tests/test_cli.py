@@ -104,6 +104,28 @@ def test_exponent_notation_is_refused_at_once(tmp_path):
     assert elapsed < 10
 
 
+def test_huge_max_stage_is_clamped_at_once(tmp_path, ternary_spec):
+    # The clamp must not walk down from 2^100000 one stage at a time.
+    out = tmp_path / "out"
+    src = str(Path(cantordiff.__file__).parents[1])
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", "construct", "--spec",
+         str(ternary_spec), "--max-stage", "100000", "--budget", "16",
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    elapsed = time.perf_counter() - started
+    assert result.returncode == 0, result.stderr
+    assert "clamped to 4" in result.stderr
+    assert (out / "stage_004.json").exists()
+    assert not (out / "stage_005.json").exists()
+    assert elapsed < 10
+
+
 def test_construct_over_budget_writes_nothing(tmp_path, capsys):
     # Tab 1/2,1/2 fits the budget of 8 up to stage 2 and fails at stage 3:
     # no stage file may be left behind.

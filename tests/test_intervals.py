@@ -239,6 +239,20 @@ def random_union(rng, max_parts=6, max_den=16, span=4):
     return normalize(raw)
 
 
+def short_parts_union(rng, max_parts=60):
+    """Up to ``max_parts`` short intervals and points, mostly disjoint."""
+    raw = []
+    for _ in range(rng.randrange(max_parts + 1)):
+        d = rng.randint(1, 16)
+        lo = F(rng.randint(-4 * d, 4 * d), d)
+        hi = lo + F(rng.randint(0, 2), 4 * d)
+        if lo == hi:
+            raw.append(Interval.point(lo))
+        else:
+            raw.append(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+    return normalize(raw)
+
+
 def test_randomized_oracle_agreement():
     rng = random.Random(1105)
     for _ in range(120):
@@ -257,6 +271,12 @@ def test_randomized_oracle_agreement():
         probes = ends + [(x + y) // 2 for x, y in zip(ends, ends[1:])]
         for x in probes:
             assert a.contains_point(F(x, scale)) == oracle._member(pa, x)
+    # Sums of many parts: row counts that are not powers of two leave
+    # several partial unions to combine at the end.
+    for _ in range(12):
+        a = short_parts_union(rng)
+        b = short_parts_union(rng)
+        assert a.minkowski_sum(b) == oracle.oracle_minkowski(a, b)
 
 
 def test_openness_soundness_spot_check():
