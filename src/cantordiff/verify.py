@@ -381,6 +381,8 @@ def _suite_cspm(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertio
             certified_upper=format_rational(certified_upper),
             certified_upper_decimal=decimal_str(certified_upper),
         ),
+        # Holds by construction (the outer bracket is (-1, 1)); kept
+        # because the report carries it.
         _check(
             all(m > Fraction(3, 2) for m in outer_measures),
             "cspm-outer-floor",
@@ -419,6 +421,7 @@ def _suite_steinhaus(
             "the middle-band missing measure never increases",
             rows=[exact_to_obj(asdict(r)) for r in rows],
         ),
+        # Holds by construction, like cspm-outer-floor.
         _check(
             all(r.outer_total > Fraction(3, 2) for r in rows),
             "steinhaus-outer-floor",

@@ -11,7 +11,7 @@ sums), and reassembles the expected union from the flagged pieces.
 from fractions import Fraction
 from math import lcm
 
-from cantordiff.intervals import Interval, IntervalUnion
+from cantordiff.intervals import UNIT, Interval, IntervalUnion, points_union
 
 
 def _common_scale(*unions):
@@ -160,6 +160,24 @@ def oracle_minkowski(a, b):
     point_flag = covered[0::2]
     cell_flag = covered[1::2]
     return _reassemble(boundaries, point_flag, cell_flag, scale)
+
+
+# ---------------------------------------------------------------------
+# the two brackets as Minkowski sums: references for the endpoint filter
+# and the closed form in cantordiff.analysis
+
+
+def minkowski_inner_difference(stage):
+    """Gaps plus negated endpoints: every gap x endpoint pair summed."""
+    if not stage.gaps:
+        return IntervalUnion(())
+    return stage.gap_union().minkowski_sum(points_union(-e for e in stage.endpoints))
+
+
+def minkowski_outer_difference(stage):
+    """([0,1] minus the endpoints) plus the reflected components."""
+    punctured = IntervalUnion((UNIT,)).difference(stage.endpoint_union())
+    return punctured.minkowski_sum(stage.components.reflect())
 
 
 # ---------------------------------------------------------------------

@@ -235,7 +235,8 @@ def test_c5_tab_cspm_certification():
             assert upper <= cap, (label, float(upper))
         assert reports["base-1/4"][0] > F(34, 100)
         assert reports["base-1/4"][1] <= F(166, 100) < 2
-        # outer bracket stays above 3/2 at every stage of the base pair
+        # outer bracket stays above 3/2 at every stage of the base pair; it
+        # holds by construction, as the outer bracket is (-1, 1) in closed form
         for n in range(9):
             assert _outer("fat", n).measure() > F(3, 2)
 
@@ -259,7 +260,7 @@ _MIDDLE = IntervalUnion((Interval.closed(F(-1, 2), F(1, 2)),))
 
 
 def test_c7_steinhaus_monitoring():
-    with _Criterion("C7", "middle band of the missing bracket empties"):
+    with _Criterion("C7", "middle band of the missing bracket empties", 5):
         for key in ("ternary", "perturbed", "tab", "fat"):
             middles = [
                 _missing(key, n).intersect(_MIDDLE).measure() for n in range(9)

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cantordiff
 from cantordiff.analysis import (
@@ -22,7 +23,9 @@ from cantordiff.analysis import (
     zone_measure_rows,
 )
 from cantordiff.constructions import (
+    CantorStage,
     CentralSpec,
+    PerturbedSpec,
     builtin_composite_pair,
     builtin_fat_composite,
     builtin_half,
@@ -35,7 +38,7 @@ from cantordiff.constructions import (
     perturbed_stage,
     rightmost_branch_gap_end,
 )
-from cantordiff.errors import NotCertifiableError
+from cantordiff.errors import InvariantError, NotCertifiableError
 from cantordiff.intervals import (
     Interval,
     normalize,
@@ -48,6 +51,40 @@ import oracle
 
 TERNARY = builtin_ternary()
 HALVING = builtin_half()
+
+BUILTIN_FAMILIES = {
+    "ternary": lambda n: central_stage(TERNARY, n),
+    "halving": lambda n: central_stage(HALVING, n),
+    "perturbed": lambda n: perturbed_stage(builtin_perturbed(), n),
+    "tab": lambda n: composite_stage(builtin_composite_pair(), n),
+    "greedy": lambda n: greedy_stage(builtin_fat_composite(), n).c_stage,
+}
+
+
+def _hand_stage(*components):
+    """A stage on [0,1] built from its components alone, without gaps."""
+    union = normalize(components)
+    endpoints = tuple(sorted({x for p in union for x in (p.lo, p.hi)}))
+    return CantorStage(1, union, (), endpoints, "central")
+
+
+_ratios = st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=10)
+
+
+@st.composite
+def small_stages(draw):
+    """A stage 0-4 of a random central spec (a few listed ratios and a
+    constant tail) or a random perturbed spec."""
+    n = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        listed = tuple(draw(st.lists(_ratios, max_size=3)))
+        return central_stage(CentralSpec.from_list(listed, draw(_ratios)), n)
+    # a shrink below 1/2 keeps every aligned gap below half its component
+    shrink = st.fractions(min_value=F(1, 10), max_value=F(2, 5), max_denominator=10)
+    spec = PerturbedSpec(
+        draw(_ratios), draw(shrink), draw(st.sampled_from((F(1, 2), F(3, 4), F(1))))
+    )
+    return perturbed_stage(spec, n)
 
 
 class TestInnerDifference:
@@ -130,6 +167,46 @@ class TestOuterDifference:
         assert outer1.measure() >= F(4, 3)
         assert outer1.contains_point(1 - F(1, 3))
         assert outer1.contains_point(-(1 - F(1, 3)))
+
+
+class TestBracketOracles:
+    """The endpoint filter and the closed form against the Minkowski sums
+    they replace."""
+
+    @pytest.mark.parametrize("family", BUILTIN_FAMILIES)
+    def test_builtin_families_match_minkowski_forms(self, family):
+        for n in range(7):
+            stage = BUILTIN_FAMILIES[family](n)
+            inner = oracle.minkowski_inner_difference(stage)
+            outer = oracle.minkowski_outer_difference(stage)
+            assert inner_difference(stage) == inner, n
+            assert outer_difference(stage) == outer, n
+            bracket = difference_bracket(stage)
+            assert (bracket.inner, bracket.outer) == (inner, outer), n
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(small_stages())
+    def test_random_small_stages(self, stage):
+        inner = inner_difference(stage)
+        assert inner == oracle.oracle_inner_difference(stage)
+        assert inner == oracle.minkowski_inner_difference(stage)
+        assert outer_difference(stage) == oracle.minkowski_outer_difference(stage)
+
+    def test_closed_form_refuses_a_point_component(self):
+        stage = _hand_stage(
+            Interval.closed(0, F(1, 3)),
+            Interval.point(F(1, 2)),
+            Interval.closed(F(2, 3), 1),
+        )
+        with pytest.raises(InvariantError, match="nondegenerate components"):
+            outer_difference(stage)
+
+    def test_closed_form_refuses_a_hull_other_than_unit(self):
+        stage = _hand_stage(
+            Interval.closed(0, F(1, 4)), Interval.closed(F(1, 2), F(3, 4))
+        )
+        with pytest.raises(InvariantError, match="spanning"):
+            outer_difference(stage)
 
 
 class TestBracket:

@@ -126,6 +126,25 @@ def test_huge_max_stage_is_clamped_at_once(tmp_path, ternary_spec):
     assert elapsed < 10
 
 
+def test_tab_stage8_diff_bounds_finishes(tmp_path):
+    # Tab 1/2,1/2 stage 8 has 3,535 gaps and 7,072 endpoints; a bracket
+    # that sums every gap with every endpoint takes about 20 s on 2 vCPUs.
+    spec = tmp_path / "tab.json"
+    spec.write_text(TAB_SPEC)
+    out = tmp_path / "out"
+    src = str(Path(cantordiff.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", "diff-bounds", "--spec", str(spec),
+         "--max-stage", "8", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=15,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert (out / "diff_bounds.json").exists()
+
+
 def test_construct_over_budget_writes_nothing(tmp_path, capsys):
     # Tab 1/2,1/2 fits the budget of 8 up to stage 2 and fails at stage 3:
     # no stage file may be left behind.
