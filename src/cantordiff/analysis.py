@@ -8,9 +8,10 @@ brackets:
 * inner:  every recorded gap stays in the complement forever and every
   recorded component endpoint stays in C forever, so the union of all
   gap-minus-endpoint translates is certified inside D, at every depth.
-  It is computed as [-1,1] minus the outer missing bracket, which is
-  filtered down from [-1,1] one endpoint at a time (``_missing_outer``)
-  instead of summing every gap with every endpoint.
+  It is computed as [-1,1] minus the outer missing bracket, which the
+  kernel operation ``IntervalUnion.minus_translates`` filters down from
+  [-1,1] one endpoint at a time instead of summing every gap with every
+  endpoint.
 
 * outer:  C is always inside the stage components and the complement is
   always inside [0,1] minus the stage endpoints E, so
@@ -34,7 +35,6 @@ which is the soundness argument this module rests on.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -46,9 +46,6 @@ from .intervals import (
     Interval,
     IntervalUnion,
     RationalLike,
-    _from_ranges,
-    _grid,
-    _ranges,
     as_rational,
     normalize,
     points_union,
@@ -91,60 +88,18 @@ def _require_unit_frame(stage: CantorStage) -> None:
         )
 
 
-def _missing_outer(stage: CantorStage) -> IntervalUnion:
-    """[-1,1] minus every gap - endpoint translate: the outer missing
-    bracket, without forming the gap x endpoint product.
-
-    On the integer keys of ``intervals`` the translate G - e is the
-    gap's key range shifted down by the key of e.  Starting from the
-    key range of [-1,1], each endpoint cuts its translates out of the
-    pieces still left, and ``bisect`` over the gap end keys finds the
-    first gap that reaches a piece.  The work is the number of live
-    pieces summed over the endpoints, plus the cuts.
-
-    The endpoints go from the middle of the sorted list outward.  The
-    fine structure of the missing set is carved by the translates of
-    one end of [0,1]; taking both ends last keeps the piece count low
-    for most of the pass, whichever end that is (tab 1/2,1/2 stage 8:
-    0.46M piece visits, against 2.8M in sorted order and 0.32M in
-    reverse order; greedy 1/16 stage 10: 0.08M, against 0.06M sorted
-    and 2.2M reversed).
-    """
-    _require_unit_frame(stage)
-    gaps = stage.gap_union().parts
-    scale = _grid(gaps, stage.components.parts)
-    box = 3 * scale
-    pieces = [(-box, box)]
-    if gaps:
-        starts, ends = map(list, zip(*_ranges(gaps, scale)))
-        count = len(starts)
-        keys = [3 * e.numerator * (scale // e.denominator) for e in stage.endpoints]
-        middle_out = sorted(range(len(keys)), key=lambda i: abs(2 * i + 1 - len(keys)))
-        for i in middle_out:
-            k = keys[i]
-            kept = []
-            for s, t in pieces:
-                j = bisect_left(ends, s + k)
-                while j < count and starts[j] - k <= t:
-                    if starts[j] - k > s:
-                        kept.append((s, starts[j] - k - 1))
-                    s = ends[j] - k + 1
-                    j += 1
-                if s <= t:
-                    kept.append((s, t))
-            pieces = kept
-    return _from_ranges(pieces, scale)
-
-
 def inner_difference(stage: CantorStage) -> IntervalUnion:
     """Certified subset of the true difference set.
 
     Every translate gap - endpoint consists of points g - e with g never
     returning to the set and e never leaving it, so membership holds for
     the limit set, not just this stage.  The translates all lie inside
-    (-1, 1), so their union is [-1,1] minus ``_missing_outer``.
+    (-1, 1), so their union is [-1,1] minus what ``minus_translates``
+    leaves of [-1,1], which never forms the gap x endpoint product.
     """
-    return _BOX_UNION.difference(_missing_outer(stage))
+    _require_unit_frame(stage)
+    gaps, shifts = stage.gap_union(), (-e for e in stage.endpoints)
+    return _BOX_UNION.difference(_BOX_UNION.minus_translates(gaps, shifts))
 
 
 def outer_difference(stage: CantorStage) -> IntervalUnion:
@@ -199,13 +154,13 @@ class DiffBracket:
 
 
 def difference_bracket(stage: CantorStage) -> DiffBracket:
-    missing_outer = _missing_outer(stage)
+    inner = inner_difference(stage)
     outer = outer_difference(stage)
     return DiffBracket(
         stage.n,
-        _BOX_UNION.difference(missing_outer),
+        inner,
         outer,
-        missing_outer,
+        _BOX_UNION.difference(inner),
         _BOX_UNION.difference(outer),
     )
 
@@ -332,7 +287,6 @@ class ShiftInclusionResult:
     passed: bool
     n_checked: int
     y_final: IntervalUnion
-    by_construction: bool = False
     violation_stage: int | None = None
     witness: Fraction | None = None
 

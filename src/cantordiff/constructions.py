@@ -22,6 +22,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Any, Callable, Iterator, NamedTuple, Union
 
 from .errors import (
@@ -137,9 +138,13 @@ def _make_stage(
     n: int, components: IntervalUnion, gaps: list[GapRecord], family: str, **fields
 ) -> CantorStage:
     """A stage with its gaps ordered by (stage_created, position) and its
-    sorted distinct component endpoints."""
-    endpoints = sorted({x for p in components for x in (p.lo, p.hi)})
-    ordered = sorted(gaps, key=lambda g: (g.stage_created, g.interval.lo))
+    sorted distinct component endpoints.  The builders emit both orders:
+    the closed components are normalized, and each step lists its gaps by
+    position, so a stable sort on the step is all that is left."""
+    endpoints = [
+        x for p in components for x in ((p.lo,) if p.is_point else (p.lo, p.hi))
+    ]
+    ordered = sorted(gaps, key=attrgetter("stage_created"))
     return CantorStage(n, components, tuple(ordered), tuple(endpoints), family, **fields)
 
 
@@ -695,13 +700,12 @@ def _closed_within(part: Interval, from_left: bool) -> Fraction:
 
 
 def _split_all(
-    components: list[tuple[str, Interval]], new_stage: int, avoid: IntervalUnion
+    components: list[tuple[str, Interval]], new_stage: int, allowed: IntervalUnion
 ) -> tuple[list[tuple[str, Interval]], list[GapRecord]]:
+    """Split every component around the ``allowed`` pieces; the closed
+    components lie apart, so each piece falls inside exactly one."""
     children: list[tuple[str, Interval]] = []
     gaps: list[GapRecord] = []
-    # One difference for all components, whose closed parts lie apart:
-    # each allowed piece falls inside exactly one component.
-    allowed = IntervalUnion(tuple(part for _, part in components)).difference(avoid)
     i = 0
     for address, part in components:
         j = i
@@ -747,7 +751,7 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
             padded = normalize(
                 Interval.closed(-p.hi - delta, -p.lo + delta) for p in b
             )
-            base_avoid = points_union(p.value for p in admitted).minkowski_sum(padded)
+            points = [p.value for p in admitted]
             retries, deferred = deferred, []
             split = None
             attempts = 0
@@ -759,9 +763,10 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
                 if b_forbidden.contains_point(candidate):
                     # Certified-inside points are skipped outright.
                     continue
-                avoid = padded.translate(candidate).union(base_avoid)
+                # a still holds the components of A_{m-1}.
+                allowed = a.minus_translates(padded, points + [candidate])
                 try:
-                    split = _split_all(components, m, avoid)
+                    split = _split_all(components, m, allowed)
                 except _ComponentEmptied as emptied:
                     events.append(DeferralEvent(candidate, emptied.address, m))
                     logger.info(
@@ -792,12 +797,13 @@ def greedy_stage(
 def greedy_certificate(
     spec: GreedySpec, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> GreedyCertificate:
-    """Check that no admitted point is reachable as a sum from A_n + B_n."""
+    """Check that no admitted point is reachable as a sum from A_n + B_n:
+    p is in A + B iff A meets p - B, so no translate of -B may cut A."""
     a = _stage(_GreedyA(spec), n, budget)
     b = half_scaled_components(spec.b_source, n, budget=budget)
-    reachable = a.stage.components.minkowski_sum(b)
-    verified = all(not reachable.contains_point(p.value) for p in a.points)
-    return GreedyCertificate(n, a.points, a.deferrals, verified)
+    components = a.stage.components
+    unreached = components.minus_translates(b.reflect(), (p.value for p in a.points))
+    return GreedyCertificate(n, a.points, a.deferrals, unreached == components)
 
 
 # ---------------------------------------------------------------------

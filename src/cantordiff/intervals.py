@@ -22,7 +22,9 @@ which merges closed touches and keeps open/open punctures apart; a
 union is normalized iff its keys strictly increase with at least one
 key between consecutive ranges.  Intersection and difference are
 two-pointer walks over key ranges, and a Minkowski sum adds keys,
-taking one unit back at an end where both summands are open.
+taking one unit back at an end where both summands are open.  A
+translate by a grid point ``t`` adds ``3*t*scale`` to every key, which
+is how ``minus_translates`` cuts many translates out of a union.
 
 A Minkowski sum has one path for every size (``_sum_rows``): rows of
 translates, each merged, are combined pairwise like a binary counter.
@@ -32,7 +34,7 @@ sizes of those unions rather than the number of pairs.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
@@ -395,6 +397,42 @@ class IntervalUnion:
             return self
         scale, a, b = _common_ranges(self, other)
         return _from_ranges(_minus(a, b), scale)
+
+    def minus_translates(
+        self, other: "IntervalUnion", shifts: Iterable[RationalLike]
+    ) -> "IntervalUnion":
+        """self minus the union of ``other + t`` over ``t`` in ``shifts``.
+
+        The translates are never united: each distinct shift cuts its
+        translate out of the pieces of self still left, with ``bisect``
+        over the end keys of ``other``, so the work is the live pieces
+        summed over the shifts, plus the cuts.  The shifts go from the
+        middle of their sorted list outward, which brings the fine cuts
+        of either end last and keeps the piece count low meanwhile.
+        """
+        shifts = [as_rational(t) for t in shifts]
+        if self.is_empty or other.is_empty or not shifts:
+            return self
+        scale = lcm(_grid(self.parts, other.parts), *{t.denominator for t in shifts})
+        k = 3 * scale
+        keys = sorted({t.numerator * (k // t.denominator) for t in shifts})
+        starts, ends = map(list, zip(*_ranges(other.parts, scale)))
+        count = len(starts)
+        pieces = list(_ranges(self.parts, scale))
+        for i in sorted(range(len(keys)), key=lambda i: abs(2 * i + 1 - len(keys))):
+            d = keys[i]
+            kept = []
+            for s, e in pieces:
+                j = bisect_left(ends, s - d)
+                while j < count and starts[j] + d <= e:
+                    if starts[j] + d > s:
+                        kept.append((s, starts[j] + d - 1))
+                    s = ends[j] + d + 1
+                    j += 1
+                if s <= e:
+                    kept.append((s, e))
+            pieces = kept
+        return _from_ranges(pieces, scale)
 
     def complement_within(self, frame: Interval) -> "IntervalUnion":
         """Frame minus self; parts of self outside the frame are ignored."""

@@ -231,6 +231,29 @@ class TestGreedy:
         assert len(cert.points) == 6
         stages = {p.stage for p in cert.points}
         assert stages == set(range(1, 7))
+        # The Minkowski form of the same verdict.
+        for n in range(7):
+            cert = greedy_certificate(g, n)
+            a = greedy_stage(g, n).a_stage.components
+            reachable = a.minkowski_sum(half_scaled_components(g.b_source, n))
+            assert cert.verified
+            assert not any(reachable.contains_point(p.value) for p in cert.points)
+
+    def test_certificate_flags_a_reachable_point(self, monkeypatch):
+        # 0 is in A_n and in B_n, so an admitted 0 = 0 + 0 is reachable.
+        real_stage = constructions._stage
+
+        def with_zero(spec, n, budget):
+            got = real_stage(spec, n, budget)
+            if isinstance(spec, constructions._GreedyA):
+                zero = constructions.AdmittedPoint(F(0), n)
+                got = got._replace(points=got.points + (zero,))
+            return got
+
+        monkeypatch.setattr(constructions, "_stage", with_zero)
+        cert = greedy_certificate(builtin_fat_composite(), 4)
+        assert cert.points[-1].value == 0
+        assert not cert.verified
 
     def test_b_measure_schedule(self):
         g = builtin_fat_composite()

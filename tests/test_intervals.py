@@ -255,6 +255,7 @@ def short_parts_union(rng, max_parts=60):
 
 def test_randomized_oracle_agreement():
     rng = random.Random(1105)
+    shift_rng = random.Random(7)  # leaves the draws of ``rng`` as they were
     for _ in range(120):
         a = random_union(rng)
         b = random_union(rng)
@@ -271,12 +272,48 @@ def test_randomized_oracle_agreement():
         probes = ends + [(x + y) // 2 for x, y in zip(ends, ends[1:])]
         for x in probes:
             assert a.contains_point(F(x, scale)) == oracle._member(pa, x)
+        check_minus_translates(a, b, shift_rng)
     # Sums of many parts: row counts that are not powers of two leave
-    # several partial unions to combine at the end.
+    # several partial unions to combine at the end.  Their many point
+    # parts also give ``minus_translates`` point translates to cut.
     for _ in range(12):
         a = short_parts_union(rng)
         b = short_parts_union(rng)
         assert a.minkowski_sum(b) == oracle.oracle_minkowski(a, b)
+        check_minus_translates(a, b, shift_rng)
+
+
+def check_minus_translates(a, b, rng):
+    """``minus_translates`` against the Minkowski form and the oracle.
+
+    Up to five shifts, some lists empty, one shift sometimes twice;
+    denominators up to 40 reach off the operands' grid (up to 16).
+    """
+    shifts = [
+        F(rng.randint(-3 * d, 3 * d), d)
+        for d in (rng.randint(1, 40) for _ in range(rng.randrange(6)))
+    ]
+    shifts += shifts[: rng.randrange(2)]
+    cut = a.minus_translates(b, shifts)
+    assert cut == a.difference(b.minkowski_sum(points_union(shifts)))
+    assert cut == oracle.oracle_difference(
+        a, oracle.oracle_minkowski(b, points_union(shifts))
+    )
+
+
+def test_minus_translates_cases():
+    a = union_of(iv(-1, 1))
+    assert a.minus_translates(union_of(iv(0, 1)), []) is a
+    assert EMPTY.minus_translates(a, [F(1)]) is EMPTY
+    assert a.minus_translates(EMPTY, [F(1)]) is a
+    # The point part removes one point, the open part leaves its ends,
+    # and the shift 1/7 puts a cut at 9/14, off the operands' grid.
+    other = union_of(Interval.point(0), Interval.open(F(1, 2), 1))
+    assert a.minus_translates(other, [F(1, 7), F(-1, 2), F(1, 7)]) == union_of(
+        Interval.right_open(-1, F(-1, 2)),
+        Interval.left_open(F(-1, 2), 0),
+        Interval.closed(F(1, 2), F(9, 14)),
+    )
 
 
 def test_openness_soundness_spot_check():
