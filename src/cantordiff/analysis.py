@@ -242,31 +242,20 @@ def dominant_gap_certificate(
             f"gap length {gap_length} is below the window's component bound "
             f"{max_component}; retry at a deeper stage"
         )
-    if all(g.interval.length < gap_length for g in recorded):
-        return DominantGapCertificate(
-            gap, a, b, "strict", certified, (), gap_length, max_component, max_recorded
+    if max_recorded > gap_length:
+        raise NotCertifiableError(
+            f"a recorded gap of length {max_recorded} exceeds the gap's {gap_length}"
         )
-    if max_recorded <= gap_length:
-        exceptions = tuple(
-            sorted(
-                gap.interval.lo - g.interval.lo
-                for g in recorded
-                if g.interval.length == gap_length
-            )
+    exceptions = tuple(
+        sorted(
+            gap.interval.lo - g.interval.lo
+            for g in recorded
+            if g.interval.length == gap_length
         )
-        return DominantGapCertificate(
-            gap,
-            a,
-            b,
-            "non-strict",
-            certified,
-            exceptions,
-            gap_length,
-            max_component,
-            max_recorded,
-        )
-    raise NotCertifiableError(
-        f"a recorded gap of length {max_recorded} exceeds the gap's {gap_length}"
+    )
+    mode = "non-strict" if exceptions else "strict"
+    return DominantGapCertificate(
+        gap, a, b, mode, certified, exceptions, gap_length, max_component, max_recorded
     )
 
 
@@ -358,15 +347,21 @@ class GapChainLink:
     certificate: DominantGapCertificate
 
 
-def _chain_step_indices(spec: CentralSpec, depth: int) -> list[int]:
-    """Creation steps of the chain gaps: each next gap is the rightmost
-    longest one to the right of the previous chain gap.
+def _chain_step_indices(
+    spec: CentralSpec, depth: int, budget: int
+) -> tuple[list[int], int]:
+    """Creation steps of the chain gaps, and the stage that certifies them.
 
-    Gaps created at step k all share length ratio(k) * component(k-1),
-    and restricting to the branch right of the previous gap leaves the
-    same length profile shifted; ties go to the later step, whose
-    rightmost instance sits further right.
+    Each next gap is the rightmost longest one to the right of the
+    previous chain gap.  Gaps created at step k all share length
+    ratio(k) * component(k-1), and restricting to the branch right of
+    the previous gap leaves the same length profile shifted; ties go to
+    the later step, whose rightmost instance sits further right.  The
+    last scan stops at the first stage whose components are no longer
+    than the last chain gap, which is the stage the chain needs; no scan
+    passes the deepest stage the budget holds.
     """
+    max_stage = max(budget, 0).bit_length() - 1
     steps: list[int] = []
     after = 0
     for _ in range(depth):
@@ -374,6 +369,11 @@ def _chain_step_indices(spec: CentralSpec, depth: int) -> list[int]:
         best_len = Fraction(0)
         k = after + 1
         while True:
+            if k > max_stage:
+                raise NotCertifiableError(
+                    f"certifying the depth-{depth} chain needs a stage beyond "
+                    f"{max_stage}, the deepest the component budget {budget} holds"
+                )
             g = spec.gap_length(k)
             if g >= best_len:
                 best_len = g
@@ -384,7 +384,7 @@ def _chain_step_indices(spec: CentralSpec, depth: int) -> list[int]:
             k += 1
         steps.append(best_k)
         after = best_k
-    return steps
+    return steps, k
 
 
 def rightmost_gap_chain(
@@ -400,15 +400,7 @@ def rightmost_gap_chain(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    steps = _chain_step_indices(spec, depth)
-    stage_n = steps[-1]
-    while spec.component_length(stage_n) > spec.gap_length(steps[-1]):
-        stage_n += 1
-    if 2 ** stage_n > budget:
-        raise NotCertifiableError(
-            f"certifying the depth-{depth} chain needs stage {stage_n}, "
-            f"beyond the component budget {budget}"
-        )
+    steps, stage_n = _chain_step_indices(spec, depth, budget)
     stage = central_stage(spec, stage_n, budget=budget)
     links: list[GapChainLink] = []
     prev_right = Fraction(0)

@@ -557,7 +557,7 @@ def _composite_steps(
     for m in itertools.count():
         a = a_components(m)
         b = b_components(m)
-        summed = a.minkowski_sum(b).translate(Fraction(1, 2))
+        summed = a.minkowski_sum(b.translate(Fraction(1, 2)))
         components = a.union(summed.intersect(_HALF_TO_ONE))
         cur_max = components.max_component_length()
         notes: tuple[str, ...] = ()

@@ -25,6 +25,8 @@ two-pointer walks over key ranges, and a Minkowski sum adds keys,
 taking one unit back at an end where both summands are open.  A
 translate by a grid point ``t`` adds ``3*t*scale`` to every key, which
 is how ``minus_translates`` cuts many translates out of a union.
+Reflection, translation and scaling share one affine map of the keys
+(``_affine``), and the measures count whole grid steps per range.
 
 A Minkowski sum has one path for every size (``_sum_rows``): rows of
 translates, each merged, are combined pairwise like a binary counter.
@@ -338,17 +340,20 @@ class IntervalUnion:
             return "{}"
         return " | ".join(str(p) for p in self.parts)
 
+    def _lengths(self) -> tuple[int, Iterator[int]]:
+        """The grid scale and each part's length in steps of ``1/scale``."""
+        scale = _grid(self.parts)
+        ranges = _ranges(self.parts, scale)
+        return scale, ((e + 1) // 3 - (s + 1) // 3 for s, e in ranges)
+
     def measure(self) -> Fraction:
         """Total length; openness never affects measure."""
-        total = Fraction(0)
-        for p in self.parts:
-            total += p.hi - p.lo
-        return total
+        scale, lengths = self._lengths()
+        return Fraction(sum(lengths), scale)
 
     def max_component_length(self) -> Fraction:
-        if not self.parts:
-            return Fraction(0)
-        return max(p.hi - p.lo for p in self.parts)
+        scale, lengths = self._lengths()
+        return Fraction(max(lengths, default=0), scale)
 
     def hull(self) -> Interval | None:
         """Smallest closed interval containing the union, None if empty."""
@@ -444,14 +449,29 @@ class IntervalUnion:
 
     # -- affine maps ---------------------------------------------------
 
+    def _affine(self, k: Fraction | int, t: Fraction | int) -> "IntervalUnion":
+        """{k*x + t : x in self} for k != 0, mapped on the keys.
+
+        On the grid ``lcm(scale * k.denominator, t.denominator)`` a closed
+        key ``c`` goes to ``m*c + d``.  Each end moves as its closed key
+        and keeps its openness; k < 0 reverses the ranges and swaps ends.
+        """
+        scale = _grid(self.parts)
+        grid = lcm(scale * k.denominator, t.denominator)
+        m = k.numerator * (grid // (scale * k.denominator))
+        d = 3 * t.numerator * (grid // t.denominator)
+        sign = 1 if k > 0 else -1
+        ranges = []
+        for s, e in _ranges(self.parts, scale):
+            so, eo = s % 3, e % 3 // 2  # 1 at an open end
+            ranges.append((m * (s - so) + d + sign * so, m * (e + eo) + d - sign * eo))
+        if k < 0:
+            ranges = [(e, s) for s, e in reversed(ranges)]
+        return _from_ranges(ranges, grid)
+
     def reflect(self) -> "IntervalUnion":
         """The mirror image {-x : x in self}; flags swap ends."""
-        return IntervalUnion(
-            tuple(
-                Interval(-p.hi, -p.lo, p.hi_closed, p.lo_closed)
-                for p in reversed(self.parts)
-            )
-        )
+        return self._affine(-1, 0)
 
     def __neg__(self) -> "IntervalUnion":
         return self.reflect()
@@ -460,30 +480,13 @@ class IntervalUnion:
         t = as_rational(t)
         if t == 0:
             return self
-        return IntervalUnion(
-            tuple(
-                Interval(p.lo + t, p.hi + t, p.lo_closed, p.hi_closed)
-                for p in self.parts
-            )
-        )
+        return self._affine(1, t)
 
     def scale(self, k: RationalLike) -> "IntervalUnion":
         k = as_rational(k)
         if k == 0:
             raise ValueError("scale factor must be nonzero")
-        if k > 0:
-            return IntervalUnion(
-                tuple(
-                    Interval(p.lo * k, p.hi * k, p.lo_closed, p.hi_closed)
-                    for p in self.parts
-                )
-            )
-        return IntervalUnion(
-            tuple(
-                Interval(p.hi * k, p.lo * k, p.hi_closed, p.lo_closed)
-                for p in reversed(self.parts)
-            )
-        )
+        return self._affine(k, 0)
 
     # -- Minkowski sum --------------------------------------------------
 

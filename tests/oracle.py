@@ -163,6 +163,52 @@ def oracle_minkowski(a, b):
 
 
 # ---------------------------------------------------------------------
+# per-part Fraction forms of the affine maps and the measures
+
+
+def oracle_reflect(a):
+    return IntervalUnion(
+        tuple(
+            Interval(-p.hi, -p.lo, p.hi_closed, p.lo_closed)
+            for p in reversed(a.parts)
+        )
+    )
+
+
+def oracle_translate(a, t):
+    return IntervalUnion(
+        tuple(Interval(p.lo + t, p.hi + t, p.lo_closed, p.hi_closed) for p in a.parts)
+    )
+
+
+def oracle_scale(a, k):
+    if k > 0:
+        return IntervalUnion(
+            tuple(
+                Interval(p.lo * k, p.hi * k, p.lo_closed, p.hi_closed)
+                for p in a.parts
+            )
+        )
+    return IntervalUnion(
+        tuple(
+            Interval(p.hi * k, p.lo * k, p.hi_closed, p.lo_closed)
+            for p in reversed(a.parts)
+        )
+    )
+
+
+def oracle_measure(a):
+    total = Fraction(0)
+    for p in a.parts:
+        total += p.hi - p.lo
+    return total
+
+
+def oracle_max_component_length(a):
+    return max((p.hi - p.lo for p in a.parts), default=Fraction(0))
+
+
+# ---------------------------------------------------------------------
 # the two brackets as Minkowski sums: references for the endpoint filter
 # and the closed form in cantordiff.analysis
 

@@ -302,6 +302,13 @@ class TestDominantGapCertificate:
         with pytest.raises(NotCertifiableError):
             dominant_gap_certificate(s1, s1.gaps[0], 0, F(1, 2))
 
+    def test_rejects_gap_below_component_bound(self):
+        # ratio 1/5: the stage-1 gap is 1/5 long, but the window [0, 2/5]
+        # holds a whole component 2/5 long, which later gaps may split
+        s1 = central_stage(CentralSpec.from_list((), F(1, 5)), 1)
+        with pytest.raises(NotCertifiableError, match="component bound 2/5"):
+            dominant_gap_certificate(s1, s1.gaps[0], 0, F(2, 5))
+
     def test_rejects_dominated_gap(self):
         # window [1/3, 1] contains the stage-1 gap, three times longer
         s2 = central_stage(TERNARY, 2)
@@ -413,6 +420,11 @@ class TestGapChain:
         for link in chain:
             assert link.certificate.certified.lo == prev_hi
             prev_hi = link.certificate.certified.hi
+
+    def test_chain_beyond_budget_is_refused(self):
+        # the depth-6 ternary chain needs stage 6; a budget of 16 holds 4
+        with pytest.raises(NotCertifiableError, match="beyond 4"):
+            rightmost_gap_chain(TERNARY, 6, budget=16)
 
     def test_varying_ratios_pick_longest(self):
         # tiny first removal, huge second: the chain starts at step 2

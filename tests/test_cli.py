@@ -126,6 +126,27 @@ def test_huge_max_stage_is_clamped_at_once(tmp_path, ternary_spec):
     assert elapsed < 10
 
 
+def test_tamc_chain_beyond_budget_is_refused_at_once(tmp_path):
+    # Base 2^-30 puts the chain's stage near 30; scanning toward it with
+    # exact component lengths must stop at the budget's deepest stage.
+    spec = tmp_path / "steep.json"
+    spec.write_text(
+        '{"family": "central", "ratios": '
+        '{"rule": "geometric", "base": "1/1073741824"}}'
+    )
+    src = str(Path(cantordiff.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", "verify", "tamc", "--spec",
+         str(spec), "--max-stage", "6"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 2, result.stderr
+    assert "needs a stage beyond 14" in result.stderr
+
+
 def test_tab_stage8_diff_bounds_finishes(tmp_path):
     # Tab 1/2,1/2 stage 8 has 3,535 gaps and 7,072 endpoints; a bracket
     # that sums every gap with every endpoint takes about 20 s on 2 vCPUs.

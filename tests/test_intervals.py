@@ -256,6 +256,7 @@ def short_parts_union(rng, max_parts=60):
 def test_randomized_oracle_agreement():
     rng = random.Random(1105)
     shift_rng = random.Random(7)  # leaves the draws of ``rng`` as they were
+    map_rng = random.Random(13)  # and these leave those of ``shift_rng``
     for _ in range(120):
         a = random_union(rng)
         b = random_union(rng)
@@ -273,6 +274,7 @@ def test_randomized_oracle_agreement():
         for x in probes:
             assert a.contains_point(F(x, scale)) == oracle._member(pa, x)
         check_minus_translates(a, b, shift_rng)
+        check_affine(a, map_rng)
     # Sums of many parts: row counts that are not powers of two leave
     # several partial unions to combine at the end.  Their many point
     # parts also give ``minus_translates`` point translates to cut.
@@ -281,6 +283,23 @@ def test_randomized_oracle_agreement():
         b = short_parts_union(rng)
         assert a.minkowski_sum(b) == oracle.oracle_minkowski(a, b)
         check_minus_translates(a, b, shift_rng)
+        check_affine(a, map_rng)
+
+
+def check_affine(a, rng):
+    """The key maps and measures against their per-part ``Fraction`` forms.
+
+    Factors of either sign with numerators up to 5, and denominators up
+    to 40 for factor and shift alike, reach off the operand's grid.
+    """
+    k = F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 40))
+    d = rng.randint(1, 40)
+    t = F(rng.randint(-3 * d, 3 * d), d)
+    assert a.reflect() == -a == oracle.oracle_reflect(a)
+    assert a.translate(t) == oracle.oracle_translate(a, t)
+    assert a.scale(k) == oracle.oracle_scale(a, k)
+    assert a.measure() == oracle.oracle_measure(a)
+    assert a.max_component_length() == oracle.oracle_max_component_length(a)
 
 
 def check_minus_translates(a, b, rng):
