@@ -112,7 +112,7 @@ def outer_difference(stage: CantorStage) -> IntervalUnion:
     """
     _require_unit_frame(stage)
     components = stage.components
-    if any(c.is_point for c in components):
+    if components.point_parts():
         raise InvariantError(
             f"stage {stage.n}: the closed-form outer bracket needs "
             "nondegenerate components"

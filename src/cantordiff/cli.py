@@ -228,7 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CantorDiffError as exc:
+    # Spec files are read through InvalidSpecError: an OSError is an output.
+    except (CantorDiffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

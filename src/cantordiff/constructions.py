@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Any, Callable, Iterator, NamedTuple, Union
+from typing import Any, Callable, Collection, Iterator, NamedTuple, Union
 
 from .errors import (
     AvoidanceExhaustedError,
@@ -135,17 +135,16 @@ class CantorStage:
 
 
 def _make_stage(
-    n: int, components: IntervalUnion, gaps: list[GapRecord], family: str, **fields
+    n: int, parts: Collection[Interval], gaps: list[GapRecord], family: str, **fields
 ) -> CantorStage:
-    """A stage with its gaps ordered by (stage_created, position) and its
-    sorted distinct component endpoints.  The builders emit both orders:
-    the closed components are normalized, and each step lists its gaps by
-    position, so a stable sort on the step is all that is left."""
-    endpoints = [
-        x for p in components for x in ((p.lo,) if p.is_point else (p.lo, p.hi))
-    ]
-    ordered = sorted(gaps, key=attrgetter("stage_created"))
-    return CantorStage(n, components, tuple(ordered), tuple(endpoints), family, **fields)
+    """A stage of the normalized closed ``parts`` (a union or its
+    intervals), with its gaps ordered by (stage_created, position) and
+    its sorted distinct component endpoints.  Each step lists its gaps
+    by position, so a stable sort on the step is all that is left."""
+    components = parts if isinstance(parts, IntervalUnion) else IntervalUnion(parts)
+    endpoints = [x for p in parts for x in ((p.lo,) if p.is_point else (p.lo, p.hi))]
+    ordered = tuple(sorted(gaps, key=attrgetter("stage_created")))
+    return CantorStage(n, components, ordered, tuple(endpoints), family, **fields)
 
 
 # ---------------------------------------------------------------------
@@ -299,22 +298,22 @@ def _half(spec, n: int) -> IntervalUnion:
     return _sequence(spec).get(n).components.scale(Fraction(1, 2))
 
 
-def _split_stage(
+def _split(
     n: int,
     parts: tuple[Interval, ...],
     cuts: list[tuple[Fraction, Fraction]],
     gaps: list[GapRecord],
-    family: str,
-) -> CantorStage:
-    """Stage n of a binary family: the open gap ``cuts[i]`` is removed
-    from stage-(n-1) part i; ``gaps`` accumulates every step's records."""
+) -> tuple[Interval, ...]:
+    """Stage-n parts of a binary family: the open gap ``cuts[i]`` is
+    removed from stage-(n-1) part i; ``gaps`` accumulates every step's
+    records."""
     comps: list[Interval] = []
     for idx, (part, (gl, gr)) in enumerate(zip(parts, cuts)):
         address = format(idx, f"0{n - 1}b") if n > 1 else ""
         gaps.append(GapRecord(address, Interval.open(gl, gr), n))
         comps.append(Interval(part.lo, gl, True, True))
         comps.append(Interval(gr, part.hi, True, True))
-    return _make_stage(n, IntervalUnion(tuple(comps)), gaps, family)
+    return tuple(comps)
 
 
 # ---------------------------------------------------------------------
@@ -376,7 +375,7 @@ class CentralSpec:
     def _steps(self) -> Iterator[CantorStage]:
         parts: tuple[Interval, ...] = (UNIT,)
         gaps: list[GapRecord] = []
-        yield _make_stage(0, IntervalUnion(parts), gaps, "central")
+        yield _make_stage(0, parts, gaps, "central")
         for n in itertools.count(1):
             ratio = self.ratio(n)
             cuts = []
@@ -384,9 +383,8 @@ class CentralSpec:
                 length = part.hi - part.lo
                 child = (length - ratio * length) / 2
                 cuts.append((part.lo + child, part.hi - child))
-            stage = _split_stage(n, parts, cuts, gaps, "central")
-            parts = stage.components.parts
-            yield stage
+            parts = _split(n, parts, cuts, gaps)
+            yield _make_stage(n, parts, gaps, "central")
 
 
 def central_stage(
@@ -458,7 +456,7 @@ class PerturbedSpec:
         parts: tuple[Interval, ...] = (UNIT,)
         gaps: list[GapRecord] = []
         c = self.c1  # length of the aligned gaps cut at the current step
-        yield _make_stage(0, IntervalUnion(parts), gaps, "perturbed")
+        yield _make_stage(0, parts, gaps, "perturbed")
         for n in itertools.count(1):
             if n > 1:
                 leftmost_len = parts[0].hi - parts[0].lo
@@ -485,14 +483,13 @@ class PerturbedSpec:
                 else:
                     g = min(self.interior_gap_fraction * c, (part.hi - part.lo) / 2)
                     cuts.append((mid - g / 2, mid + g / 2))
-            stage = _split_stage(n, parts, cuts, gaps, "perturbed")
-            parts = stage.components.parts
+            parts = _split(n, parts, cuts, gaps)
             if parts[0].length != parts[-1].length:
                 raise InvariantError(
                     f"perturbed stage {n}: the extreme branches must stay equal "
                     f"in length, got {parts[0].length} and {parts[-1].length}"
                 )
-            yield stage
+            yield _make_stage(n, parts, gaps, "perturbed")
 
 
 def perturbed_stage(
@@ -706,14 +703,15 @@ def _split_all(
     components lie apart, so each piece falls inside exactly one."""
     children: list[tuple[str, Interval]] = []
     gaps: list[GapRecord] = []
+    pieces = allowed.parts
     i = 0
     for address, part in components:
         j = i
-        while j < len(allowed) and allowed.parts[j].hi <= part.hi:
+        while j < len(pieces) and pieces[j].hi <= part.hi:
             j += 1
         if j == i:
             raise _ComponentEmptied(address)
-        first, last = allowed.parts[i], allowed.parts[j - 1]
+        first, last = pieces[i], pieces[j - 1]
         i = j
         # Parent endpoints must survive so they stay in the limit set.
         if not (first.lo == part.lo and first.lo_closed):
@@ -782,8 +780,9 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
             components, new_gaps = split
             admitted.append(AdmittedPoint(candidate, m))
             gaps.extend(new_gaps)
-        a = IntervalUnion(tuple(iv for _, iv in components))
-        stage = _make_stage(m, a, gaps, "greedy-a", frame=HALF)
+        parts = [iv for _, iv in components]
+        stage = _make_stage(m, parts, gaps, "greedy-a", frame=HALF)
+        a = stage.components
         yield _GreedyStep(stage, tuple(admitted), tuple(events))
 
 
@@ -828,14 +827,10 @@ def branch_shift(stage: CantorStage, address: NodeAddress) -> Fraction:
     parts = stage.components.parts
     per_branch = len(parts) >> depth
     index = int(address, 2) if address else 0
-    target_lo = parts[index * per_branch].lo
-    shift = target_lo  # leftmost branch starts at 0
-    left = parts[:per_branch]
-    target = parts[index * per_branch : (index + 1) * per_branch]
-    shifted = tuple(
-        Interval(p.lo + shift, p.hi + shift, p.lo_closed, p.hi_closed) for p in left
-    )
-    if shifted != target:
+    shift = parts[index * per_branch].lo  # leftmost branch starts at 0
+    left = IntervalUnion(parts[:per_branch])
+    target = IntervalUnion(parts[index * per_branch : (index + 1) * per_branch])
+    if left.translate(shift) != target:
         raise InvalidSpecError(
             f"stage is not shift-identical on branch {address!r}"
         )

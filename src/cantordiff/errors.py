@@ -12,13 +12,10 @@ class InvalidSpecError(CantorDiffError, ValueError):
 class BudgetExceededError(CantorDiffError):
     """A requested stage would exceed the configured component budget."""
 
-    def __init__(self, requested: int, budget: int, message: str = ""):
+    def __init__(self, requested: int, budget: int):
         self.requested = requested
         self.budget = budget
-        super().__init__(
-            message
-            or f"stage needs {requested} components, budget allows {budget}"
-        )
+        super().__init__(f"stage needs {requested} components, budget allows {budget}")
 
 
 class NotCertifiableError(CantorDiffError):

@@ -7,26 +7,25 @@ immutable values and return normalized unions: parts sorted by left
 endpoint, pairwise disjoint, with only open/open adjacencies (genuine
 single-point punctures) left unmerged.
 
-Every set operation runs on one integer key per endpoint.  On the grid
-of step ``1/scale`` (the least common multiple of the denominators in
-play) the point ``x`` has key ``3*x*scale``; an open start adds 1 and an
-open end subtracts 1.  A part is then the inclusive key range
-``[start, end]``, nonempty iff ``start <= end``, and an open cell
-between grid points holds two keys, so nothing is lost.  With
-``A = a*scale`` and ``B = b*scale``:
+A union stores one integer key per endpoint.  On its grid of step
+``1/grid`` (the least common multiple of its reduced denominators, so
+the generated ``==`` and ``hash`` are set equality) the point ``x`` has
+key ``3*x*grid``; an open start adds 1 and an open end subtracts 1.  A
+part is then the inclusive key range ``[start, end]``, nonempty iff
+``start <= end``, and an open cell between grid points holds two keys,
+so nothing is lost.  With ``A = a*grid`` and ``B = b*grid``:
 
     [a, b]  ->  [3A, 3B]        (a, b)  ->  [3A + 1, 3B - 1]
 
 Two ranges in start order merge iff ``next_start <= prev_end + 1``,
 which merges closed touches and keeps open/open punctures apart; a
 union is normalized iff its keys strictly increase with at least one
-key between consecutive ranges.  Intersection and difference are
-two-pointer walks over key ranges, and a Minkowski sum adds keys,
-taking one unit back at an end where both summands are open.  A
-translate by a grid point ``t`` adds ``3*t*scale`` to every key, which
-is how ``minus_translates`` cuts many translates out of a union.
-Reflection, translation and scaling share one affine map of the keys
-(``_affine``), and the measures count whole grid steps per range.
+key between consecutive ranges.  Union is a merge, intersection and
+difference are two-pointer walks, and a Minkowski sum adds keys, taking
+one unit back at an end where both summands are open.  One affine map
+of the keys (``_moved``) lifts operands to a common grid, reduces each
+result to its own, and reflects, translates and scales.  ``Fraction``
+values are made only where parts, points or measures are read.
 
 A Minkowski sum has one path for every size (``_sum_rows``): rows of
 translates, each merged, are combined pairwise like a binary counter.
@@ -40,8 +39,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from math import lcm
-from operator import attrgetter
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -155,41 +154,47 @@ class Interval:
 
 # -- integer endpoint keys ---------------------------------------------
 #
-# A key range is (start, end), both keys on one grid of step 1/scale.
+# A key range is (start, end), both keys on one grid of step 1/grid.
 
 _Range = tuple[int, int]
 
 
-def _grid(*groups: Sequence[Interval]) -> int:
-    """Least common multiple of every endpoint denominator."""
-    dens: set[int] = set()
-    for parts in groups:
-        dens.update(p.lo.denominator for p in parts)
-        dens.update(p.hi.denominator for p in parts)
-    return lcm(*dens)
-
-
-def _ranges(parts: Iterable[Interval], scale: int) -> Iterator[_Range]:
-    k = 3 * scale
-    return (
+def _encode(parts: Sequence[Interval]) -> tuple[list[_Range], int]:
+    """The key ranges of ``parts`` on their grid, the least common
+    multiple of every endpoint denominator, and that grid."""
+    grid = lcm(*{d for p in parts for d in (p.lo.denominator, p.hi.denominator)})
+    k = 3 * grid
+    ranges = [
         (
             p.lo.numerator * (k // p.lo.denominator) + (not p.lo_closed),
             p.hi.numerator * (k // p.hi.denominator) - (not p.hi_closed),
         )
         for p in parts
+    ]
+    return ranges, grid
+
+
+def _interval(s: int, e: int, grid: int) -> Interval:
+    """The interval of the key range ``[s, e]`` on ``grid``."""
+    return Interval(
+        Fraction(s // 3, grid), Fraction((e + 1) // 3, grid), s % 3 == 0, e % 3 == 0
     )
 
 
-def _common_ranges(
-    a: "IntervalUnion", b: "IntervalUnion"
-) -> tuple[int, Iterator[_Range], Iterator[_Range]]:
-    scale = _grid(a.parts, b.parts)
-    return scale, _ranges(a.parts, scale), _ranges(b.parts, scale)
-
-
-def _increasing(ranges: Iterable[_Range]) -> bool:
-    """Normalized order: at least one key between consecutive ranges."""
-    return all(e + 1 < s for (_, e), (s, _) in pairwise(ranges))
+def _moved(ranges: Iterable[_Range], m: int, d: int = 0, q: int = 1) -> list[_Range]:
+    """Each end moved as its closed key ``c`` to ``(m*c + d) // q``, exact
+    on closed keys; an end keeps its openness, and ``m < 0`` reverses the
+    ranges and swaps their ends."""
+    sign = 1 if m > 0 else -1
+    moved = []
+    for s, e in ranges:
+        so, eo = s % 3, e % 3 // 2  # 1 at an open end
+        moved.append(
+            ((m * (s - so) + d) // q + sign * so, (m * (e + eo) + d) // q - sign * eo)
+        )
+    if m < 0:
+        moved = [(e, s) for s, e in reversed(moved)]
+    return moved
 
 
 def _merge(ranges: Iterable[_Range]) -> list[_Range]:
@@ -210,8 +215,9 @@ def _merge(ranges: Iterable[_Range]) -> list[_Range]:
     return out
 
 
-def _meet(a: Iterator[_Range], b: Iterator[_Range]) -> list[_Range]:
+def _meet(a: Iterable[_Range], b: Iterable[_Range]) -> list[_Range]:
     """The keys held by both normalized, nonempty ``a`` and ``b``."""
+    a, b = iter(a), iter(b)
     out: list[_Range] = []
     (sa, ea), (sb, eb) = next(a), next(b)
     try:
@@ -227,8 +233,9 @@ def _meet(a: Iterator[_Range], b: Iterator[_Range]) -> list[_Range]:
         return out
 
 
-def _minus(a: Iterable[_Range], b: Iterator[_Range]) -> list[_Range]:
+def _minus(a: Iterable[_Range], b: Iterable[_Range]) -> list[_Range]:
     """The keys of normalized ``a`` that no range of normalized ``b`` holds."""
+    b = iter(b)
     out: list[_Range] = []
     cut = next(b, None)
     for s, e in a:
@@ -245,11 +252,11 @@ def _minus(a: Iterable[_Range], b: Iterator[_Range]) -> list[_Range]:
     return out
 
 
-def _row_sums(a: list[_Range], b: list[_Range]) -> Iterator[Iterator[_Range]]:
+def _row_sums(a: Sequence[_Range], b: Sequence[_Range]) -> Iterator[Iterator[_Range]]:
     """Per range of ``a``, its sums with every range of ``b`` in start order.
 
     A sum end is attained iff both summand ends are: where the ``a`` end
-    is open, the ``b`` end enters with its closed key (``3*x*scale``), so
+    is open, the ``b`` end enters with its closed key (``3*x*grid``), so
     the one open unit is counted once.
     """
     starts = ([s for s, _ in b], [s - s % 3 for s, _ in b])
@@ -258,25 +265,27 @@ def _row_sums(a: list[_Range], b: list[_Range]) -> Iterator[Iterator[_Range]]:
         yield zip(map(sa.__add__, starts[sa % 3]), map(ea.__add__, ends[ea % 3 // 2]))
 
 
-def _from_ranges(ranges: list[_Range], scale: int) -> "IntervalUnion":
-    """The union of normalized key ranges, checked on the keys themselves."""
-    if not _increasing(ranges):
+def _from_ranges(ranges: Sequence[_Range], grid: int) -> "IntervalUnion":
+    """The union of normalized key ranges, checked on the keys and stored
+    on its canonical grid: ``grid`` over its greatest common divisor with
+    every endpoint's closed key over 3."""
+    # Normalized order: at least one key between consecutive ranges.
+    if not all(e + 1 < s for (_, e), (s, _) in pairwise(ranges)):
         raise ValueError("IntervalUnion parts not normalized")
-    parts = []
+    g = grid
     for s, e in ranges:
-        lo, lo_open = divmod(s, 3)
-        hi, hi_closed = divmod(e + 1, 3)
-        parts.append(
-            Interval(
-                Fraction(lo, scale), Fraction(hi, scale), not lo_open, hi_closed == 1
-            )
-        )
+        g = gcd(g, s // 3, (e + 1) // 3)
+        if g == 1:
+            break
+    if g > 1:
+        ranges, grid = _moved(ranges, 1, 0, g), grid // g
     union = object.__new__(IntervalUnion)
-    object.__setattr__(union, "parts", tuple(parts))
+    object.__setattr__(union, "grid", grid)
+    object.__setattr__(union, "ranges", tuple(ranges))
     return union
 
 
-def _sum_rows(a: list[_Range], b: list[_Range]) -> list[_Range]:
+def _sum_rows(a: Sequence[_Range], b: Sequence[_Range]) -> list[_Range]:
     """Merged pairwise sums of normalized ``a`` and ``b``.
 
     Each row is a translate of ``b``, so it is already in start order
@@ -304,73 +313,76 @@ def _sum_rows(a: list[_Range], b: list[_Range]) -> list[_Range]:
     return merged
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IntervalUnion:
     """A normalized finite union of pairwise-disjoint intervals.
 
+    It stores the key ranges of its parts on its canonical grid.
     Construct through :func:`normalize` (or the ``union_of`` helper)
     unless the parts are already in normalized order; the constructor
     raises ``ValueError`` on parts that are not.
     """
 
-    parts: tuple[Interval, ...] = ()
+    grid: int
+    ranges: tuple[_Range, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.parts, tuple):
-            object.__setattr__(self, "parts", tuple(self.parts))
-        if len(self.parts) > 1 and not _increasing(
-            _ranges(self.parts, _grid(self.parts))
-        ):
-            raise ValueError("IntervalUnion parts not normalized")
+    def __new__(cls, parts: Iterable[Interval] = ()) -> "IntervalUnion":
+        return _from_ranges(*_encode(tuple(parts)))
+
+    def _on(self, grid: int) -> Sequence[_Range]:
+        """The key ranges on ``grid``, a multiple of this union's grid."""
+        if grid == self.grid:
+            return self.ranges
+        return _moved(self.ranges, grid // self.grid)
 
     # -- basic queries -----------------------------------------------
 
     @property
+    def parts(self) -> tuple[Interval, ...]:
+        """The intervals, decoded from the keys on each access."""
+        return tuple(_interval(s, e, self.grid) for s, e in self.ranges)
+
+    @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self.ranges
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.parts)
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return len(self.ranges)
 
     def __str__(self) -> str:
-        if not self.parts:
-            return "{}"
-        return " | ".join(str(p) for p in self.parts)
-
-    def _lengths(self) -> tuple[int, Iterator[int]]:
-        """The grid scale and each part's length in steps of ``1/scale``."""
-        scale = _grid(self.parts)
-        ranges = _ranges(self.parts, scale)
-        return scale, ((e + 1) // 3 - (s + 1) // 3 for s, e in ranges)
+        return " | ".join(map(str, self.parts)) or "{}"
 
     def measure(self) -> Fraction:
         """Total length; openness never affects measure."""
-        scale, lengths = self._lengths()
-        return Fraction(sum(lengths), scale)
+        steps = sum((e + 1) // 3 - (s + 1) // 3 for s, e in self.ranges)
+        return Fraction(steps, self.grid)
 
     def max_component_length(self) -> Fraction:
-        scale, lengths = self._lengths()
-        return Fraction(max(lengths, default=0), scale)
+        steps = max(((e + 1) // 3 - (s + 1) // 3 for s, e in self.ranges), default=0)
+        return Fraction(steps, self.grid)
 
     def hull(self) -> Interval | None:
         """Smallest closed interval containing the union, None if empty."""
-        if not self.parts:
+        if not self.ranges:
             return None
-        return Interval(self.parts[0].lo, self.parts[-1].hi, True, True)
+        s, e = self.ranges[0][0], self.ranges[-1][1]
+        return _interval(s - s % 3, e + e % 3 // 2, self.grid)
 
     def point_parts(self) -> tuple[Fraction, ...]:
-        return tuple(p.lo for p in self.parts if p.is_point)
+        return tuple(Fraction(s // 3, self.grid) for s, e in self.ranges if s == e)
 
     def interval_parts(self) -> tuple[Interval, ...]:
-        return tuple(p for p in self.parts if not p.is_point)
+        return tuple(_interval(s, e, self.grid) for s, e in self.ranges if s != e)
 
     def contains_point(self, x: RationalLike) -> bool:
         x = as_rational(x)
-        i = bisect_right(self.parts, x, key=attrgetter("lo"))
-        return i > 0 and self.parts[i - 1].contains(x)
+        g, r = divmod(x.numerator * self.grid, x.denominator)  # x*grid in [g, g + 1)
+        key = 3 * g + (r > 0)  # off the grid: the interior key of x's open cell
+        i = bisect_right(self.ranges, key, key=itemgetter(0))
+        return i > 0 and self.ranges[i - 1][1] >= key
 
     def __contains__(self, x: RationalLike) -> bool:
         return self.contains_point(x)
@@ -382,7 +394,8 @@ class IntervalUnion:
             return other
         if other.is_empty:
             return self
-        return normalize(self.parts + other.parts)
+        grid = lcm(self.grid, other.grid)
+        return _from_ranges(_merge(sorted([*self._on(grid), *other._on(grid)])), grid)
 
     def __or__(self, other: "IntervalUnion") -> "IntervalUnion":
         return self.union(other)
@@ -390,8 +403,8 @@ class IntervalUnion:
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         if self.is_empty or other.is_empty:
             return EMPTY
-        scale, a, b = _common_ranges(self, other)
-        return _from_ranges(_meet(a, b), scale)
+        grid = lcm(self.grid, other.grid)
+        return _from_ranges(_meet(self._on(grid), other._on(grid)), grid)
 
     def __and__(self, other: "IntervalUnion") -> "IntervalUnion":
         return self.intersect(other)
@@ -400,8 +413,8 @@ class IntervalUnion:
         """Set difference self minus other (not the algebraic difference)."""
         if self.is_empty or other.is_empty:
             return self
-        scale, a, b = _common_ranges(self, other)
-        return _from_ranges(_minus(a, b), scale)
+        grid = lcm(self.grid, other.grid)
+        return _from_ranges(_minus(self._on(grid), other._on(grid)), grid)
 
     def minus_translates(
         self, other: "IntervalUnion", shifts: Iterable[RationalLike]
@@ -418,12 +431,12 @@ class IntervalUnion:
         shifts = [as_rational(t) for t in shifts]
         if self.is_empty or other.is_empty or not shifts:
             return self
-        scale = lcm(_grid(self.parts, other.parts), *{t.denominator for t in shifts})
-        k = 3 * scale
+        grid = lcm(self.grid, other.grid, *{t.denominator for t in shifts})
+        k = 3 * grid
         keys = sorted({t.numerator * (k // t.denominator) for t in shifts})
-        starts, ends = map(list, zip(*_ranges(other.parts, scale)))
+        starts, ends = map(list, zip(*other._on(grid)))
         count = len(starts)
-        pieces = list(_ranges(self.parts, scale))
+        pieces = self._on(grid)
         for i in sorted(range(len(keys)), key=lambda i: abs(2 * i + 1 - len(keys))):
             d = keys[i]
             kept = []
@@ -437,37 +450,28 @@ class IntervalUnion:
                 if s <= e:
                     kept.append((s, e))
             pieces = kept
-        return _from_ranges(pieces, scale)
+        return _from_ranges(pieces, grid)
 
     def complement_within(self, frame: Interval) -> "IntervalUnion":
         """Frame minus self; parts of self outside the frame are ignored."""
         return IntervalUnion((frame,)).difference(self)
 
     def is_subset(self, other: "IntervalUnion") -> bool:
-        _, a, b = _common_ranges(self, other)
-        return not _minus(a, b)
+        grid = lcm(self.grid, other.grid)
+        return not _minus(self._on(grid), other._on(grid))
 
     # -- affine maps ---------------------------------------------------
 
     def _affine(self, k: Fraction | int, t: Fraction | int) -> "IntervalUnion":
         """{k*x + t : x in self} for k != 0, mapped on the keys.
 
-        On the grid ``lcm(scale * k.denominator, t.denominator)`` a closed
-        key ``c`` goes to ``m*c + d``.  Each end moves as its closed key
-        and keeps its openness; k < 0 reverses the ranges and swaps ends.
+        On the grid ``lcm(grid * k.denominator, t.denominator)`` a closed
+        key ``c`` goes to ``m*c + d`` (see ``_moved``).
         """
-        scale = _grid(self.parts)
-        grid = lcm(scale * k.denominator, t.denominator)
-        m = k.numerator * (grid // (scale * k.denominator))
+        grid = lcm(self.grid * k.denominator, t.denominator)
+        m = k.numerator * (grid // (self.grid * k.denominator))
         d = 3 * t.numerator * (grid // t.denominator)
-        sign = 1 if k > 0 else -1
-        ranges = []
-        for s, e in _ranges(self.parts, scale):
-            so, eo = s % 3, e % 3 // 2  # 1 at an open end
-            ranges.append((m * (s - so) + d + sign * so, m * (e + eo) + d - sign * eo))
-        if k < 0:
-            ranges = [(e, s) for s, e in reversed(ranges)]
-        return _from_ranges(ranges, grid)
+        return _from_ranges(_moved(self.ranges, m, d), grid)
 
     def reflect(self) -> "IntervalUnion":
         """The mirror image {-x : x in self}; flags swap ends."""
@@ -499,11 +503,11 @@ class IntervalUnion:
         """
         if self.is_empty or other.is_empty:
             return EMPTY
-        scale, a, b = _common_ranges(self, other)
-        a, b = list(a), list(b)
+        grid = lcm(self.grid, other.grid)
+        a, b = self._on(grid), other._on(grid)
         if len(a) > len(b):  # fewer, longer rows: fewer merge levels
             a, b = b, a
-        return _from_ranges(_sum_rows(a, b), scale)
+        return _from_ranges(_sum_rows(a, b), grid)
 
     def __add__(self, other: "IntervalUnion") -> "IntervalUnion":
         return self.minkowski_sum(other)
@@ -515,11 +519,8 @@ def normalize(intervals: Iterable[Interval]) -> IntervalUnion:
     Sorts, merges every overlapping or closed-touching pair, and keeps
     open/open adjacencies as punctures.  Idempotent.
     """
-    parts = list(intervals)
-    if not parts:
-        return EMPTY
-    scale = _grid(parts)
-    return _from_ranges(_merge(sorted(_ranges(parts, scale))), scale)
+    ranges, grid = _encode(list(intervals))
+    return _from_ranges(_merge(sorted(ranges)), grid)
 
 
 def union_of(*intervals: Interval) -> IntervalUnion:

@@ -164,10 +164,15 @@ def gap_table_rows(stage: CantorStage) -> list[list[str]]:
 # spec files
 
 
-def _field(obj: dict[str, Any], key: str, path: str, what: str) -> Any:
-    if key not in obj:
-        raise InvalidSpecError(f"{path}: {what} needs '{key}'")
-    return obj[key]
+def _fields(obj: dict, path: str, what: str, keys: tuple, other: tuple) -> list:
+    """The values of ``keys`` in ``obj``, in order.  Each key of ``keys``
+    must be in ``obj``, and each key of ``obj`` in ``keys`` or ``other``."""
+    for key in (*obj, *keys):
+        if key not in obj:
+            raise InvalidSpecError(f"{path}: {what} needs '{key}'")
+        if key not in keys and key not in other:
+            raise InvalidSpecError(f"{path}: {what} takes no key {key!r}")
+    return [obj[key] for key in keys]
 
 
 def _rational(value: Any, path: str) -> Fraction:
@@ -186,19 +191,18 @@ def _ratios_from_obj(obj: Any, path: str) -> RatioRule:
         )
     kind = obj["rule"]
     if kind == "constant":
-        value = _field(obj, "value", path, "constant rule")
+        (value,) = _fields(obj, path, "constant rule", ("value",), ("rule",))
         return ConstantRatios(_rational(value, f"{path}.value"))
     if kind == "list":
-        values = _field(obj, "values", path, "list rule")
+        values, tail = _fields(obj, path, "list rule", ("values", "tail"), ("rule",))
         if not isinstance(values, list):
             raise InvalidSpecError(f"{path}.values: expected a list of rationals")
-        tail = _field(obj, "tail", path, "list rule")
         return ListRatios(
             tuple(_rational(v, f"{path}.values[{i}]") for i, v in enumerate(values)),
             _rational(tail, f"{path}.tail"),
         )
     if kind == "geometric":
-        base = _field(obj, "base", path, "geometric rule")
+        (base,) = _fields(obj, path, "geometric rule", ("base",), ("rule",))
         return GeometricRatios(_rational(base, f"{path}.base"))
     raise InvalidSpecError(f"{path}: unknown ratio rule {kind!r}")
 
@@ -212,25 +216,26 @@ def spec_from_obj(obj: Any, *, path: str = "spec") -> FamilySpec:
         raise InvalidSpecError(f"{path}: expected an object")
     family = obj.get("family")
     if family == "central":
-        ratios = _field(obj, "ratios", path, "central spec")
+        (ratios,) = _fields(obj, path, "central spec", ("ratios",), ("family",))
         return CentralSpec(_ratios_from_obj(ratios, f"{path}.ratios"))
     if family == "perturbed":
-        c1 = _rational(_field(obj, "c1", path, "perturbed spec"), f"{path}.c1")
-        kwargs: dict[str, Fraction] = {}
-        for key in ("shrink", "interior_gap_fraction"):
-            if key in obj:
-                kwargs[key] = _rational(obj[key], f"{path}.{key}")
+        optional = ("shrink", "interior_gap_fraction")
+        (c1,) = _fields(obj, path, "perturbed spec", ("c1",), ("family", *optional))
+        c1 = _rational(c1, f"{path}.c1")
+        kwargs = {k: _rational(obj[k], f"{path}.{k}") for k in optional if k in obj}
         return PerturbedSpec(c1, **kwargs)
     if family == "tab":
-        a = spec_from_obj(_field(obj, "a", path, "tab spec"), path=f"{path}.a")
-        b = spec_from_obj(_field(obj, "b", path, "tab spec"), path=f"{path}.b")
+        a, b = _fields(obj, path, "tab spec", ("a", "b"), ("family",))
+        a = spec_from_obj(a, path=f"{path}.a")
+        b = spec_from_obj(b, path=f"{path}.b")
         if isinstance(a, (CompositeSpec, GreedySpec)) or isinstance(
             b, (CompositeSpec, GreedySpec)
         ):
             raise InvalidSpecError(f"{path}: tab sources must be central or perturbed")
         return CompositeSpec(a, b)
     if family == "greedy":
-        b = spec_from_obj(_field(obj, "b", path, "greedy spec"), path=f"{path}.b")
+        (b,) = _fields(obj, path, "greedy spec", ("b",), ("family",))
+        b = spec_from_obj(b, path=f"{path}.b")
         if isinstance(b, (CompositeSpec, GreedySpec)):
             raise InvalidSpecError(
                 f"{path}: greedy source must be central or perturbed"

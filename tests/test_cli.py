@@ -385,3 +385,25 @@ def test_flags_a_subcommand_ignores_are_refused(
               "--out", str(tmp_path / "out")])
     assert caught.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["construct"], ["diff-bounds"], ["verify", "ccp"]], ids=" ".join
+)
+def test_unwritable_out_is_config_error(tmp_path, ternary_spec, command):
+    # An output directory under a regular file cannot be made: exit 2
+    # with an error line, not a traceback and exit 1.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    src = str(Path(cantordiff.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", *command, "--spec", str(ternary_spec),
+         "--max-stage", "1", "--out", str(blocker / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr

@@ -56,6 +56,11 @@ class TestNormalize:
         assert not u.contains_point(F(1, 3))
         assert u.contains_point(F(1, 2))
 
+    def test_points_off_the_grid_near_open_ends(self):
+        u = union_of(Interval.open(0, 1))  # grid 1
+        assert u.contains_point(F(1, 4)) and u.contains_point(F(5, 6))
+        assert not u.contains_point(F(-1, 4)) and not u.contains_point(F(5, 4))
+
     def test_sort_without_merge(self):
         u = normalize([iv(F(2, 3), 1), iv(0, F(1, 3))])
         assert u.parts == (iv(0, F(1, 3)), iv(F(2, 3), 1))
@@ -221,6 +226,45 @@ class TestMeasures:
         assert points_union([0, F(1, 2), 1]).measure() == 0
 
 
+def test_operations_between_unions_make_no_fraction(monkeypatch):
+    # Unions hold integer keys: set operations and affine maps work on
+    # them alone, with operands on different grids (3, 20 and 35).
+    a = union_of(iv(F(-2, 3), F(1, 3)), Interval.open(F(2, 3), 2), iv(3, 3))
+    b = union_of(Interval.left_open(F(-1, 4), F(1, 5)), iv(F(9, 10), F(7, 4)))
+    shifts, t, k = [F(1, 7), F(-2, 5)], F(3, 7), F(-5, 3)
+    made = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    if hasattr(F, "_from_coprime_ints"):  # Python 3.12+ arithmetic results
+        coprime = F._from_coprime_ints.__func__
+
+        def counted_coprime(cls, *args):
+            made.append(args)
+            return coprime(cls, *args)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counted_coprime))
+    results = [
+        a.union(b),
+        a.intersect(b),
+        a.difference(b),
+        a.is_subset(b),
+        a.minus_translates(b, shifts),
+        a.minkowski_sum(b),
+        a.reflect(),
+        a.translate(t),
+        a.scale(k),
+    ]
+    monkeypatch.undo()
+    assert made == []
+    assert results[0] == oracle.oracle_union(a, b)
+    assert results[-1] == oracle.oracle_scale(a, k)
+
+
 # ---------------------------------------------------------------------
 # randomized oracle agreement and algebraic laws
 
@@ -273,6 +317,9 @@ def test_randomized_oracle_agreement():
         probes = ends + [(x + y) // 2 for x, y in zip(ends, ends[1:])]
         for x in probes:
             assert a.contains_point(F(x, scale)) == oracle._member(pa, x)
+        for x in ends:  # a quarter grid step either side, off the grid
+            for y in (F(4 * x - 1, 4), F(4 * x + 1, 4)):
+                assert a.contains_point(y / scale) == oracle._member(pa, y)
         check_minus_translates(a, b, shift_rng)
         check_affine(a, map_rng)
     # Sums of many parts: row counts that are not powers of two leave
@@ -379,6 +426,9 @@ def unions(draw, max_parts=4):
 def test_union_intersect_commutative(a, b):
     assert a.union(b) == b.union(a)
     assert a.intersect(b) == b.intersect(a)
+    # Results sit on their canonical grid, whatever the operands' grids.
+    for r in (a.union(b), a.intersect(b), a.difference(b), a.minkowski_sum(b)):
+        assert IntervalUnion(r.parts) == r and hash(IntervalUnion(r.parts)) == hash(r)
 
 
 @settings(max_examples=60, derandomize=True)

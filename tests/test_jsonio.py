@@ -138,6 +138,47 @@ def test_spec_errors(obj, fragment):
         spec_from_obj(obj)
 
 
+_CENTRAL = {"family": "central", "ratios": "1/2"}
+
+
+@pytest.mark.parametrize(
+    "obj,fragment",
+    [
+        ({**_CENTRAL, "ratio": "1/3"}, r"^spec: central spec takes no key 'ratio'"),
+        (
+            {"family": "perturbed", "c1": "1/5", "shrnk": "1/3"},
+            r"^spec: perturbed spec takes no key 'shrnk'",
+        ),
+        (
+            {"family": "tab", "a": _CENTRAL, "b": _CENTRAL, "c": _CENTRAL},
+            r"^spec: tab spec takes no key 'c'",
+        ),
+        (
+            {"family": "greedy", "b": {**_CENTRAL, "rule": "constant"}},
+            r"^spec\.b: central spec takes no key 'rule'",
+        ),
+        (
+            {"family": "central", "ratios": {"rule": "constant", "value": "1/3",
+                                             "tail": "1/3"}},
+            r"^spec\.ratios: constant rule takes no key 'tail'",
+        ),
+        (
+            {"family": "central", "ratios": {"rule": "list", "values": [],
+                                             "tail": "1/3", "base": "1/3"}},
+            r"^spec\.ratios: list rule takes no key 'base'",
+        ),
+        (
+            {"family": "central", "ratios": {"rule": "geometric", "base": "1/4",
+                                             "vaule": "1"}},
+            r"^spec\.ratios: geometric rule takes no key 'vaule'",
+        ),
+    ],
+)
+def test_unknown_spec_keys_are_refused(obj, fragment):
+    with pytest.raises(InvalidSpecError, match=fragment):
+        spec_from_obj(obj)
+
+
 _JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
     | st.sampled_from(["1/3", "1/0", "2", "x", "central", "tab", "list"])
