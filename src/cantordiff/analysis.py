@@ -76,7 +76,6 @@ __all__ = [
     "zone_measure_rows",
 ]
 
-_UNIT_UNION = IntervalUnion((UNIT,))
 _BOX_UNION = IntervalUnion((BOX,))
 
 
@@ -293,6 +292,8 @@ def shift_inclusion_check(
     c_stages: Sequence[CantorStage],
     y_stages: Sequence[IntervalUnion],
 ) -> ShiftInclusionResult:
+    """Check each stage against its Y; every ``C_n + Y_n`` is summed
+    within [0, 1], so only the pairs whose sums land there are formed."""
     if len(c_stages) != len(y_stages) or not c_stages:
         raise ValueError("need matching nonempty stage and Y sequences")
     for earlier, later in zip(y_stages, y_stages[1:]):
@@ -301,7 +302,7 @@ def shift_inclusion_check(
     last_index = 0
     for index, (stage, y) in enumerate(zip(c_stages, y_stages)):
         _require_unit_frame(stage)
-        reached = stage.components.minkowski_sum(y).intersect(_UNIT_UNION)
+        reached = stage.components.minkowski_sum(y, within=UNIT)
         escaped = reached.difference(stage.components)
         if not escaped.is_empty:
             return ShiftInclusionResult(

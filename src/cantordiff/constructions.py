@@ -137,12 +137,16 @@ class CantorStage:
 def _make_stage(
     n: int, parts: Collection[Interval], gaps: list[GapRecord], family: str, **fields
 ) -> CantorStage:
-    """A stage of the normalized closed ``parts`` (a union or its
-    intervals), with its gaps ordered by (stage_created, position) and
-    its sorted distinct component endpoints.  Each step lists its gaps
-    by position, so a stable sort on the step is all that is left."""
-    components = parts if isinstance(parts, IntervalUnion) else IntervalUnion(parts)
-    endpoints = [x for p in parts for x in ((p.lo,) if p.is_point else (p.lo, p.hi))]
+    """A stage of the normalized closed ``parts`` (a union, whose
+    endpoints are read off its keys, or its intervals), with its gaps
+    ordered by (stage_created, position) and its sorted distinct
+    component endpoints.  Each step lists its gaps by position, so a
+    stable sort on the step is all that is left."""
+    if isinstance(parts, IntervalUnion):
+        components, endpoints = parts, parts.endpoints()
+    else:
+        components = IntervalUnion(parts)
+        endpoints = [x for p in parts for x in ((p.lo,) if p.is_point else (p.lo, p.hi))]
     ordered = tuple(sorted(gaps, key=attrgetter("stage_created")))
     return CantorStage(n, components, ordered, tuple(endpoints), family, **fields)
 
@@ -539,7 +543,7 @@ class CompositeSpec:
         )
 
 
-_HALF_TO_ONE = IntervalUnion((Interval.closed(Fraction(1, 2), 1),))
+_HALF_TO_ONE = Interval.closed(Fraction(1, 2), 1)
 
 
 def _composite_steps(
@@ -553,9 +557,8 @@ def _composite_steps(
     prev_max: Fraction | None = None
     for m in itertools.count():
         a = a_components(m)
-        b = b_components(m)
-        summed = a.minkowski_sum(b.translate(Fraction(1, 2)))
-        components = a.union(summed.intersect(_HALF_TO_ONE))
+        b = b_components(m).translate(Fraction(1, 2))
+        components = a.union(a.minkowski_sum(b, within=_HALF_TO_ONE))
         cur_max = components.max_component_length()
         notes: tuple[str, ...] = ()
         if prev_max is not None and cur_max >= prev_max:
@@ -570,7 +573,7 @@ def _composite_steps(
         gaps = []
         for part in components.complement_within(UNIT):
             created = gap_created.setdefault((part.lo, part.hi), m)
-            gaps.append(GapRecord(None, Interval.open(part.lo, part.hi), created))
+            gaps.append(GapRecord(None, part, created))
         yield _make_stage(m, components, gaps, family, notes=notes)
 
 

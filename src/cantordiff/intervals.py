@@ -30,7 +30,12 @@ values are made only where parts, points or measures are read.
 A Minkowski sum has one path for every size (``_sum_rows``): rows of
 translates, each merged, are combined pairwise like a binary counter.
 It holds one merged partial union per level, so memory follows the
-sizes of those unions rather than the number of pairs.
+sizes of those unions rather than the number of pairs.  A sum may be
+given a frame interval (``within``): each row then sums only the pairs
+whose sums reach the frame, a slice of the other operand found with
+two ``bisect`` calls on its start and end keys, and the merged result
+is met with the frame.  Trimming is exact, because a point ``x + y``
+of the frame lies in the sum of its own pair, which reaches the frame.
 """
 
 from __future__ import annotations
@@ -252,17 +257,30 @@ def _minus(a: Iterable[_Range], b: Iterable[_Range]) -> list[_Range]:
     return out
 
 
-def _row_sums(a: Sequence[_Range], b: Sequence[_Range]) -> Iterator[Iterator[_Range]]:
-    """Per range of ``a``, its sums with every range of ``b`` in start order.
+def _row_sums(
+    a: Sequence[_Range], b: Sequence[_Range], frame: _Range | None = None
+) -> Iterator[Iterator[_Range]]:
+    """Per range of ``a``, its sums with the ranges of ``b`` in start order;
+    with a ``frame`` key range, only the sums that reach it.
 
     A sum end is attained iff both summand ends are: where the ``a`` end
     is open, the ``b`` end enters with its closed key (``3*x*grid``), so
-    the one open unit is counted once.
+    the one open unit is counted once.  Both adjusted key lists of ``b``
+    increase, so the sums of one row that reach ``[fs, fe]`` are a slice:
+    from the first whose end key is at least ``fs`` to the last whose
+    start key is at most ``fe``.  Rows with an empty slice are skipped.
     """
     starts = ([s for s, _ in b], [s - s % 3 for s, _ in b])
     ends = ([e for _, e in b], [e + e % 3 // 2 for _, e in b])
     for sa, ea in a:
-        yield zip(map(sa.__add__, starts[sa % 3]), map(ea.__add__, ends[ea % 3 // 2]))
+        row_starts, row_ends = starts[sa % 3], ends[ea % 3 // 2]
+        if frame is not None:
+            i = bisect_left(row_ends, frame[0] - ea)
+            j = bisect_right(row_starts, frame[1] - sa)
+            if i >= j:
+                continue
+            row_starts, row_ends = row_starts[i:j], row_ends[i:j]
+        yield zip(map(sa.__add__, row_starts), map(ea.__add__, row_ends))
 
 
 def _from_ranges(ranges: Sequence[_Range], grid: int) -> "IntervalUnion":
@@ -285,8 +303,11 @@ def _from_ranges(ranges: Sequence[_Range], grid: int) -> "IntervalUnion":
     return union
 
 
-def _sum_rows(a: Sequence[_Range], b: Sequence[_Range]) -> list[_Range]:
-    """Merged pairwise sums of normalized ``a`` and ``b``.
+def _sum_rows(
+    a: Sequence[_Range], b: Sequence[_Range], frame: _Range | None = None
+) -> list[_Range]:
+    """Merged pairwise sums of normalized ``a`` and ``b`` (those that
+    reach ``frame``, if given; see ``_row_sums``).
 
     Each row is a translate of ``b``, so it is already in start order
     and is merged on its own.  Merged rows are combined like a binary
@@ -297,7 +318,7 @@ def _sum_rows(a: Sequence[_Range], b: Sequence[_Range]) -> list[_Range]:
     holds one merged partial union per level, never the whole product.
     """
     stack: list[tuple[int, list[_Range]]] = []
-    for row in _row_sums(a, b):
+    for row in _row_sums(a, b, frame):
         rows, ranges = 1, _merge(row)
         while stack and stack[-1][0] == rows:
             below = stack.pop()[1]
@@ -373,6 +394,11 @@ class IntervalUnion:
 
     def point_parts(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(s // 3, self.grid) for s, e in self.ranges if s == e)
+
+    def endpoints(self) -> tuple[Fraction, ...]:
+        """The ends of each part in order, a point part's once."""
+        keys = (k for s, e in self.ranges for k in ((s,) if s == e else (s, e + 1)))
+        return tuple(Fraction(k // 3, self.grid) for k in keys)
 
     def interval_parts(self) -> tuple[Interval, ...]:
         return tuple(_interval(s, e, self.grid) for s, e in self.ranges if s != e)
@@ -494,20 +520,33 @@ class IntervalUnion:
 
     # -- Minkowski sum --------------------------------------------------
 
-    def minkowski_sum(self, other: "IntervalUnion") -> "IntervalUnion":
-        """{x + y : x in self, y in other}.
+    def minkowski_sum(
+        self, other: "IntervalUnion", within: Interval | None = None
+    ) -> "IntervalUnion":
+        """{x + y : x in self, y in other}, met with ``within`` if given.
 
         A result endpoint is attained (closed) iff both contributing
         endpoints are attained; pairwise interval sums are exact under
         this rule, and they are merged row by row (see ``_sum_rows``).
+        With a frame, only the pairs whose sums reach it are summed: a
+        point ``x + y`` of the frame lies in the sum of its own pair, so
+        the rest add nothing to the result.
         """
         if self.is_empty or other.is_empty:
             return EMPTY
         grid = lcm(self.grid, other.grid)
+        frame = None
+        if within is not None:
+            frame_ranges, frame_grid = _encode((within,))
+            grid = lcm(grid, frame_grid)
+            (frame,) = _moved(frame_ranges, grid // frame_grid)
         a, b = self._on(grid), other._on(grid)
         if len(a) > len(b):  # fewer, longer rows: fewer merge levels
             a, b = b, a
-        return _from_ranges(_sum_rows(a, b), grid)
+        merged = _sum_rows(a, b, frame)
+        if frame is not None and merged:
+            merged = _meet(merged, (frame,))
+        return _from_ranges(merged, grid)
 
     def __add__(self, other: "IntervalUnion") -> "IntervalUnion":
         return self.minkowski_sum(other)

@@ -11,6 +11,7 @@ sums), and reassembles the expected union from the flagged pieces.
 from fractions import Fraction
 from math import lcm
 
+from cantordiff.analysis import ShiftInclusionResult
 from cantordiff.intervals import UNIT, Interval, IntervalUnion, points_union
 
 
@@ -224,6 +225,38 @@ def minkowski_outer_difference(stage):
     """([0,1] minus the endpoints) plus the reflected components."""
     punctured = IntervalUnion((UNIT,)).difference(stage.endpoint_union())
     return punctured.minkowski_sum(stage.components.reflect())
+
+
+# ---------------------------------------------------------------------
+# full Minkowski products met with their frame afterwards: references
+# for the windowed sums of cantordiff.analysis and cantordiff.constructions
+
+
+def minkowski_shift_inclusion(c_stages, y_stages):
+    """``shift_inclusion_check`` with each ``C_n + Y_n`` summed in full
+    and only then met with [0, 1]."""
+    unit = IntervalUnion((UNIT,))
+    for index, (stage, y) in enumerate(zip(c_stages, y_stages)):
+        reached = stage.components.minkowski_sum(y).intersect(unit)
+        escaped = reached.difference(stage.components)
+        if not escaped.is_empty:
+            part = escaped.parts[0]
+            if part.lo_closed:
+                witness = part.lo
+            elif part.hi_closed:
+                witness = part.hi
+            else:
+                witness = part.midpoint
+            return ShiftInclusionResult(
+                False, index, y_stages[-1], violation_stage=stage.n, witness=witness
+            )
+    return ShiftInclusionResult(True, len(c_stages), y_stages[-1])
+
+
+def minkowski_composite_components(a, b):
+    """``A | ((A + B + 1/2) & [1/2, 1])`` with the sum built in full."""
+    upper = IntervalUnion((Interval.closed(Fraction(1, 2), 1),))
+    return a.union(a.minkowski_sum(b.translate(Fraction(1, 2))).intersect(upper))
 
 
 # ---------------------------------------------------------------------

@@ -72,19 +72,30 @@ _ratios = st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=1
 
 
 @st.composite
-def small_stages(draw):
-    """A stage 0-4 of a random central spec (a few listed ratios and a
-    constant tail) or a random perturbed spec."""
+def small_stage_lists(draw):
+    """Stages 0 to n <= 4 of a random central spec (a few listed ratios
+    and a constant tail) or a random perturbed spec."""
     n = draw(st.integers(0, 4))
     if draw(st.booleans()):
         listed = tuple(draw(st.lists(_ratios, max_size=3)))
-        return central_stage(CentralSpec.from_list(listed, draw(_ratios)), n)
-    # a shrink below 1/2 keeps every aligned gap below half its component
-    shrink = st.fractions(min_value=F(1, 10), max_value=F(2, 5), max_denominator=10)
-    spec = PerturbedSpec(
-        draw(_ratios), draw(shrink), draw(st.sampled_from((F(1, 2), F(3, 4), F(1))))
-    )
-    return perturbed_stage(spec, n)
+        spec, build = CentralSpec.from_list(listed, draw(_ratios)), central_stage
+    else:
+        # a shrink below 1/2 keeps every aligned gap below half its component
+        shrink = st.fractions(
+            min_value=F(1, 10), max_value=F(2, 5), max_denominator=10
+        )
+        spec = PerturbedSpec(
+            draw(_ratios),
+            draw(shrink),
+            draw(st.sampled_from((F(1, 2), F(3, 4), F(1)))),
+        )
+        build = perturbed_stage
+    return [build(spec, k) for k in range(n + 1)]
+
+
+def small_stages():
+    """The last stage of :func:`small_stage_lists`."""
+    return small_stage_lists().map(lambda stages: stages[-1])
 
 
 class TestInnerDifference:
@@ -317,7 +328,32 @@ class TestDominantGapCertificate:
             dominant_gap_certificate(s2, small, F(1, 3), 1)
 
 
+_shifts = st.fractions(min_value=-1, max_value=1, max_denominator=12)
+
+
+@st.composite
+def shift_inclusion_inputs(draw):
+    """Stages with a nested Y sequence: a fixed point set (negative
+    points too, as t13's ``-r``), or each stage's components scaled and
+    translated, so that every Y_n is a union of intervals."""
+    stages = draw(small_stage_lists())
+    if draw(st.booleans()):
+        points = points_union(draw(st.lists(_shifts, min_size=1, max_size=3)))
+        return stages, [points] * len(stages)
+    k = draw(st.fractions(min_value=F(1, 8), max_value=1, max_denominator=8))
+    t = draw(st.fractions(min_value=F(-3, 2), max_value=F(3, 2), max_denominator=8))
+    return stages, [s.components.scale(k).translate(t) for s in stages]
+
+
 class TestShiftInclusion:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(shift_inclusion_inputs())
+    def test_matches_the_full_product(self, inputs):
+        stages, ys = inputs
+        assert shift_inclusion_check(stages, ys) == oracle.minkowski_shift_inclusion(
+            stages, ys
+        )
+
     def test_composite_pair_stage1(self):
         spec = builtin_composite_pair()
         stage = composite_stage(spec, 1)

@@ -31,7 +31,9 @@ from cantordiff.errors import (
     BudgetExceededError,
     InvalidSpecError,
 )
-from cantordiff.intervals import Interval, union_of
+from cantordiff.intervals import UNIT, Interval, union_of
+
+import oracle
 
 
 TERNARY = builtin_ternary()
@@ -163,6 +165,34 @@ class TestPerturbed:
 
 
 class TestComposite:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            builtin_composite_pair(),
+            CompositeSpec(HALVING, CentralSpec.constant(F(3, 4))),
+            builtin_fat_composite(),
+        ],
+        ids=["tab-1_2-1_2", "tab-1_2-3_4", "greedy-1_4"],
+    )
+    def test_stages_match_the_full_product(self, spec):
+        # The stage sums only the pairs that reach [1/2, 1], and reads
+        # its endpoints and gaps off the union it builds.
+        for m in range(7):
+            if isinstance(spec, GreedySpec):
+                stages = greedy_stage(spec, m)
+                a, stage = stages.a_stage.components, stages.c_stage
+            else:
+                a = half_scaled_components(spec.a_source, m)
+                stage = composite_stage(spec, m)
+            b = half_scaled_components(spec.b_source, m)
+            assert stage.components == oracle.minkowski_composite_components(a, b)
+            assert stage.endpoints == tuple(
+                x for p in stage.components for x in (p.lo, p.hi)
+            )
+            assert {g.interval for g in stage.gaps} == set(
+                stage.components.complement_within(UNIT)
+            )
+
     def test_stage1_builtin(self):
         s = composite_stage(builtin_composite_pair(), 1)
         assert s.components == union_of(

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from cantordiff.intervals import (
     UNIT,
     Interval,
     IntervalUnion,
+    _row_sums,
     normalize,
     points_union,
     union_of,
@@ -232,6 +234,8 @@ def test_operations_between_unions_make_no_fraction(monkeypatch):
     a = union_of(iv(F(-2, 3), F(1, 3)), Interval.open(F(2, 3), 2), iv(3, 3))
     b = union_of(Interval.left_open(F(-1, 4), F(1, 5)), iv(F(9, 10), F(7, 4)))
     shifts, t, k = [F(1, 7), F(-2, 5)], F(3, 7), F(-5, 3)
+    # Frames off the operands' grids (11 and 13), and a point frame.
+    window, point = Interval(F(-5, 11), F(9, 13), False, True), Interval.point(1)
     made = []
     new = F.__new__
 
@@ -255,6 +259,8 @@ def test_operations_between_unions_make_no_fraction(monkeypatch):
         a.is_subset(b),
         a.minus_translates(b, shifts),
         a.minkowski_sum(b),
+        a.minkowski_sum(b, within=window),
+        b.minkowski_sum(a, within=point),
         a.reflect(),
         a.translate(t),
         a.scale(k),
@@ -263,6 +269,9 @@ def test_operations_between_unions_make_no_fraction(monkeypatch):
     assert made == []
     assert results[0] == oracle.oracle_union(a, b)
     assert results[-1] == oracle.oracle_scale(a, k)
+    for frame, windowed in ((window, results[6]), (point, results[7])):
+        assert windowed == results[5].intersect(IntervalUnion((frame,)))
+    assert not results[6].is_empty and not results[7].is_empty
 
 
 # ---------------------------------------------------------------------
@@ -301,6 +310,7 @@ def test_randomized_oracle_agreement():
     rng = random.Random(1105)
     shift_rng = random.Random(7)  # leaves the draws of ``rng`` as they were
     map_rng = random.Random(13)  # and these leave those of ``shift_rng``
+    frame_rng = random.Random(17)  # and of ``map_rng``
     for _ in range(120):
         a = random_union(rng)
         b = random_union(rng)
@@ -322,6 +332,7 @@ def test_randomized_oracle_agreement():
                 assert a.contains_point(y / scale) == oracle._member(pa, y)
         check_minus_translates(a, b, shift_rng)
         check_affine(a, map_rng)
+        check_windowed_sum(a, b, frame_rng)
     # Sums of many parts: row counts that are not powers of two leave
     # several partial unions to combine at the end.  Their many point
     # parts also give ``minus_translates`` point translates to cut.
@@ -331,10 +342,12 @@ def test_randomized_oracle_agreement():
         assert a.minkowski_sum(b) == oracle.oracle_minkowski(a, b)
         check_minus_translates(a, b, shift_rng)
         check_affine(a, map_rng)
+        check_windowed_sum(a, b, frame_rng)
 
 
 def check_affine(a, rng):
-    """The key maps and measures against their per-part ``Fraction`` forms.
+    """The key maps, measures and endpoints against their per-part
+    ``Fraction`` forms.
 
     Factors of either sign with numerators up to 5, and denominators up
     to 40 for factor and shift alike, reach off the operand's grid.
@@ -347,6 +360,73 @@ def check_affine(a, rng):
     assert a.scale(k) == oracle.oracle_scale(a, k)
     assert a.measure() == oracle.oracle_measure(a)
     assert a.max_component_length() == oracle.oracle_max_component_length(a)
+    assert a.endpoints() == tuple(
+        x for p in a.parts for x in ((p.lo,) if p.is_point else (p.lo, p.hi))
+    )
+
+
+def check_windowed_sum(a, b, rng):
+    """``minkowski_sum(within=f)`` against the full sum met with ``f``.
+
+    The frames: random ones of every openness, one with ends on
+    denominators 17 to 37 (off the operands' grids, up to 16), a point
+    frame, frames past either end of the sum (an empty result), and
+    for a random part of the sum, frames that cut through it at its
+    midpoint or meet it only at one end, closed or open.
+    """
+    full = a.minkowski_sum(b)
+
+    def value(dens):
+        d = rng.choice(dens)
+        return F(rng.randint(-9 * d, 9 * d), d)
+
+    frames = []
+    for dens in ((1, 2, 3, 4, 6, 8, 12, 16), (17, 19, 23, 29, 31, 37)):
+        x, y = sorted((value(dens), value(dens)))
+        if x == y:
+            frames.append(Interval.point(x))
+        else:
+            frames.append(Interval(x, y, rng.random() < 0.5, rng.random() < 0.5))
+    frames.append(Interval.point(value((1, 2, 4, 8, 16))))
+    if not full.is_empty:
+        hull = full.hull()
+        frames += [Interval.closed(hull.hi + 1, hull.hi + 2)]
+        frames += [Interval.right_open(hull.lo - 1, hull.lo)]
+        part = rng.choice(full.parts)
+        for closed in (True, False):
+            frames += [
+                Interval(part.midpoint, part.hi + 1, closed, closed),
+                Interval(part.lo - 1, part.midpoint, closed, closed),
+                Interval(part.hi, part.hi + 1, closed, True),
+                Interval(part.lo - 1, part.lo, True, closed),
+            ]
+        frames.append(Interval.point(part.lo))
+        frames.append(Interval.point(part.hi))
+    for frame in frames:
+        expected = full.intersect(IntervalUnion((frame,)))
+        assert a.minkowski_sum(b, within=frame) == expected
+        assert b.minkowski_sum(a, within=frame) == expected
+
+
+def test_windowed_rows_are_the_sums_that_reach_the_frame():
+    # The row slices of a windowed sum hold exactly the pair sums that
+    # meet the frame: none is dropped and none is summed in vain.  The
+    # frame ends sit on ends of the sum, where a slice bound one key off
+    # keeps or drops a pair.
+    rng = random.Random(23)
+    for _ in range(40):
+        a, b = random_union(rng), short_parts_union(rng)
+        ends = [x for p in a.minkowski_sum(b) for x in (p.lo, p.hi)] or [F(0)]
+        x, y = sorted(rng.choice(ends) for _ in "xy")
+        closed = (x == y or rng.random() < 0.5, x == y or rng.random() < 0.5)
+        frame = IntervalUnion((Interval(x, y, *closed),))
+        grid = lcm(a.grid, b.grid, frame.grid)
+        ka, kb, ((fs, fe),) = a._on(grid), b._on(grid), frame._on(grid)
+        windowed = [list(row) for row in _row_sums(ka, kb, (fs, fe))]
+        reaching = [
+            [(s, e) for s, e in row if e >= fs and s <= fe] for row in _row_sums(ka, kb)
+        ]
+        assert windowed == [row for row in reaching if row]
 
 
 def check_minus_translates(a, b, rng):
