@@ -47,7 +47,6 @@ from .intervals import (
     IntervalUnion,
     RationalLike,
     as_rational,
-    normalize,
     points_union,
 )
 from .constructions import (
@@ -77,6 +76,7 @@ __all__ = [
 ]
 
 _BOX_UNION = IntervalUnion((BOX,))
+_OPEN_BOX_UNION = IntervalUnion((Interval.open(-1, 1),))
 
 
 def _require_unit_frame(stage: CantorStage) -> None:
@@ -106,8 +106,9 @@ def outer_difference(stage: CantorStage) -> IntervalUnion:
 
     ([0,1] minus the endpoints) - [l, h] is (-h, 1 - l) for every
     nondegenerate component [l, h]; with the components spanning [0,1]
-    the union is (-1, 1).  A point component or another hull would
-    break that argument, so both are refused.
+    the union is (-1, 1), so that constant is returned once the two
+    checks pass.  A point component or another hull would break that
+    argument, so both are refused.
     """
     _require_unit_frame(stage)
     components = stage.components
@@ -121,7 +122,7 @@ def outer_difference(stage: CantorStage) -> IntervalUnion:
             f"stage {stage.n}: the closed-form outer bracket needs components "
             f"spanning [0,1], got hull {components.hull()}"
         )
-    return normalize(Interval.open(-c.hi, 1 - c.lo) for c in components)
+    return _OPEN_BOX_UNION
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,7 +27,7 @@ from .jsonio import (
     exact_to_obj,
     gap_table_rows,
     load_spec_file,
-    stage_to_obj,
+    stage_json,
 )
 from .verify import SUITES, family_stage, run_suite
 
@@ -77,7 +77,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     # Build every stage before writing, so a refused stage leaves no files.
     stages = [family_stage(spec, n, budget=args.budget) for n in range(max_stage + 1)]
     for n, stage in enumerate(stages):
-        _write_text(out / f"stage_{n:03d}.json", dump_json(stage_to_obj(stage)))
+        _write_text(out / f"stage_{n:03d}.json", stage_json(stage))
         _write_text(
             out / f"gaps_{n:03d}.csv",
             _csv_text(GAP_TABLE_HEADER, gap_table_rows(stage)),

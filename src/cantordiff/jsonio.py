@@ -3,6 +3,16 @@
 Rationals serialize as canonical "p/q" strings (q > 0, reduced); the
 decimal column emitted next to them in CSV is a 20-significant-digit
 approximation and is explicitly non-authoritative.
+
+Stage files have one fixed layout, so ``stage_json`` writes it directly
+and returns exactly ``dump_json(stage_to_obj(stage))``.  The general
+path decodes every component into ``Fraction`` ends and, with
+``indent=2``, makes ``json`` fall back to its pure-Python encoder; for
+the largest stages that cost more than building them.  The writer reads
+the component ends off the union's integer keys, formats the rationals
+itself and hands each string to ``json.dumps``, so the bytes, escaping
+included, stay those of the general path, which the tests keep as its
+oracle.
 """
 
 from __future__ import annotations
@@ -10,8 +20,9 @@ from __future__ import annotations
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .constructions import (
     CantorStage,
@@ -38,6 +49,7 @@ __all__ = [
     "union_to_obj",
     "union_from_obj",
     "stage_to_obj",
+    "stage_json",
     "gap_table_rows",
     "GAP_TABLE_HEADER",
     "bracket_to_obj",
@@ -145,19 +157,96 @@ GAP_TABLE_HEADER = [
 
 
 def gap_table_rows(stage: CantorStage) -> list[list[str]]:
+    """One row per gap: the ``GAP_TABLE_HEADER`` columns, with the
+    decimals in one 20-digit context for the whole table."""
     rows = []
-    for g in stage.gaps:
-        rows.append(
-            [
-                g.address if g.address is not None else "-",
-                format_rational(g.interval.lo),
-                format_rational(g.interval.hi),
-                str(g.stage_created),
-                decimal_str(g.interval.lo),
-                decimal_str(g.interval.hi),
-            ]
-        )
+    with localcontext() as ctx:
+        ctx.prec = 20
+        for g in stage.gaps:
+            lo, hi = g.interval.lo, g.interval.hi
+            rows.append(
+                [
+                    "-" if g.address is None else g.address,
+                    format_rational(lo),
+                    format_rational(hi),
+                    str(g.stage_created),
+                    str(Decimal(lo.numerator) / Decimal(lo.denominator)),
+                    str(Decimal(hi.numerator) / Decimal(hi.denominator)),
+                ]
+            )
     return rows
+
+
+# ---------------------------------------------------------------------
+# the stage writer
+
+_BOOL = ("false", "true")
+
+
+def _list_json(items: Iterable[str]) -> tuple[str, ...]:
+    """The pieces of a top-level list of rendered items, laid out as
+    ``dump_json``; the items are joined once and not kept."""
+    text = ",\n    ".join(items)
+    return ("[\n    ", text, "\n  ]") if text else ("[]",)
+
+
+def _interval_json(
+    lo: str, hi: str, lo_closed: bool, hi_closed: bool, pad: str
+) -> str:
+    """An ``interval_to_obj`` object whose closing brace sits at ``pad``."""
+    key = "\n  " + pad
+    return (
+        f'{{{key}"hi": "{hi}",{key}"hi_closed": {_BOOL[hi_closed]},'
+        f'{key}"lo": "{lo}",{key}"lo_closed": {_BOOL[lo_closed]}\n{pad}}}'
+    )
+
+
+def _component_json(s: int, e: int, grid: int) -> str:
+    """The component of the key range ``[s, e]`` on ``grid`` (see
+    ``intervals._interval``), its ends reduced with ``gcd``."""
+    lo, hi = s // 3, (e + 1) // 3
+    g, h = gcd(lo, grid), gcd(hi, grid)
+    lo_text, hi_text = f"{lo // g}/{grid // g}", f"{hi // h}/{grid // h}"
+    return _interval_json(lo_text, hi_text, s % 3 == 0, e % 3 == 0, "    ")
+
+
+def _gap_json(gap: GapRecord) -> str:
+    lo, hi = gap.interval.lo, gap.interval.hi
+    # json.dumps takes its slow path on None, the address of every tab gap
+    address = "null" if gap.address is None else json.dumps(gap.address)
+    return (
+        f'{{\n      "address": {address},\n'
+        f'      "hi": "{hi.numerator}/{hi.denominator}",\n'
+        f'      "lo": "{lo.numerator}/{lo.denominator}",\n'
+        f'      "stage_created": {gap.stage_created}\n    }}'
+    )
+
+
+def stage_json(stage: CantorStage) -> str:
+    """``dump_json(stage_to_obj(stage))``, written in its fixed layout.
+
+    Component ends are read off the union's keys, so no ``Interval`` or
+    ``Fraction`` is made for them; the strings go through ``json.dumps``,
+    so escaping is the encoder's.
+    """
+    grid, frame = stage.components.grid, stage.frame
+    pieces = [
+        '{\n  "components": ',
+        *_list_json(_component_json(s, e, grid) for s, e in stage.components.ranges),
+        ',\n  "endpoints": ',
+        *_list_json(f'"{q.numerator}/{q.denominator}"' for q in stage.endpoints),
+        f',\n  "family": {json.dumps(stage.family)},\n  "frame": ',
+        _interval_json(
+            format_rational(frame.lo), format_rational(frame.hi),
+            frame.lo_closed, frame.hi_closed, "  ",
+        ),
+        ',\n  "gaps": ',
+        *_list_json(map(_gap_json, stage.gaps)),
+        f',\n  "n": {stage.n},\n  "notes": ',
+        *_list_json(map(json.dumps, stage.notes)),
+        "\n}\n",
+    ]
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------

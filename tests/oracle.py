@@ -12,7 +12,15 @@ from fractions import Fraction
 from math import lcm
 
 from cantordiff.analysis import ShiftInclusionResult
-from cantordiff.intervals import UNIT, Interval, IntervalUnion, points_union
+from cantordiff.intervals import (
+    UNIT,
+    Interval,
+    IntervalUnion,
+    format_rational,
+    normalize,
+    points_union,
+)
+from cantordiff.jsonio import decimal_str
 
 
 def _common_scale(*unions):
@@ -227,6 +235,12 @@ def minkowski_outer_difference(stage):
     return punctured.minkowski_sum(stage.components.reflect())
 
 
+def closed_form_outer_difference(stage):
+    """The union of (-h, 1 - l) over the components [l, h], one open
+    interval decoded and normalized per component."""
+    return normalize(Interval.open(-c.hi, 1 - c.lo) for c in stage.components)
+
+
 # ---------------------------------------------------------------------
 # full Minkowski products met with their frame afterwards: references
 # for the windowed sums of cantordiff.analysis and cantordiff.constructions
@@ -305,3 +319,25 @@ def oracle_covered_measure(stage):
     if cur_hi is not None:
         total += cur_hi - cur_lo
     return total
+
+
+# ---------------------------------------------------------------------
+# output: the per-cell gap table that cantordiff.jsonio.gap_table_rows
+# replaces (the JSON oracle is dump_json(stage_to_obj(stage)))
+
+
+def oracle_gap_table_rows(stage):
+    """One row per gap, each decimal cell in its own 20-digit context."""
+    rows = []
+    for g in stage.gaps:
+        rows.append(
+            [
+                g.address if g.address is not None else "-",
+                format_rational(g.interval.lo),
+                format_rational(g.interval.hi),
+                str(g.stage_created),
+                decimal_str(g.interval.lo),
+                decimal_str(g.interval.hi),
+            ]
+        )
+    return rows

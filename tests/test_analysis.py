@@ -192,6 +192,7 @@ class TestBracketOracles:
             outer = oracle.minkowski_outer_difference(stage)
             assert inner_difference(stage) == inner, n
             assert outer_difference(stage) == outer, n
+            assert oracle.closed_form_outer_difference(stage) == outer, n
             bracket = difference_bracket(stage)
             assert (bracket.inner, bracket.outer) == (inner, outer), n
 
@@ -201,7 +202,9 @@ class TestBracketOracles:
         inner = inner_difference(stage)
         assert inner == oracle.oracle_inner_difference(stage)
         assert inner == oracle.minkowski_inner_difference(stage)
-        assert outer_difference(stage) == oracle.minkowski_outer_difference(stage)
+        outer = outer_difference(stage)
+        assert outer == oracle.minkowski_outer_difference(stage)
+        assert outer == oracle.closed_form_outer_difference(stage)
 
     def test_closed_form_refuses_a_point_component(self):
         stage = _hand_stage(
