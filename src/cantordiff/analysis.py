@@ -5,9 +5,11 @@ object of study is D = {x - y : x outside C, y in C} and its missing
 set S = [-1,1] minus D.  Stage data gives two exactly computable
 brackets:
 
-* inner:  every recorded gap stays in the complement forever and every
-  recorded component endpoint stays in C forever, so the union of all
+* inner:  the stage gaps, the frame minus the components, stay in the
+  complement forever, since C lies inside the components by definition,
+  and every component endpoint stays in C forever, so the union of all
   gap-minus-endpoint translates is certified inside D, at every depth.
+  Both sets are read off the components, not off the gap records.
   It is computed as [-1,1] minus the outer missing bracket, which the
   kernel operation ``IntervalUnion.minus_translates`` filters down from
   [-1,1] one endpoint at a time instead of summing every gap with every
@@ -55,6 +57,7 @@ from .constructions import (
     CentralSpec,
     GapRecord,
     central_stage,
+    max_binary_stage,
     rightmost_branch_gap_end,
 )
 
@@ -92,7 +95,9 @@ def inner_difference(stage: CantorStage) -> IntervalUnion:
 
     Every translate gap - endpoint consists of points g - e with g never
     returning to the set and e never leaving it, so membership holds for
-    the limit set, not just this stage.  The translates all lie inside
+    the limit set, not just this stage.  The gaps are [0,1] minus the
+    components and the endpoints are the component ends, so this rests
+    on the components alone.  The translates all lie inside
     (-1, 1), so their union is [-1,1] minus what ``minus_translates``
     leaves of [-1,1], which never forms the gap x endpoint product.
     """
@@ -363,7 +368,7 @@ def _chain_step_indices(
     than the last chain gap, which is the stage the chain needs; no scan
     passes the deepest stage the budget holds.
     """
-    max_stage = max(budget, 0).bit_length() - 1
+    max_stage = max_binary_stage(budget)
     steps: list[int] = []
     after = 0
     for _ in range(depth):

@@ -14,10 +14,10 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .analysis import DiffBracket, difference_bracket, zone_measure_rows
-from .constructions import DEFAULT_BUDGET
+from .constructions import DEFAULT_BUDGET, max_binary_stage
 from .errors import CantorDiffError
 from .jsonio import (
     GAP_TABLE_HEADER,
@@ -39,7 +39,7 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -48,12 +48,11 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _clamped_max_stage(spec, max_stage: int, budget: int) -> int:
-    """Families with a component count known in advance (2^n, binary)
-    clamp n to what the budget allows rather than failing mid-run."""
-    if spec.component_count(0) is None:
+    """Binary families (2^n components) clamp n to what the budget allows
+    rather than failing mid-run."""
+    if not spec.binary:
         return max_stage
-    # 2^n <= budget  iff  n < budget.bit_length(); a budget below 1 holds none.
-    clamped = max(0, min(max_stage, max(budget, 0).bit_length() - 1))
+    clamped = max(0, min(max_stage, max_binary_stage(budget)))
     if clamped != max_stage:
         print(
             f"warning: budget {budget} cannot hold 2^{max_stage} components; "

@@ -1,8 +1,9 @@
 """Stage-by-stage generators for the four Cantor-set families.
 
 Stage n of a spec is a deterministic pure function of (spec, n): an
-immutable :class:`CantorStage` holding the closed component union, the
-labeled gap records accumulated so far, and the sorted endpoint set.
+immutable :class:`CantorStage` holding the closed component union and
+the labeled gap records accumulated so far.  The stage endpoints and the
+gap union are read off the component keys, never stored beside them.
 Component endpoints are preserved by every refinement step in every
 family, so each stage endpoint belongs to the limit set; the certified
 analysis in :mod:`cantordiff.analysis` depends on exactly that.
@@ -23,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Any, Callable, Collection, Iterator, NamedTuple, Union
+from typing import Any, Callable, Iterator, NamedTuple, Union
 
 from .errors import (
     AvoidanceExhaustedError,
@@ -40,11 +41,11 @@ from .intervals import (
     as_rational,
     format_rational,
     normalize,
-    points_union,
 )
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "max_binary_stage",
     "NodeAddress",
     "GapRecord",
     "CantorStage",
@@ -81,6 +82,13 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 2 ** 14
 
+
+def max_binary_stage(budget: int) -> int:
+    """The deepest stage n whose 2^n components fit in ``budget``: 2^n <=
+    budget iff n < budget.bit_length(), and -1 if the budget holds none."""
+    return max(budget, 0).bit_length() - 1
+
+
 NodeAddress = str  # binary string, "" for the root interval
 
 
@@ -113,42 +121,28 @@ class GapRecord:
 class CantorStage:
     """Finite-stage approximation of a Cantor set on ``frame``.
 
-    ``components`` are the surviving closed parts, ``gaps`` the removal
-    records ordered by (stage_created, position), ``endpoints`` the
-    sorted distinct component endpoints.  Components plus gap intervals
-    tile the frame exactly.
+    ``components`` are the surviving closed parts and ``gaps`` the
+    removal records ordered by (stage_created, position), whose
+    intervals tile the frame with the components.  The endpoints and
+    the gap union are not stored: they are read off the component keys,
+    so they cannot disagree with the components.
     """
 
     n: int
     components: IntervalUnion
     gaps: tuple[GapRecord, ...]
-    endpoints: tuple[Fraction, ...]
     family: str
     frame: Interval = UNIT
     notes: tuple[str, ...] = ()
 
+    @property
+    def endpoints(self) -> tuple[Fraction, ...]:
+        """The sorted distinct component endpoints."""
+        return self.components.endpoints()
+
     def gap_union(self) -> IntervalUnion:
-        return normalize(g.interval for g in self.gaps)
-
-    def endpoint_union(self) -> IntervalUnion:
-        return points_union(self.endpoints)
-
-
-def _make_stage(
-    n: int, parts: Collection[Interval], gaps: list[GapRecord], family: str, **fields
-) -> CantorStage:
-    """A stage of the normalized closed ``parts`` (a union, whose
-    endpoints are read off its keys, or its intervals), with its gaps
-    ordered by (stage_created, position) and its sorted distinct
-    component endpoints.  Each step lists its gaps by position, so a
-    stable sort on the step is all that is left."""
-    if isinstance(parts, IntervalUnion):
-        components, endpoints = parts, parts.endpoints()
-    else:
-        components = IntervalUnion(parts)
-        endpoints = [x for p in parts for x in ((p.lo,) if p.is_point else (p.lo, p.hi))]
-    ordered = tuple(sorted(gaps, key=attrgetter("stage_created")))
-    return CantorStage(n, components, ordered, tuple(endpoints), family, **fields)
+        """The frame minus the components."""
+        return self.components.complement_within(self.frame)
 
 
 # ---------------------------------------------------------------------
@@ -291,10 +285,9 @@ def _stage(spec, n: int, budget: int):
     # Stage n of every family is built from binary stages of 2^n
     # components (its own or its sources'); a count not known in
     # advance is checked on each built stage up to n as well.
-    if 2 ** n > budget:
+    if n > max_binary_stage(budget):
         raise BudgetExceededError(2 ** n, budget)
-    known = spec.component_count(n) is not None
-    return _sequence(spec).get(n, None if known else budget)
+    return _sequence(spec).get(n, None if spec.binary else budget)
 
 
 def _half(spec, n: int) -> IntervalUnion:
@@ -323,10 +316,12 @@ def _split(
 # ---------------------------------------------------------------------
 # central family
 #
-# Every family spec answers one protocol: component_count(n) (None when
-# a stage must be built to know it), to_obj() for the JSON dialect,
-# stage(n, budget=...) for its unit-frame stage through the family's
-# public function, and _steps(), the generator of its stage sequence.
+# Every family spec answers one protocol: binary (True when stage n has
+# exactly 2^n components, so a budget is checked before it is built;
+# False when a stage must be built to count them), to_obj() for the
+# JSON dialect, stage(n, budget=...) for its unit-frame stage through
+# the family's public function, and _steps(), the generator of its
+# stage sequence.
 
 
 @dataclass(frozen=True)
@@ -335,6 +330,8 @@ class CentralSpec:
     ratio(k) portion of every surviving component."""
 
     ratios: RatioRule
+
+    binary = True
 
     @classmethod
     def constant(cls, value: RationalLike) -> "CentralSpec":
@@ -367,9 +364,6 @@ class CentralSpec:
         """Length of every gap removed at step k (k >= 1)."""
         return self.ratio(k) * self.component_length(k - 1)
 
-    def component_count(self, n: int) -> int:
-        return 2 ** n
-
     def to_obj(self) -> dict[str, Any]:
         return {"family": "central", "ratios": self.ratios.to_obj()}
 
@@ -379,7 +373,7 @@ class CentralSpec:
     def _steps(self) -> Iterator[CantorStage]:
         parts: tuple[Interval, ...] = (UNIT,)
         gaps: list[GapRecord] = []
-        yield _make_stage(0, parts, gaps, "central")
+        yield CantorStage(0, IntervalUnion(parts), (), "central")
         for n in itertools.count(1):
             ratio = self.ratio(n)
             cuts = []
@@ -388,7 +382,7 @@ class CentralSpec:
                 child = (length - ratio * length) / 2
                 cuts.append((part.lo + child, part.hi - child))
             parts = _split(n, parts, cuts, gaps)
-            yield _make_stage(n, parts, gaps, "central")
+            yield CantorStage(n, IntervalUnion(parts), tuple(gaps), "central")
 
 
 def central_stage(
@@ -429,6 +423,8 @@ class PerturbedSpec:
     shrink: Fraction = Fraction(1, 2)
     interior_gap_fraction: Fraction = Fraction(1)
 
+    binary = True
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "c1", as_rational(self.c1))
         object.__setattr__(self, "shrink", as_rational(self.shrink))
@@ -441,9 +437,6 @@ class PerturbedSpec:
             raise InvalidSpecError("shrink out of (0,1)")
         if not 0 < self.interior_gap_fraction <= 1:
             raise InvalidSpecError("interior_gap_fraction out of (0,1]")
-
-    def component_count(self, n: int) -> int:
-        return 2 ** n
 
     def to_obj(self) -> dict[str, Any]:
         return {
@@ -460,7 +453,7 @@ class PerturbedSpec:
         parts: tuple[Interval, ...] = (UNIT,)
         gaps: list[GapRecord] = []
         c = self.c1  # length of the aligned gaps cut at the current step
-        yield _make_stage(0, parts, gaps, "perturbed")
+        yield CantorStage(0, IntervalUnion(parts), (), "perturbed")
         for n in itertools.count(1):
             if n > 1:
                 leftmost_len = parts[0].hi - parts[0].lo
@@ -493,7 +486,7 @@ class PerturbedSpec:
                     f"perturbed stage {n}: the extreme branches must stay equal "
                     f"in length, got {parts[0].length} and {parts[-1].length}"
                 )
-            yield _make_stage(n, parts, gaps, "perturbed")
+            yield CantorStage(n, IntervalUnion(parts), tuple(gaps), "perturbed")
 
 
 def perturbed_stage(
@@ -522,8 +515,7 @@ class CompositeSpec:
     a_source: HalfSourceSpec
     b_source: HalfSourceSpec
 
-    def component_count(self, n: int) -> None:
-        return None
+    binary = False
 
     def to_obj(self) -> dict[str, Any]:
         return {
@@ -574,7 +566,10 @@ def _composite_steps(
         for part in components.complement_within(UNIT):
             created = gap_created.setdefault((part.lo, part.hi), m)
             gaps.append(GapRecord(None, part, created))
-        yield _make_stage(m, components, gaps, family, notes=notes)
+        # Each step lists its gaps by position: a stable sort on the step
+        # orders them by (stage_created, position).
+        ordered = tuple(sorted(gaps, key=attrgetter("stage_created")))
+        yield CantorStage(m, components, ordered, family, notes=notes)
 
 
 def composite_stage(
@@ -614,8 +609,7 @@ class GreedySpec:
 
     b_source: HalfSourceSpec
 
-    def component_count(self, n: int) -> None:
-        return None
+    binary = False
 
     def to_obj(self) -> dict[str, Any]:
         return {"family": "greedy", "b": self.b_source.to_obj()}
@@ -671,8 +665,7 @@ class _GreedyA:
 
     spec: GreedySpec
 
-    def component_count(self, n: int) -> int:
-        return 2 ** n
+    binary = True
 
     def _steps(self) -> Iterator[_GreedyStep]:
         return _greedy_a_steps(self.spec)
@@ -783,9 +776,8 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
             components, new_gaps = split
             admitted.append(AdmittedPoint(candidate, m))
             gaps.extend(new_gaps)
-        parts = [iv for _, iv in components]
-        stage = _make_stage(m, parts, gaps, "greedy-a", frame=HALF)
-        a = stage.components
+        a = IntervalUnion(iv for _, iv in components)
+        stage = CantorStage(m, a, tuple(gaps), "greedy-a", frame=HALF)
         yield _GreedyStep(stage, tuple(admitted), tuple(events))
 
 

@@ -18,11 +18,11 @@ oracle.
 from __future__ import annotations
 
 import json
-from decimal import Decimal, localcontext
+from decimal import Context
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .constructions import (
     CantorStage,
@@ -75,10 +75,12 @@ def parse_rational(text: str) -> Fraction:
         raise InvalidSpecError(f"invalid rational {text!r}: {exc}") from exc
 
 
+_DECIMALS = Context(prec=20)
+
+
 def decimal_str(q: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 20
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
+    """``q`` to 20 significant digits, rounded half to even."""
+    return str(_DECIMALS.divide(q.numerator, q.denominator))
 
 
 def exact_to_obj(values: Mapping[str, int | Fraction]) -> dict[str, int | str]:
@@ -156,25 +158,19 @@ GAP_TABLE_HEADER = [
 ]
 
 
-def gap_table_rows(stage: CantorStage) -> list[list[str]]:
-    """One row per gap: the ``GAP_TABLE_HEADER`` columns, with the
-    decimals in one 20-digit context for the whole table."""
-    rows = []
-    with localcontext() as ctx:
-        ctx.prec = 20
-        for g in stage.gaps:
-            lo, hi = g.interval.lo, g.interval.hi
-            rows.append(
-                [
-                    "-" if g.address is None else g.address,
-                    format_rational(lo),
-                    format_rational(hi),
-                    str(g.stage_created),
-                    str(Decimal(lo.numerator) / Decimal(lo.denominator)),
-                    str(Decimal(hi.numerator) / Decimal(hi.denominator)),
-                ]
-            )
-    return rows
+def gap_table_rows(stage: CantorStage) -> Iterator[list[str]]:
+    """One row per gap, the ``GAP_TABLE_HEADER`` columns, yielded as the
+    table is written so that no more than one row is held."""
+    for g in stage.gaps:
+        lo, hi = g.interval.lo, g.interval.hi
+        yield [
+            "-" if g.address is None else g.address,
+            format_rational(lo),
+            format_rational(hi),
+            str(g.stage_created),
+            decimal_str(lo),
+            decimal_str(hi),
+        ]
 
 
 # ---------------------------------------------------------------------

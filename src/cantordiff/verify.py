@@ -429,9 +429,9 @@ def _suite_steinhaus(
         ),
     ]
     final = rows[-1]
-    # Binary families (component count known in advance) must empty the
-    # middle band; composite families are held to an empirical threshold.
-    if spec.component_count(final.n) is not None:
+    # Binary families (2^n components) must empty the middle band;
+    # composite families are held to an empirical threshold.
+    if spec.binary:
         assertions.append(
             _check(
                 final.middle == 0,

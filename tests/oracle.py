@@ -8,6 +8,7 @@ first principles (pointwise predicates, or single-atom coverage for
 sums), and reassembles the expected union from the flagged pieces.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
 
@@ -20,7 +21,6 @@ from cantordiff.intervals import (
     normalize,
     points_union,
 )
-from cantordiff.jsonio import decimal_str
 
 
 def _common_scale(*unions):
@@ -218,6 +218,22 @@ def oracle_max_component_length(a):
 
 
 # ---------------------------------------------------------------------
+# the stored forms of a stage's endpoints and gap union, which
+# cantordiff.constructions.CantorStage reads off its component keys
+
+
+def oracle_endpoints(stage):
+    """The ends of each decoded component in order, a point's once."""
+    parts = stage.components.parts
+    return tuple(x for p in parts for x in ((p.lo,) if p.is_point else (p.lo, p.hi)))
+
+
+def oracle_gap_union(stage):
+    """The union of the gap records' intervals."""
+    return normalize(g.interval for g in stage.gaps)
+
+
+# ---------------------------------------------------------------------
 # the two brackets as Minkowski sums: references for the endpoint filter
 # and the closed form in cantordiff.analysis
 
@@ -226,12 +242,13 @@ def minkowski_inner_difference(stage):
     """Gaps plus negated endpoints: every gap x endpoint pair summed."""
     if not stage.gaps:
         return IntervalUnion(())
-    return stage.gap_union().minkowski_sum(points_union(-e for e in stage.endpoints))
+    negated = points_union(-e for e in oracle_endpoints(stage))
+    return oracle_gap_union(stage).minkowski_sum(negated)
 
 
 def minkowski_outer_difference(stage):
     """([0,1] minus the endpoints) plus the reflected components."""
-    punctured = IntervalUnion((UNIT,)).difference(stage.endpoint_union())
+    punctured = IntervalUnion((UNIT,)).difference(points_union(oracle_endpoints(stage)))
     return punctured.minkowski_sum(stage.components.reflect())
 
 
@@ -284,9 +301,10 @@ def oracle_inner_difference(stage):
     stay punctured.  Kept deliberately plain: plain Fractions, one sort,
     one linear pass.
     """
+    endpoints = oracle_endpoints(stage)
     translated = []
     for g in stage.gaps:
-        for e in stage.endpoints:
+        for e in endpoints:
             translated.append((g.interval.lo - e, g.interval.hi - e))
     translated.sort()
     merged = []
@@ -302,10 +320,9 @@ def oracle_inner_difference(stage):
 def oracle_covered_measure(stage):
     """Measure of the union of all translates via a max-end sweep,
     without building the merged structure."""
+    endpoints = oracle_endpoints(stage)
     translated = sorted(
-        (g.interval.lo - e, g.interval.hi - e)
-        for g in stage.gaps
-        for e in stage.endpoints
+        (g.interval.lo - e, g.interval.hi - e) for g in stage.gaps for e in endpoints
     )
     total = Fraction(0)
     cur_lo = cur_hi = None
@@ -322,8 +339,16 @@ def oracle_covered_measure(stage):
 
 
 # ---------------------------------------------------------------------
-# output: the per-cell gap table that cantordiff.jsonio.gap_table_rows
-# replaces (the JSON oracle is dump_json(stage_to_obj(stage)))
+# output: the per-cell decimals and gap table that cantordiff.jsonio's
+# decimal_str and gap_table_rows replace (the JSON oracle is
+# dump_json(stage_to_obj(stage)))
+
+
+def oracle_decimal_str(q):
+    """``q`` to 20 significant digits in a local decimal context."""
+    with localcontext() as ctx:
+        ctx.prec = 20
+        return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
 def oracle_gap_table_rows(stage):
@@ -336,8 +361,8 @@ def oracle_gap_table_rows(stage):
                 format_rational(g.interval.lo),
                 format_rational(g.interval.hi),
                 str(g.stage_created),
-                decimal_str(g.interval.lo),
-                decimal_str(g.interval.hi),
+                oracle_decimal_str(g.interval.lo),
+                oracle_decimal_str(g.interval.hi),
             ]
         )
     return rows

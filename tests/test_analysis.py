@@ -63,9 +63,7 @@ BUILTIN_FAMILIES = {
 
 def _hand_stage(*components):
     """A stage on [0,1] built from its components alone, without gaps."""
-    union = normalize(components)
-    endpoints = tuple(sorted({x for p in union for x in (p.lo, p.hi)}))
-    return CantorStage(1, union, (), endpoints, "central")
+    return CantorStage(1, normalize(components), (), "central")
 
 
 _ratios = st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=10)
@@ -115,6 +113,14 @@ class TestInnerDifference:
     def test_stage2_reaches_former_puncture(self):
         inner = inner_difference(central_stage(TERNARY, 2))
         assert inner.contains_point(F(1, 3))
+
+    def test_rests_on_the_components_alone(self):
+        # Without gap records the stage still has its endpoints and the
+        # gaps [0,1] minus its components, and the bracket reads both.
+        stage = _hand_stage(Interval.closed(0, F(1, 3)), Interval.closed(F(2, 3), 1))
+        assert stage.endpoints == (0, F(1, 3), F(2, 3), 1)
+        assert stage.gap_union() == union_of(Interval.open(F(1, 3), F(2, 3)))
+        assert inner_difference(stage) == inner_difference(central_stage(TERNARY, 1))
 
     def test_zero_never_inside(self):
         for n in range(7):
@@ -199,6 +205,8 @@ class TestBracketOracles:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(small_stages())
     def test_random_small_stages(self, stage):
+        assert stage.endpoints == oracle.oracle_endpoints(stage)
+        assert stage.gap_union() == oracle.oracle_gap_union(stage)
         inner = inner_difference(stage)
         assert inner == oracle.oracle_inner_difference(stage)
         assert inner == oracle.minkowski_inner_difference(stage)

@@ -90,8 +90,9 @@ class TestCentral:
             next_gaps = {(g.interval.lo, g.interval.hi) for g in nxt.gaps}
             assert prev_gaps <= next_gaps
         for s in stages:
-            assert s.components.union(s.gap_union()) == union_of(s.frame)
-            assert s.components.measure() + s.gap_union().measure() == 1
+            recorded = oracle.oracle_gap_union(s)
+            assert s.components.union(recorded) == union_of(s.frame)
+            assert s.components.measure() + recorded.measure() == 1
 
     def test_central_symmetry(self):
         s = central_stage(TERNARY, 5)
@@ -186,9 +187,7 @@ class TestComposite:
                 stage = composite_stage(spec, m)
             b = half_scaled_components(spec.b_source, m)
             assert stage.components == oracle.minkowski_composite_components(a, b)
-            assert stage.endpoints == tuple(
-                x for p in stage.components for x in (p.lo, p.hi)
-            )
+            assert stage.endpoints == oracle.oracle_endpoints(stage)
             assert {g.interval for g in stage.gaps} == set(
                 stage.components.complement_within(UNIT)
             )
@@ -219,7 +218,7 @@ class TestComposite:
             next_gaps = {(g.interval.lo, g.interval.hi) for g in nxt.gaps}
             assert prev_gaps <= next_gaps
         for s in stages:
-            assert s.components.union(s.gap_union()) == union_of(s.frame)
+            assert s.components.union(oracle.oracle_gap_union(s)) == union_of(s.frame)
 
     def test_max_component_warning_path(self):
         # a source that never refines cannot shrink the components;
@@ -410,6 +409,28 @@ class TestParallelGeneration:
         finally:
             sys.setswitchinterval(interval)
         assert results == [-153, 153] * 8
+
+
+class TestStagesReadOffComponents:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: central_stage(TERNARY, n),
+            lambda n: central_stage(CentralSpec.geometric(F(1, 4)), n),
+            lambda n: perturbed_stage(PERTURBED, n),
+            lambda n: composite_stage(builtin_composite_pair(), n),
+            lambda n: greedy_stage(builtin_fat_composite(), n).a_stage,
+            lambda n: greedy_stage(builtin_fat_composite(), n).c_stage,
+        ],
+        ids=["ternary", "geometric-1_4", "perturbed", "tab", "greedy-a", "greedy"],
+    )
+    def test_endpoints_and_gap_union_match_the_records(self, build):
+        # The greedy A half lies on [0, 1/2]: its gaps are taken within
+        # that frame, not within [0, 1].
+        for n in range(7):
+            stage = build(n)
+            assert stage.endpoints == oracle.oracle_endpoints(stage), n
+            assert stage.gap_union() == oracle.oracle_gap_union(stage), n
 
 
 class TestBranchShift:

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact interval algebra."""
 
+import ast
 import os
 import random
 import subprocess
@@ -272,6 +273,20 @@ def test_operations_between_unions_make_no_fraction(monkeypatch):
     for frame, windowed in ((window, results[6]), (point, results[7])):
         assert windowed == results[5].intersect(IntervalUnion((frame,)))
     assert not results[6].is_empty and not results[7].is_empty
+
+
+def test_the_package_writes_no_float():
+    # The core is exact: no module writes a float literal or calls float().
+    modules = sorted(Path(cantordiff.__file__).parent.glob("*.py"))
+    assert {"intervals.py", "analysis.py", "jsonio.py"} <= {m.name for m in modules}
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+                found.append(f"{path.name}:{node.lineno}: float() call")
+    assert found == []
 
 
 # ---------------------------------------------------------------------
