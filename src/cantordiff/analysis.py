@@ -13,7 +13,8 @@ brackets:
   It is computed as [-1,1] minus the outer missing bracket, which the
   kernel operation ``IntervalUnion.minus_translates`` filters down from
   [-1,1] one endpoint at a time instead of summing every gap with every
-  endpoint.
+  endpoint.  Its shifts are the reflected components, whose part ends
+  are exactly the negated endpoints, so they stay on the integer keys.
 
 * outer:  C is always inside the stage components and the complement is
   always inside [0,1] minus the stage endpoints E, so
@@ -102,7 +103,8 @@ def inner_difference(stage: CantorStage) -> IntervalUnion:
     leaves of [-1,1], which never forms the gap x endpoint product.
     """
     _require_unit_frame(stage)
-    gaps, shifts = stage.gap_union(), (-e for e in stage.endpoints)
+    # The part ends of the reflected components are the negated endpoints.
+    gaps, shifts = stage.gap_union(), stage.components.reflect()
     return _BOX_UNION.difference(_BOX_UNION.minus_translates(gaps, shifts))
 
 
@@ -341,7 +343,7 @@ def prediction_is_complete(spec: CentralSpec) -> bool:
     """Whether the predicted points are the whole missing set (true when
     every removal ratio is at least 1/3); otherwise they are only a
     certified lower bound."""
-    return spec.all_ratios_at_least(Fraction(1, 3))
+    return spec.ratios.all_at_least(Fraction(1, 3))
 
 
 # ---------------------------------------------------------------------
@@ -464,6 +466,7 @@ def zone_measure_rows(brackets: Sequence[DiffBracket]) -> list[ZoneMeasureRow]:
     rows = []
     for bracket in brackets:
         missing = bracket.missing_outer
+        points = len(missing.point_parts())
         rows.append(
             ZoneMeasureRow(
                 bracket.n,
@@ -474,8 +477,8 @@ def zone_measure_rows(brackets: Sequence[DiffBracket]) -> list[ZoneMeasureRow]:
                 missing.intersect(_ZONES["far_positive"]).measure(),
                 missing.measure(),
                 bracket.outer.measure(),
-                len(missing.point_parts()),
-                len(missing.interval_parts()),
+                points,
+                len(missing) - points,
             )
         )
     return rows

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import threading
 import warnings
 from dataclasses import dataclass
@@ -41,6 +40,7 @@ from .intervals import (
     as_rational,
     format_rational,
     normalize,
+    points_union,
 )
 
 __all__ = [
@@ -77,8 +77,6 @@ __all__ = [
     "builtin_composite_pair",
     "builtin_fat_composite",
 ]
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 2 ** 14
 
@@ -295,6 +293,11 @@ def _half(spec, n: int) -> IntervalUnion:
     return _sequence(spec).get(n).components.scale(Fraction(1, 2))
 
 
+def _address(n: int, i: int) -> NodeAddress:
+    """The address of stage-n component i of a binary family."""
+    return format(i, f"0{n}b") if n else ""
+
+
 def _split(
     n: int,
     parts: tuple[Interval, ...],
@@ -306,8 +309,7 @@ def _split(
     records."""
     comps: list[Interval] = []
     for idx, (part, (gl, gr)) in enumerate(zip(parts, cuts)):
-        address = format(idx, f"0{n - 1}b") if n > 1 else ""
-        gaps.append(GapRecord(address, Interval.open(gl, gr), n))
+        gaps.append(GapRecord(_address(n - 1, idx), Interval.open(gl, gr), n))
         comps.append(Interval(part.lo, gl, True, True))
         comps.append(Interval(gr, part.hi, True, True))
     return tuple(comps)
@@ -321,7 +323,10 @@ def _split(
 # False when a stage must be built to count them), to_obj() for the
 # JSON dialect, stage(n, budget=...) for its unit-frame stage through
 # the family's public function, and _steps(), the generator of its
-# stage sequence.
+# stage sequence.  The binary builders (central, perturbed and the
+# greedy A half) hold their parts as a tuple of intervals, choose one
+# gap (x, y) per part at each step and cut them all with ``_split``,
+# which names each gap record by ``_address``.
 
 
 @dataclass(frozen=True)
@@ -349,9 +354,6 @@ class CentralSpec:
 
     def ratio(self, k: int) -> Fraction:
         return self.ratios.ratio(k)
-
-    def all_ratios_at_least(self, bound: RationalLike) -> bool:
-        return self.ratios.all_at_least(as_rational(bound))
 
     def component_length(self, n: int) -> Fraction:
         """Length of every stage-n component."""
@@ -677,8 +679,8 @@ _MAX_STAGE_ATTEMPTS = 64
 
 
 class _ComponentEmptied(Exception):
-    def __init__(self, address: str):
-        self.address = address
+    def __init__(self, index: int):
+        self.index = index
 
 
 def _closed_within(part: Interval, from_left: bool) -> Fraction:
@@ -692,28 +694,27 @@ def _closed_within(part: Interval, from_left: bool) -> Fraction:
     return part.hi - (part.hi - part.lo) * _QUARTER
 
 
-def _split_all(
-    components: list[tuple[str, Interval]], new_stage: int, allowed: IntervalUnion
-) -> tuple[list[tuple[str, Interval]], list[GapRecord]]:
-    """Split every component around the ``allowed`` pieces; the closed
-    components lie apart, so each piece falls inside exactly one."""
-    children: list[tuple[str, Interval]] = []
-    gaps: list[GapRecord] = []
+def _avoiding_cuts(
+    parts: tuple[Interval, ...], allowed: IntervalUnion
+) -> list[tuple[Fraction, Fraction]]:
+    """One gap (x, y) per part, cut between the ``allowed`` pieces; the
+    closed parts lie apart, so each piece falls inside exactly one."""
+    cuts: list[tuple[Fraction, Fraction]] = []
     pieces = allowed.parts
     i = 0
-    for address, part in components:
+    for index, part in enumerate(parts):
         j = i
         while j < len(pieces) and pieces[j].hi <= part.hi:
             j += 1
         if j == i:
-            raise _ComponentEmptied(address)
+            raise _ComponentEmptied(index)
         first, last = pieces[i], pieces[j - 1]
         i = j
         # Parent endpoints must survive so they stay in the limit set.
         if not (first.lo == part.lo and first.lo_closed):
-            raise _ComponentEmptied(address)
+            raise _ComponentEmptied(index)
         if not (last.hi == part.hi and last.hi_closed):
-            raise _ComponentEmptied(address)
+            raise _ComponentEmptied(index)
         if first is last:
             length = part.hi - part.lo
             x = part.lo + length * _QUARTER
@@ -722,15 +723,13 @@ def _split_all(
             x = _closed_within(first, from_left=False)
             y = _closed_within(last, from_left=True)
         if not x < y:
-            raise _ComponentEmptied(address)
-        children.append((address + "0", Interval(part.lo, x, True, True)))
-        children.append((address + "1", Interval(y, part.hi, True, True)))
-        gaps.append(GapRecord(address, Interval.open(x, y), new_stage))
-    return children, gaps
+            raise _ComponentEmptied(index)
+        cuts.append((x, y))
+    return cuts
 
 
 def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
-    components = [("", Interval(Fraction(0), Fraction(1, 2), True, True))]
+    parts: tuple[Interval, ...] = (HALF,)
     gaps: list[GapRecord] = []
     admitted: list[AdmittedPoint] = []
     deferred: list[Fraction] = []
@@ -747,9 +746,9 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
             )
             points = [p.value for p in admitted]
             retries, deferred = deferred, []
-            split = None
+            cuts = None
             attempts = 0
-            while split is None and attempts < _MAX_STAGE_ATTEMPTS:
+            while cuts is None and attempts < _MAX_STAGE_ATTEMPTS:
                 attempts += 1
                 candidate = retries.pop(0) if retries else next(stream, None)
                 if candidate is None:  # the candidate stream ran out
@@ -758,25 +757,19 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
                     # Certified-inside points are skipped outright.
                     continue
                 # a still holds the components of A_{m-1}.
-                allowed = a.minus_translates(padded, points + [candidate])
+                allowed = a.minus_translates(padded, points_union([*points, candidate]))
                 try:
-                    split = _split_all(components, m, allowed)
+                    cuts = _avoiding_cuts(parts, allowed)
                 except _ComponentEmptied as emptied:
-                    events.append(DeferralEvent(candidate, emptied.address, m))
-                    logger.info(
-                        "deferred avoidance point %s at stage %d (component %s emptied)",
-                        candidate,
-                        m,
-                        emptied.address or "root",
-                    )
+                    address = _address(m - 1, emptied.index)
+                    events.append(DeferralEvent(candidate, address, m))
                     deferred.append(candidate)
             deferred = retries + deferred
-            if split is None:
+            if cuts is None:
                 raise AvoidanceExhaustedError(m, attempts)
-            components, new_gaps = split
+            parts = _split(m, parts, cuts, gaps)
             admitted.append(AdmittedPoint(candidate, m))
-            gaps.extend(new_gaps)
-        a = IntervalUnion(iv for _, iv in components)
+        a = IntervalUnion(parts)
         stage = CantorStage(m, a, tuple(gaps), "greedy-a", frame=HALF)
         yield _GreedyStep(stage, tuple(admitted), tuple(events))
 
@@ -796,7 +789,8 @@ def greedy_certificate(
     a = _stage(_GreedyA(spec), n, budget)
     b = half_scaled_components(spec.b_source, n, budget=budget)
     components = a.stage.components
-    unreached = components.minus_translates(b.reflect(), (p.value for p in a.points))
+    points = points_union(p.value for p in a.points)
+    unreached = components.minus_translates(b.reflect(), points)
     return GreedyCertificate(n, a.points, a.deferrals, unreached == components)
 
 

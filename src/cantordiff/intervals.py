@@ -400,9 +400,6 @@ class IntervalUnion:
         keys = (k for s, e in self.ranges for k in ((s,) if s == e else (s, e + 1)))
         return tuple(Fraction(k // 3, self.grid) for k in keys)
 
-    def interval_parts(self) -> tuple[Interval, ...]:
-        return tuple(_interval(s, e, self.grid) for s, e in self.ranges if s != e)
-
     def contains_point(self, x: RationalLike) -> bool:
         x = as_rational(x)
         g, r = divmod(x.numerator * self.grid, x.denominator)  # x*grid in [g, g + 1)
@@ -443,9 +440,10 @@ class IntervalUnion:
         return _from_ranges(_minus(self._on(grid), other._on(grid)), grid)
 
     def minus_translates(
-        self, other: "IntervalUnion", shifts: Iterable[RationalLike]
+        self, other: "IntervalUnion", shifts: "IntervalUnion"
     ) -> "IntervalUnion":
-        """self minus the union of ``other + t`` over ``t`` in ``shifts``.
+        """self minus the union of ``other + t`` over the ends ``t`` of
+        the parts of ``shifts`` (the points of a ``points_union``).
 
         The translates are never united: each distinct shift cuts its
         translate out of the pieces of self still left, with ``bisect``
@@ -454,12 +452,13 @@ class IntervalUnion:
         middle of their sorted list outward, which brings the fine cuts
         of either end last and keeps the piece count low meanwhile.
         """
-        shifts = [as_rational(t) for t in shifts]
-        if self.is_empty or other.is_empty or not shifts:
+        if self.is_empty or other.is_empty or shifts.is_empty:
             return self
-        grid = lcm(self.grid, other.grid, *{t.denominator for t in shifts})
-        k = 3 * grid
-        keys = sorted({t.numerator * (k // t.denominator) for t in shifts})
+        grid = lcm(self.grid, other.grid, shifts.grid)
+        # Each shift adds its closed key to every key of ``other``.
+        keys = sorted(
+            {k for s, e in shifts._on(grid) for k in (s - s % 3, e + e % 3 // 2)}
+        )
         starts, ends = map(list, zip(*other._on(grid)))
         count = len(starts)
         pieces = self._on(grid)

@@ -240,12 +240,11 @@ def _suite_ts3(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertion
             ends = _right_branch_gap_ends(stage)
             width = 1 - ends[n - 2]
             widths.append(width)
-            strips = normalize(
-                [Interval.closed(-1, -1 + width), Interval.closed(1 - width, 1)]
-            )
-            core = bracket.missing_outer.difference(strips)
             if n == max_stage:
-                final_core = (core, width)
+                strips = normalize(
+                    [Interval.closed(-1, -1 + width), Interval.closed(1 - width, 1)]
+                )
+                final_core = (bracket.missing_outer.difference(strips), width)
     assertions.append(
         _check(
             all(a > b for a, b in zip(widths, widths[1:])),

@@ -6,6 +6,9 @@ value an operation could produce, splits the line into boundary points
 and open cells between them, decides membership of each piece from
 first principles (pointwise predicates, or single-atom coverage for
 sums), and reassembles the expected union from the flagged pieces.
+
+``fractions_made`` counts the ``Fraction`` values a call makes, for
+the tests that keep set operations on the integer keys.
 """
 
 from decimal import Decimal, localcontext
@@ -366,3 +369,31 @@ def oracle_gap_table_rows(stage):
             ]
         )
     return rows
+
+
+def fractions_made(monkeypatch, call):
+    """``call()`` and the constructor arguments of every ``Fraction`` it
+    made: through ``__new__``, and on Python 3.12+ through the
+    ``_from_coprime_ints`` of arithmetic results."""
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counted_coprime(cls, *args):
+            made.append(args)
+            return coprime(cls, *args)
+
+        counted_coprime = classmethod(counted_coprime)
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", counted_coprime)
+    try:
+        result = call()
+    finally:
+        monkeypatch.undo()
+    return result, made

@@ -257,6 +257,21 @@ class TestBracket:
                 assert bracket.outer.is_subset(prev.outer)
             prev = bracket
 
+    def test_brackets_make_the_same_few_fractions(self, monkeypatch):
+        # The filter takes the negated endpoints as the reflected
+        # components, on the keys: no component end is decoded, so the
+        # count does not grow with the stage.
+        stages = [
+            central_stage(TERNARY, 6),
+            central_stage(TERNARY, 8),
+            composite_stage(builtin_composite_pair(), 6),
+        ]
+        counts = [
+            len(oracle.fractions_made(monkeypatch, lambda: difference_bracket(s))[1])
+            for s in stages
+        ]
+        assert counts[0] <= 5 and counts == [counts[0]] * 3, counts
+
     def test_sandwich_is_checked_under_optimize(self):
         # The bracket invariants are explicit checks, not asserts that
         # python -O strips: an inner bracket outside the outer one is refused.

@@ -407,3 +407,19 @@ def test_unwritable_out_is_config_error(tmp_path, ternary_spec, command):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+def test_cli_import_leaves_logging_out():
+    # Start-up cost: the package logs nothing, so importing the CLI
+    # must not pull in the logging package.
+    src = str(Path(cantordiff.__file__).parents[1])
+    code = "import sys, cantordiff.cli; print('logging' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

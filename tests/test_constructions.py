@@ -253,6 +253,26 @@ class TestGreedy:
         assert nxt.components.is_subset(prev.components)
         assert set(prev.endpoints) <= set(nxt.endpoints)
 
+    def test_deferrals_are_pinned(self):
+        # At stages 7 and 8 the candidates 1/4 and 3/4 each empty one
+        # component of A and wait; no output digest covers the A half.
+        deferrals = greedy_certificate(builtin_fat_composite(), 8).deferrals
+        assert deferrals == (
+            (F(1, 4), "010000", 7),
+            (F(3, 4), "100000", 7),
+            (F(1, 4), "0100000", 8),
+            (F(3, 4), "1000000", 8),
+        )
+
+    def test_gaps_are_addressed_by_their_index_in_the_step(self):
+        gaps = greedy_stage(builtin_fat_composite(), 8).a_stage.gaps
+        for k in range(1, 9):
+            addresses = [g.address for g in gaps if g.stage_created == k]
+            width = k - 1
+            assert addresses == [
+                format(i, "b").zfill(width) if width else "" for i in range(2**width)
+            ]
+
     def test_certificate(self):
         g = builtin_fat_composite()
         cert = greedy_certificate(g, 6)

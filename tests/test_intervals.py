@@ -234,39 +234,25 @@ def test_operations_between_unions_make_no_fraction(monkeypatch):
     # them alone, with operands on different grids (3, 20 and 35).
     a = union_of(iv(F(-2, 3), F(1, 3)), Interval.open(F(2, 3), 2), iv(3, 3))
     b = union_of(Interval.left_open(F(-1, 4), F(1, 5)), iv(F(9, 10), F(7, 4)))
-    shifts, t, k = [F(1, 7), F(-2, 5)], F(3, 7), F(-5, 3)
+    shifts, t, k = points_union([F(1, 7), F(-2, 5)]), F(3, 7), F(-5, 3)
     # Frames off the operands' grids (11 and 13), and a point frame.
     window, point = Interval(F(-5, 11), F(9, 13), False, True), Interval.point(1)
-    made = []
-    new = F.__new__
-
-    def counted(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", counted)
-    if hasattr(F, "_from_coprime_ints"):  # Python 3.12+ arithmetic results
-        coprime = F._from_coprime_ints.__func__
-
-        def counted_coprime(cls, *args):
-            made.append(args)
-            return coprime(cls, *args)
-
-        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counted_coprime))
-    results = [
-        a.union(b),
-        a.intersect(b),
-        a.difference(b),
-        a.is_subset(b),
-        a.minus_translates(b, shifts),
-        a.minkowski_sum(b),
-        a.minkowski_sum(b, within=window),
-        b.minkowski_sum(a, within=point),
-        a.reflect(),
-        a.translate(t),
-        a.scale(k),
-    ]
-    monkeypatch.undo()
+    results, made = oracle.fractions_made(
+        monkeypatch,
+        lambda: [
+            a.union(b),
+            a.intersect(b),
+            a.difference(b),
+            a.is_subset(b),
+            a.minus_translates(b, shifts),
+            a.minkowski_sum(b),
+            a.minkowski_sum(b, within=window),
+            b.minkowski_sum(a, within=point),
+            a.reflect(),
+            a.translate(t),
+            a.scale(k),
+        ],
+    )
     assert made == []
     assert results[0] == oracle.oracle_union(a, b)
     assert results[-1] == oracle.oracle_scale(a, k)
@@ -449,32 +435,43 @@ def check_minus_translates(a, b, rng):
 
     Up to five shifts, some lists empty, one shift sometimes twice;
     denominators up to 40 reach off the operands' grid (up to 16).
+    Paired up as interval parts, the shifts translate by the parts' ends.
     """
     shifts = [
         F(rng.randint(-3 * d, 3 * d), d)
         for d in (rng.randint(1, 40) for _ in range(rng.randrange(6)))
     ]
     shifts += shifts[: rng.randrange(2)]
-    cut = a.minus_translates(b, shifts)
-    assert cut == a.difference(b.minkowski_sum(points_union(shifts)))
-    assert cut == oracle.oracle_difference(
-        a, oracle.oracle_minkowski(b, points_union(shifts))
+    points = points_union(shifts)
+    cut = a.minus_translates(b, points)
+    assert cut == a.difference(b.minkowski_sum(points))
+    assert cut == oracle.oracle_difference(a, oracle.oracle_minkowski(b, points))
+    spans = normalize(
+        Interval.closed(*sorted(pair)) for pair in zip(shifts[::2], shifts[1::2])
     )
+    ends = points_union(p for part in spans for p in (part.lo, part.hi))
+    assert a.minus_translates(b, spans) == a.difference(b.minkowski_sum(ends))
 
 
 def test_minus_translates_cases():
     a = union_of(iv(-1, 1))
-    assert a.minus_translates(union_of(iv(0, 1)), []) is a
-    assert EMPTY.minus_translates(a, [F(1)]) is EMPTY
-    assert a.minus_translates(EMPTY, [F(1)]) is a
+    assert a.minus_translates(union_of(iv(0, 1)), EMPTY) is a
+    assert EMPTY.minus_translates(a, points_union([1])) is EMPTY
+    assert a.minus_translates(EMPTY, points_union([1])) is a
     # The point part removes one point, the open part leaves its ends,
     # and the shift 1/7 puts a cut at 9/14, off the operands' grid.
     other = union_of(Interval.point(0), Interval.open(F(1, 2), 1))
-    assert a.minus_translates(other, [F(1, 7), F(-1, 2), F(1, 7)]) == union_of(
+    expected = union_of(
         Interval.right_open(-1, F(-1, 2)),
         Interval.left_open(F(-1, 2), 0),
         Interval.closed(F(1, 2), F(9, 14)),
     )
+    points = points_union([F(1, 7), F(-1, 2), F(1, 7)])
+    assert a.minus_translates(other, points) == expected
+    # An interval part shifts by both of its ends, whatever their
+    # openness, and by nothing in between.
+    span = union_of(Interval.left_open(F(-1, 2), F(1, 7)))
+    assert a.minus_translates(other, span) == expected
 
 
 def test_openness_soundness_spot_check():
