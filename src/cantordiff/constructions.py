@@ -8,6 +8,12 @@ Component endpoints are preserved by every refinement step in every
 family, so each stage endpoint belongs to the limit set; the certified
 analysis in :mod:`cantordiff.analysis` depends on exactly that.
 
+Stages are built on the integer keys of :mod:`cantordiff.intervals`: a
+binary step computes its cuts as whole closed keys on a step grid and
+cuts every key range at once, and a composite step dates its gaps by
+looking up the complement's key ranges among the previous stage's.
+Each gap record is decoded into its ``Interval`` once, when it is made.
+
 Every spec has one stage sequence, built one step at a time by its
 family's step generator and kept in one bounded cache keyed by the spec
 alone.  A component budget limits each request, not what is cached, and
@@ -22,8 +28,9 @@ import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
-from typing import Any, Callable, Iterator, NamedTuple, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
     AvoidanceExhaustedError,
@@ -32,14 +39,18 @@ from .errors import (
     InvariantError,
 )
 from .intervals import (
+    EMPTY,
     HALF,
     UNIT,
     Interval,
     IntervalUnion,
     RationalLike,
+    _from_ranges,
+    _interval,
+    _merge,
+    _Range,
     as_rational,
     format_rational,
-    normalize,
     points_union,
 )
 
@@ -300,19 +311,20 @@ def _address(n: int, i: int) -> NodeAddress:
 
 def _split(
     n: int,
-    parts: tuple[Interval, ...],
-    cuts: list[tuple[Fraction, Fraction]],
+    grid: int,
+    ranges: Sequence[_Range],
+    cuts: Iterable[tuple[int, int]],
     gaps: list[GapRecord],
-) -> tuple[Interval, ...]:
-    """Stage-n parts of a binary family: the open gap ``cuts[i]`` is
-    removed from stage-(n-1) part i; ``gaps`` accumulates every step's
-    records."""
-    comps: list[Interval] = []
-    for idx, (part, (gl, gr)) in enumerate(zip(parts, cuts)):
-        gaps.append(GapRecord(_address(n - 1, idx), Interval.open(gl, gr), n))
-        comps.append(Interval(part.lo, gl, True, True))
-        comps.append(Interval(gr, part.hi, True, True))
-    return tuple(comps)
+) -> IntervalUnion:
+    """Stage-n union of a binary family: the open gap between the closed
+    keys ``cuts[i]`` is removed from the stage-(n-1) key range i, all on
+    ``grid``; ``gaps`` accumulates every step's records, each decoded
+    once."""
+    kept: list[_Range] = []
+    for idx, ((s, e), (x, y)) in enumerate(zip(ranges, cuts)):
+        gaps.append(GapRecord(_address(n - 1, idx), _interval(x + 1, y - 1, grid), n))
+        kept += ((s, x), (y, e))
+    return _from_ranges(kept, grid)
 
 
 # ---------------------------------------------------------------------
@@ -324,9 +336,11 @@ def _split(
 # JSON dialect, stage(n, budget=...) for its unit-frame stage through
 # the family's public function, and _steps(), the generator of its
 # stage sequence.  The binary builders (central, perturbed and the
-# greedy A half) hold their parts as a tuple of intervals, choose one
-# gap (x, y) per part at each step and cut them all with ``_split``,
-# which names each gap record by ``_address``.
+# greedy A half) hold their stage as its union, whose key ranges are
+# the parts (see ``cantordiff.intervals``).  Each step lifts them to a
+# step grid on which every cut is a whole closed key, chooses one gap
+# (x, y) per part and cuts them all with ``_split``, which names each
+# gap record by ``_address``.
 
 
 @dataclass(frozen=True)
@@ -373,18 +387,19 @@ class CentralSpec:
         return central_stage(self, n, budget=budget)
 
     def _steps(self) -> Iterator[CantorStage]:
-        parts: tuple[Interval, ...] = (UNIT,)
+        union = IntervalUnion((UNIT,))
         gaps: list[GapRecord] = []
-        yield CantorStage(0, IntervalUnion(parts), (), "central")
+        yield CantorStage(0, union, (), "central")
         for n in itertools.count(1):
-            ratio = self.ratio(n)
-            cuts = []
-            for part in parts:
-                length = part.hi - part.lo
-                child = (length - ratio * length) / 2
-                cuts.append((part.lo + child, part.hi - child))
-            parts = _split(n, parts, cuts, gaps)
-            yield CantorStage(n, IntervalUnion(parts), tuple(gaps), "central")
+            # The parts all have one length, so their children have one too.
+            s, e = union.ranges[0]
+            child = Fraction(e - s, 3 * union.grid) * (1 - self.ratio(n)) / 2
+            grid = lcm(union.grid, child.denominator)
+            key = 3 * child.numerator * (grid // child.denominator)
+            ranges = union._on(grid)
+            cuts = [(s + key, e - key) for s, e in ranges]
+            union = _split(n, grid, ranges, cuts, gaps)
+            yield CantorStage(n, union, tuple(gaps), "central")
 
 
 def central_stage(
@@ -452,13 +467,14 @@ class PerturbedSpec:
         return perturbed_stage(self, n, budget=budget)
 
     def _steps(self) -> Iterator[CantorStage]:
-        parts: tuple[Interval, ...] = (UNIT,)
+        union = IntervalUnion((UNIT,))
         gaps: list[GapRecord] = []
         c = self.c1  # length of the aligned gaps cut at the current step
-        yield CantorStage(0, IntervalUnion(parts), (), "perturbed")
+        yield CantorStage(0, union, (), "perturbed")
         for n in itertools.count(1):
             if n > 1:
-                leftmost_len = parts[0].hi - parts[0].lo
+                s, e = union.ranges[0]
+                leftmost_len = Fraction(e - s, 3 * union.grid)
                 prev, c = c, self.shrink * min(c, leftmost_len)
                 if not c < prev:
                     raise InvalidSpecError(
@@ -469,26 +485,36 @@ class PerturbedSpec:
                         f"gap length {c} at step {n} is not below half the leftmost "
                         f"component ({leftmost_len / 2}); pick a smaller c1 or shrink"
                     )
-            last = len(parts) - 1
+            # On 4*grid the midpoint and a quarter of every part are whole
+            # keys; the step grid holds half an aligned and an interior gap.
+            half = c / 2
+            interior = self.interior_gap_fraction * half
+            grid = lcm(4 * union.grid, half.denominator, interior.denominator)
+            half_key = 3 * half.numerator * (grid // half.denominator)
+            interior_key = 3 * interior.numerator * (grid // interior.denominator)
+            ranges = union._on(grid)
+            last = len(ranges) - 1
             cuts = []
-            for idx, part in enumerate(parts):
-                mid = (part.lo + part.hi) / 2
+            for idx, (s, e) in enumerate(ranges):
+                mid = (s + e) // 2
                 if n == 1:
-                    cuts.append((mid - c / 2, mid + c / 2))
+                    cuts.append((mid - half_key, mid + half_key))
                 elif idx == 0:
-                    cuts.append((mid, mid + c))
+                    cuts.append((mid, mid + 2 * half_key))
                 elif idx == last:
-                    cuts.append((mid - c, mid))
+                    cuts.append((mid - 2 * half_key, mid))
                 else:
-                    g = min(self.interior_gap_fraction * c, (part.hi - part.lo) / 2)
-                    cuts.append((mid - g / 2, mid + g / 2))
-            parts = _split(n, parts, cuts, gaps)
-            if parts[0].length != parts[-1].length:
+                    g = min(interior_key, (e - s) // 4)
+                    cuts.append((mid - g, mid + g))
+            union = _split(n, grid, ranges, cuts, gaps)
+            (s, x), (y, e) = union.ranges[0], union.ranges[-1]
+            if x - s != e - y:
+                left, right = (Fraction(k, 3 * union.grid) for k in (x - s, e - y))
                 raise InvariantError(
                     f"perturbed stage {n}: the extreme branches must stay equal "
-                    f"in length, got {parts[0].length} and {parts[-1].length}"
+                    f"in length, got {left} and {right}"
                 )
-            yield CantorStage(n, IntervalUnion(parts), tuple(gaps), "perturbed")
+            yield CantorStage(n, union, tuple(gaps), "perturbed")
 
 
 def perturbed_stage(
@@ -546,8 +572,15 @@ def _composite_steps(
     family: str,
 ) -> Iterator[CantorStage]:
     """Composite stages from the stage-m unions of A and B on [0, 1/2],
-    tracking when each maximal gap of the complement first appeared."""
-    gap_created: dict[tuple[Fraction, Fraction], int] = {}
+    tracking when each maximal gap of the complement first appeared.
+
+    The sources shrink from stage to stage, so the composite does too
+    and a gap only grows: a gap of stage m that is no gap of stage m-1
+    was never one before.  The complement's key ranges are looked up
+    among the previous stage's, lifted to their common grid; an
+    unchanged gap keeps its record, and only a new one is decoded.
+    """
+    prev_gaps, prev_records = EMPTY, []  # the records in position order
     prev_max: Fraction | None = None
     for m in itertools.count():
         a = a_components(m)
@@ -564,13 +597,17 @@ def _composite_steps(
             warnings.warn(message, stacklevel=2)
             notes = (message,)
         prev_max = cur_max
-        gaps = []
-        for part in components.complement_within(UNIT):
-            created = gap_created.setdefault((part.lo, part.hi), m)
-            gaps.append(GapRecord(None, part, created))
+        gaps = components.complement_within(UNIT)
+        grid = lcm(prev_gaps.grid, gaps.grid)
+        old = dict(zip(prev_gaps._on(grid), prev_records))
+        records = [
+            old.get(r) or GapRecord(None, _interval(*r, grid), m)
+            for r in gaps._on(grid)
+        ]
+        prev_gaps, prev_records = gaps, records
         # Each step lists its gaps by position: a stable sort on the step
         # orders them by (stage_created, position).
-        ordered = tuple(sorted(gaps, key=attrgetter("stage_created")))
+        ordered = tuple(sorted(records, key=attrgetter("stage_created")))
         yield CantorStage(m, components, ordered, family, notes=notes)
 
 
@@ -673,8 +710,6 @@ class _GreedyA:
         return _greedy_a_steps(self.spec)
 
 
-_QUARTER = Fraction(1, 4)
-
 _MAX_STAGE_ATTEMPTS = 64
 
 
@@ -683,42 +718,37 @@ class _ComponentEmptied(Exception):
         self.index = index
 
 
-def _closed_within(part: Interval, from_left: bool) -> Fraction:
-    """A closed cut point strictly inside an allowed piece's open side."""
+def _closed_within(piece: _Range, from_left: bool) -> int:
+    """A closed cut key strictly inside an allowed piece's open side."""
+    s, e = piece
+    lo, hi = s - s % 3, e + e % 3 // 2  # the closed keys of its ends
     if from_left:
-        if part.lo_closed:
-            return part.lo
-        return part.lo + (part.hi - part.lo) * _QUARTER
-    if part.hi_closed:
-        return part.hi
-    return part.hi - (part.hi - part.lo) * _QUARTER
+        return s if s == lo else lo + (hi - lo) // 4
+    return e if e == hi else hi - (hi - lo) // 4
 
 
 def _avoiding_cuts(
-    parts: tuple[Interval, ...], allowed: IntervalUnion
-) -> list[tuple[Fraction, Fraction]]:
-    """One gap (x, y) per part, cut between the ``allowed`` pieces; the
-    closed parts lie apart, so each piece falls inside exactly one."""
-    cuts: list[tuple[Fraction, Fraction]] = []
-    pieces = allowed.parts
+    ranges: Sequence[_Range], pieces: Sequence[_Range]
+) -> list[tuple[int, int]]:
+    """One gap (x, y) per closed range, cut between the allowed
+    ``pieces``, on a grid where a quarter of each is whole keys; the
+    ranges lie apart, so each piece falls inside exactly one."""
+    cuts: list[tuple[int, int]] = []
     i = 0
-    for index, part in enumerate(parts):
+    for index, (s, e) in enumerate(ranges):
         j = i
-        while j < len(pieces) and pieces[j].hi <= part.hi:
+        while j < len(pieces) and pieces[j][1] <= e:
             j += 1
         if j == i:
             raise _ComponentEmptied(index)
         first, last = pieces[i], pieces[j - 1]
+        whole = j == i + 1
         i = j
         # Parent endpoints must survive so they stay in the limit set.
-        if not (first.lo == part.lo and first.lo_closed):
+        if first[0] != s or last[1] != e:
             raise _ComponentEmptied(index)
-        if not (last.hi == part.hi and last.hi_closed):
-            raise _ComponentEmptied(index)
-        if first is last:
-            length = part.hi - part.lo
-            x = part.lo + length * _QUARTER
-            y = part.hi - length * _QUARTER
+        if whole:
+            x, y = s + (e - s) // 4, e - (e - s) // 4
         else:
             x = _closed_within(first, from_left=False)
             y = _closed_within(last, from_left=True)
@@ -728,8 +758,17 @@ def _avoiding_cuts(
     return cuts
 
 
+def _padded_reflection(b: IntervalUnion, delta: Fraction) -> IntervalUnion:
+    """-B with each part widened to a closed interval by ``delta``."""
+    grid = lcm(b.grid, delta.denominator)
+    pad = 3 * delta.numerator * (grid // delta.denominator)
+    reflected = b.reflect()._on(grid)
+    widened = ((s - s % 3 - pad, e + e % 3 // 2 + pad) for s, e in reflected)
+    return _from_ranges(_merge(widened), grid)
+
+
 def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
-    parts: tuple[Interval, ...] = (HALF,)
+    a = IntervalUnion((HALF,))
     gaps: list[GapRecord] = []
     admitted: list[AdmittedPoint] = []
     deferred: list[Fraction] = []
@@ -739,11 +778,8 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
         if m:  # build A_m from A_{m-1}
             b = _half(spec.b_source, m)
             b_forbidden = b.union(b.translate(Fraction(1, 2)))
-            delta = quartic_margin(m)
             # -B padded by delta: admitted point d avoids d + padded.
-            padded = normalize(
-                Interval.closed(-p.hi - delta, -p.lo + delta) for p in b
-            )
+            padded = _padded_reflection(b, quartic_margin(m))
             points = [p.value for p in admitted]
             retries, deferred = deferred, []
             cuts = None
@@ -756,10 +792,12 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
                 if b_forbidden.contains_point(candidate):
                     # Certified-inside points are skipped outright.
                     continue
-                # a still holds the components of A_{m-1}.
+                # a still holds A_{m-1}.
                 allowed = a.minus_translates(padded, points_union([*points, candidate]))
+                grid = 4 * lcm(a.grid, allowed.grid)
+                ranges = a._on(grid)
                 try:
-                    cuts = _avoiding_cuts(parts, allowed)
+                    cuts = _avoiding_cuts(ranges, allowed._on(grid))
                 except _ComponentEmptied as emptied:
                     address = _address(m - 1, emptied.index)
                     events.append(DeferralEvent(candidate, address, m))
@@ -767,9 +805,8 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
             deferred = retries + deferred
             if cuts is None:
                 raise AvoidanceExhaustedError(m, attempts)
-            parts = _split(m, parts, cuts, gaps)
+            a = _split(m, grid, ranges, cuts, gaps)
             admitted.append(AdmittedPoint(candidate, m))
-        a = IntervalUnion(parts)
         stage = CantorStage(m, a, tuple(gaps), "greedy-a", frame=HALF)
         yield _GreedyStep(stage, tuple(admitted), tuple(events))
 

@@ -9,10 +9,10 @@ and returns exactly ``dump_json(stage_to_obj(stage))``.  The general
 path decodes every component into ``Fraction`` ends and, with
 ``indent=2``, makes ``json`` fall back to its pure-Python encoder; for
 the largest stages that cost more than building them.  The writer reads
-the component ends off the union's integer keys, formats the rationals
-itself and hands each string to ``json.dumps``, so the bytes, escaping
-included, stay those of the general path, which the tests keep as its
-oracle.
+the components and the endpoints off the union's integer keys, formats
+the rationals itself and hands each string to ``json.dumps``, so the
+bytes, escaping included, stay those of the general path, which the
+tests keep as its oracle.
 """
 
 from __future__ import annotations
@@ -197,12 +197,16 @@ def _interval_json(
     )
 
 
+def _ratio_text(p: int, grid: int) -> str:
+    """``p / grid`` as canonical "p/q" text, reduced with ``gcd``."""
+    g = gcd(p, grid)
+    return f"{p // g}/{grid // g}"
+
+
 def _component_json(s: int, e: int, grid: int) -> str:
     """The component of the key range ``[s, e]`` on ``grid`` (see
-    ``intervals._interval``), its ends reduced with ``gcd``."""
-    lo, hi = s // 3, (e + 1) // 3
-    g, h = gcd(lo, grid), gcd(hi, grid)
-    lo_text, hi_text = f"{lo // g}/{grid // g}", f"{hi // h}/{grid // h}"
+    ``intervals._interval``)."""
+    lo_text, hi_text = _ratio_text(s // 3, grid), _ratio_text((e + 1) // 3, grid)
     return _interval_json(lo_text, hi_text, s % 3 == 0, e % 3 == 0, "    ")
 
 
@@ -221,16 +225,18 @@ def _gap_json(gap: GapRecord) -> str:
 def stage_json(stage: CantorStage) -> str:
     """``dump_json(stage_to_obj(stage))``, written in its fixed layout.
 
-    Component ends are read off the union's keys, so no ``Interval`` or
-    ``Fraction`` is made for them; the strings go through ``json.dumps``,
-    so escaping is the encoder's.
+    The components and the endpoints are read off the union's keys, as
+    ``IntervalUnion.endpoints`` reads them, so no ``Interval`` or
+    ``Fraction`` is made for them; the strings go through
+    ``json.dumps``, so escaping is the encoder's.
     """
-    grid, frame = stage.components.grid, stage.frame
+    grid, ranges, frame = stage.components.grid, stage.components.ranges, stage.frame
+    ends = (k for s, e in ranges for k in ((s,) if s == e else (s, e + 1)))
     pieces = [
         '{\n  "components": ',
-        *_list_json(_component_json(s, e, grid) for s, e in stage.components.ranges),
+        *_list_json(_component_json(s, e, grid) for s, e in ranges),
         ',\n  "endpoints": ',
-        *_list_json(f'"{q.numerator}/{q.denominator}"' for q in stage.endpoints),
+        *_list_json(f'"{_ratio_text(k // 3, grid)}"' for k in ends),
         f',\n  "family": {json.dumps(stage.family)},\n  "frame": ',
         _interval_json(
             format_rational(frame.lo), format_rational(frame.hi),

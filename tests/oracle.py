@@ -9,14 +9,31 @@ sums), and reassembles the expected union from the flagged pieces.
 
 ``fractions_made`` counts the ``Fraction`` values a call makes, for
 the tests that keep set operations on the integer keys.
+
+``oracle_stages`` builds a spec's stages with the per-part ``Fraction``
+builders that the key builders of ``cantordiff.constructions`` replaced.
 """
 
+import itertools
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
 
 from cantordiff.analysis import ShiftInclusionResult
+from cantordiff.constructions import (
+    AdmittedPoint,
+    CantorStage,
+    CentralSpec,
+    CompositeSpec,
+    DeferralEvent,
+    GapRecord,
+    PerturbedSpec,
+    dyadic_candidates,
+    quartic_margin,
+)
+from cantordiff.errors import AvoidanceExhaustedError, InvalidSpecError
 from cantordiff.intervals import (
+    HALF,
     UNIT,
     Interval,
     IntervalUnion,
@@ -397,3 +414,227 @@ def fractions_made(monkeypatch, call):
     finally:
         monkeypatch.undo()
     return result, made
+
+
+# ---------------------------------------------------------------------
+# the Fraction stage builders that cantordiff.constructions replaced
+# with cuts on the integer keys: every part is an Interval, every cut a
+# pair of Fractions, and each composite gap is dated through a dict
+# keyed by its ends.  Each generator yields the spec's stages from 0.
+
+_QUARTER = Fraction(1, 4)
+
+
+def _split(n, parts, cuts, gaps):
+    """Stage-n parts: the open gap ``cuts[i]`` is removed from part i."""
+    comps = []
+    for idx, (part, (gl, gr)) in enumerate(zip(parts, cuts)):
+        address = format(idx, f"0{n - 1}b") if n > 1 else ""
+        gaps.append(GapRecord(address, Interval.open(gl, gr), n))
+        comps.append(Interval(part.lo, gl, True, True))
+        comps.append(Interval(gr, part.hi, True, True))
+    return tuple(comps)
+
+
+def oracle_central_stages(spec):
+    parts = (UNIT,)
+    gaps = []
+    yield CantorStage(0, IntervalUnion(parts), (), "central")
+    for n in itertools.count(1):
+        ratio = spec.ratio(n)
+        cuts = []
+        for part in parts:
+            length = part.hi - part.lo
+            child = (length - ratio * length) / 2
+            cuts.append((part.lo + child, part.hi - child))
+        parts = _split(n, parts, cuts, gaps)
+        yield CantorStage(n, IntervalUnion(parts), tuple(gaps), "central")
+
+
+def oracle_perturbed_stages(spec):
+    parts = (UNIT,)
+    gaps = []
+    c = spec.c1
+    yield CantorStage(0, IntervalUnion(parts), (), "perturbed")
+    for n in itertools.count(1):
+        if n > 1:
+            leftmost_len = parts[0].hi - parts[0].lo
+            prev, c = c, spec.shrink * min(c, leftmost_len)
+            if not c < prev:
+                raise InvalidSpecError(
+                    f"gap length fails to shrink at step {n}: {c} >= {prev}"
+                )
+            if not c < leftmost_len / 2:
+                raise InvalidSpecError(
+                    f"gap length {c} at step {n} is not below half the leftmost "
+                    f"component ({leftmost_len / 2}); pick a smaller c1 or shrink"
+                )
+        last = len(parts) - 1
+        cuts = []
+        for idx, part in enumerate(parts):
+            mid = (part.lo + part.hi) / 2
+            if n == 1:
+                cuts.append((mid - c / 2, mid + c / 2))
+            elif idx == 0:
+                cuts.append((mid, mid + c))
+            elif idx == last:
+                cuts.append((mid - c, mid))
+            else:
+                g = min(spec.interior_gap_fraction * c, (part.hi - part.lo) / 2)
+                cuts.append((mid - g / 2, mid + g / 2))
+        parts = _split(n, parts, cuts, gaps)
+        yield CantorStage(n, IntervalUnion(parts), tuple(gaps), "perturbed")
+
+
+def oracle_composite_stages(a_components, b_components, family):
+    """Composite stages from the stage-m unions of A and B on [0, 1/2];
+    a gap keeps the first stage its (lo, hi) was seen at."""
+    half_to_one = Interval.closed(Fraction(1, 2), 1)
+    gap_created = {}
+    prev_max = None
+    for m in itertools.count():
+        a = a_components(m)
+        b = b_components(m).translate(Fraction(1, 2))
+        components = a.union(a.minkowski_sum(b, within=half_to_one))
+        cur_max = components.max_component_length()
+        notes = ()
+        if prev_max is not None and cur_max >= prev_max:
+            notes = (
+                f"max component length did not decrease at stage {m} "
+                f"({cur_max} >= {prev_max}); the source pair may not "
+                f"produce a Cantor set",
+            )
+        prev_max = cur_max
+        gaps = []
+        for part in components.complement_within(UNIT):
+            created = gap_created.setdefault((part.lo, part.hi), m)
+            gaps.append(GapRecord(None, part, created))
+        ordered = tuple(sorted(gaps, key=lambda g: g.stage_created))
+        yield CantorStage(m, components, ordered, family, notes=notes)
+
+
+def _closed_within(part, from_left):
+    if from_left:
+        if part.lo_closed:
+            return part.lo
+        return part.lo + (part.hi - part.lo) * _QUARTER
+    if part.hi_closed:
+        return part.hi
+    return part.hi - (part.hi - part.lo) * _QUARTER
+
+
+class _ComponentEmptied(Exception):
+    def __init__(self, index):
+        self.index = index
+
+
+def _avoiding_cuts(parts, allowed):
+    cuts = []
+    pieces = allowed.parts
+    i = 0
+    for index, part in enumerate(parts):
+        j = i
+        while j < len(pieces) and pieces[j].hi <= part.hi:
+            j += 1
+        if j == i:
+            raise _ComponentEmptied(index)
+        first, last = pieces[i], pieces[j - 1]
+        i = j
+        if not (first.lo == part.lo and first.lo_closed):
+            raise _ComponentEmptied(index)
+        if not (last.hi == part.hi and last.hi_closed):
+            raise _ComponentEmptied(index)
+        if first is last:
+            length = part.hi - part.lo
+            x = part.lo + length * _QUARTER
+            y = part.hi - length * _QUARTER
+        else:
+            x = _closed_within(first, from_left=False)
+            y = _closed_within(last, from_left=True)
+        if not x < y:
+            raise _ComponentEmptied(index)
+        cuts.append((x, y))
+    return cuts
+
+
+def oracle_greedy_a_stages(spec):
+    """The greedy A half on [0, 1/2]; yields ``(stage, points,
+    deferrals)`` from stage 0 on."""
+    b_half = _half(spec.b_source)
+    parts = (HALF,)
+    gaps = []
+    admitted = []
+    deferred = []
+    events = []
+    stream = dyadic_candidates()
+    for m in itertools.count():
+        if m:
+            b = b_half(m)
+            b_forbidden = b.union(b.translate(Fraction(1, 2)))
+            delta = quartic_margin(m)
+            padded = normalize(
+                Interval.closed(-p.hi - delta, -p.lo + delta) for p in b
+            )
+            points = [p.value for p in admitted]
+            retries, deferred = deferred, []
+            cuts = None
+            attempts = 0
+            while cuts is None and attempts < 64:
+                attempts += 1
+                candidate = retries.pop(0) if retries else next(stream, None)
+                if candidate is None:
+                    break
+                if b_forbidden.contains_point(candidate):
+                    continue
+                allowed = a.minus_translates(padded, points_union([*points, candidate]))
+                try:
+                    cuts = _avoiding_cuts(parts, allowed)
+                except _ComponentEmptied as emptied:
+                    address = format(emptied.index, f"0{m - 1}b") if m > 1 else ""
+                    events.append(DeferralEvent(candidate, address, m))
+                    deferred.append(candidate)
+            deferred = retries + deferred
+            if cuts is None:
+                raise AvoidanceExhaustedError(m, attempts)
+            parts = _split(m, parts, cuts, gaps)
+            admitted.append(AdmittedPoint(candidate, m))
+        a = IntervalUnion(parts)
+        stage = CantorStage(m, a, tuple(gaps), "greedy-a", frame=HALF)
+        yield stage, tuple(admitted), tuple(events)
+
+
+def _unit_stages(spec):
+    if isinstance(spec, CentralSpec):
+        return oracle_central_stages(spec)
+    return oracle_perturbed_stages(spec)
+
+
+def _item(steps):
+    """Item m of the generator ``steps``, kept once built."""
+    built = []
+
+    def item(m):
+        while len(built) <= m:
+            built.append(next(steps))
+        return built[m]
+
+    return item
+
+
+def _half(source):
+    unit = _item(_unit_stages(source))
+    return lambda m: unit(m).components.scale(Fraction(1, 2))
+
+
+def oracle_stages(spec):
+    """The stages of ``spec`` from 0 on, built by the Fraction builders
+    alone; a composite's notes are kept but not raised as warnings."""
+    if isinstance(spec, (CentralSpec, PerturbedSpec)):
+        return _unit_stages(spec)
+    b = _half(spec.b_source)
+    if isinstance(spec, CompositeSpec):
+        a, family = _half(spec.a_source), "tab"
+    else:
+        a_step = _item(oracle_greedy_a_stages(spec))
+        a, family = (lambda m: a_step(m)[0].components), "greedy"
+    return oracle_composite_stages(a, b, family)

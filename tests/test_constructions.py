@@ -3,8 +3,10 @@
 import itertools
 import warnings
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantordiff import constructions
 from cantordiff.constructions import (
@@ -39,6 +41,15 @@ import oracle
 TERNARY = builtin_ternary()
 HALVING = builtin_half()
 PERTURBED = builtin_perturbed()
+
+
+@pytest.fixture
+def fresh_sequences():
+    """Clear the stage cache around a test, so that it builds its stages
+    itself and leaves no sequence behind."""
+    constructions._sequence.cache_clear()
+    yield
+    constructions._sequence.cache_clear()
 
 
 def stage_list(build, spec, n_max):
@@ -329,12 +340,6 @@ class TestGreedy:
 class TestGreedyFailureModes:
     # These specs equal builtin_fat_composite(): clear the stage cache around
     # each test so neither a cached nor a hostile sequence leaks across.
-    @pytest.fixture
-    def fresh_sequences(self):
-        constructions._sequence.cache_clear()
-        yield
-        constructions._sequence.cache_clear()
-
     def test_avoidance_deadlock_aborts_with_diagnostic(
         self, monkeypatch, fresh_sequences
     ):
@@ -451,6 +456,157 @@ class TestStagesReadOffComponents:
             stage = build(n)
             assert stage.endpoints == oracle.oracle_endpoints(stage), n
             assert stage.gap_union() == oracle.oracle_gap_union(stage), n
+
+
+_ratios = st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=10)
+
+
+@st.composite
+def central_specs(draw):
+    """A constant, list-with-tail or geometric central spec."""
+    rule = draw(st.sampled_from(("constant", "list", "geometric")))
+    if rule == "constant":
+        return CentralSpec.constant(draw(_ratios))
+    if rule == "list":
+        listed = tuple(draw(st.lists(_ratios, min_size=1, max_size=3)))
+        return CentralSpec.from_list(listed, draw(_ratios))
+    return CentralSpec.geometric(draw(_ratios))
+
+
+@st.composite
+def perturbed_specs(draw):
+    """A perturbed spec with shrink other than 1/2 and interior gaps
+    below the aligned length; large shrinks are refused at some step."""
+    return PerturbedSpec(
+        draw(_ratios),
+        draw(_ratios.filter(lambda q: q != F(1, 2))),
+        draw(_ratios),
+    )
+
+
+def assert_stages_match_the_oracle(spec, build, n_max):
+    """Stages 0..n_max equal the Fraction builders' stage by stage, and a
+    refused step is refused on both paths with the same message."""
+    expected = oracle.oracle_stages(spec)
+    for n in range(n_max + 1):
+        try:
+            stage = next(expected)
+        except InvalidSpecError as refusal:
+            with pytest.raises(InvalidSpecError) as caught:
+                build(spec, n)
+            assert str(caught.value) == str(refusal)
+            return
+        # components, every gap's interval, address and stage_created,
+        # the notes, the family and the frame
+        assert build(spec, n) == stage, n
+
+
+class TestKeyBuildersMatchTheFractionOracle:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(central_specs())
+    def test_central(self, spec):
+        assert_stages_match_the_oracle(spec, central_stage, 7)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(perturbed_specs())
+    def test_perturbed(self, spec):
+        assert_stages_match_the_oracle(spec, perturbed_stage, 7)
+
+    def test_perturbed_refusal(self):
+        # c1 = 1/2 with shrink 1/2 hits the half-component wall at step 2
+        assert_stages_match_the_oracle(PerturbedSpec(F(1, 2)), perturbed_stage, 3)
+        with pytest.raises(InvalidSpecError, match="not below half the leftmost"):
+            perturbed_stage(PerturbedSpec(F(1, 2)), 2)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            builtin_composite_pair(),
+            CompositeSpec(HALVING, CentralSpec.constant(F(3, 4))),
+            builtin_fat_composite(),
+        ],
+        ids=["tab-1_2-1_2", "tab-1_2-3_4", "greedy-1_4"],
+    )
+    def test_composite(self, spec):
+        assert_stages_match_the_oracle(spec, lambda s, n: s.stage(n), 8)
+
+    def test_greedy_a_half(self):
+        spec = builtin_fat_composite()
+        expected = oracle.oracle_greedy_a_stages(spec)
+        for n in range(9):
+            stage, points, deferrals = next(expected)
+            assert greedy_stage(spec, n).a_stage == stage, n
+            cert = greedy_certificate(spec, n)
+            assert (cert.points, cert.deferrals) == (points, deferrals), n
+
+    def test_composite_dates_grown_gaps_as_new(self):
+        # With B = {0} the composite is A | ((A + 1/2) & [1/2, 1]); its
+        # gap (1/8, 3/8) grows to the right at stage 2 and to the left
+        # at stage 3, and each time becomes a new gap.
+        a_stages = [
+            union_of(Interval.closed(0, F(1, 2))),
+            union_of(Interval.closed(0, F(1, 8)), Interval.closed(F(3, 8), F(1, 2))),
+            union_of(Interval.closed(0, F(1, 8)), Interval.closed(F(7, 16), F(1, 2))),
+            union_of(Interval.closed(0, F(1, 16)), Interval.closed(F(7, 16), F(1, 2))),
+        ]
+        zero = union_of(Interval.point(0))
+        sources = (a_stages.__getitem__, lambda m: zero, "tab")
+        built = constructions._composite_steps(*sources)
+        expected = oracle.oracle_composite_stages(*sources)
+        for m in range(4):
+            assert next(built) == next(expected), m
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        st.lists(_ratios, min_size=2, max_size=8, unique=True),
+        st.lists(
+            st.tuples(_ratios, _ratios, st.booleans(), st.booleans()), max_size=4
+        ),
+    )
+    def test_avoiding_cuts(self, ends, removed):
+        # Closed parts, and the pieces of them left after removing
+        # random intervals, cut on the keys and on Fractions alike.
+        ends = sorted(ends)[: len(ends) // 2 * 2]
+        a = union_of(*map(Interval.closed, ends[::2], ends[1::2]))
+        holes = [
+            Interval(min(p, q), max(p, q), lc, hc)
+            for p, q, lc, hc in removed
+            if p != q
+        ]
+        allowed = a.difference(union_of(*holes))
+        grid = 4 * lcm(a.grid, allowed.grid)
+        try:
+            expected = oracle._avoiding_cuts(a.parts, allowed)
+        except oracle._ComponentEmptied as emptied:
+            with pytest.raises(constructions._ComponentEmptied) as caught:
+                constructions._avoiding_cuts(a._on(grid), allowed._on(grid))
+            assert caught.value.index == emptied.index
+            return
+        cuts = constructions._avoiding_cuts(a._on(grid), allowed._on(grid))
+        assert [(F(x, 3 * grid), F(y, 3 * grid)) for x, y in cuts] == expected
+
+
+class TestBuildersWorkOnTheKeys:
+    def test_central_makes_two_fractions_per_gap_record(
+        self, monkeypatch, fresh_sequences
+    ):
+        # Each gap record decodes its two ends; the rest is a few
+        # Fractions per step for the child length.
+        stage, made = oracle.fractions_made(
+            monkeypatch, lambda: central_stage(TERNARY, 12)
+        )
+        assert len(made) <= 2 * len(stage.gaps) + 6 * 12, len(made)
+
+    def test_composite_keeps_the_records_of_unchanged_gaps(self):
+        # Every gap of tab 1/2, 1/2 stays a gap of the next stage.
+        stages = stage_list(composite_stage, builtin_composite_pair(), 8)
+        for prev, cur in zip(stages, stages[1:]):
+            earlier = {g.interval: g for g in prev.gaps}
+            kept = [g for g in cur.gaps if g.interval in earlier]
+            assert len(kept) == len(prev.gaps), cur.n
+            for g in kept:
+                assert g is earlier[g.interval], (cur.n, g)
+                assert g.stage_created == earlier[g.interval].stage_created
 
 
 class TestBranchShift:

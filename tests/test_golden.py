@@ -29,6 +29,23 @@ TAB = {
     "a": {"family": "central", "ratios": "1/2"},
     "b": {"family": "central", "ratios": "1/2"},
 }
+LIST_CENTRAL = {
+    "family": "central",
+    "ratios": {"rule": "list", "values": ["1/2", "1/5"], "tail": "2/7"},
+}
+GEOMETRIC = {"family": "central", "ratios": {"rule": "geometric", "base": "1/3"}}
+PERTURBED_INTERIOR = {
+    "family": "perturbed",
+    "c1": "1/5",
+    "shrink": "2/5",
+    "interior_gap_fraction": "1/3",
+}
+PERTURBED_REFUSED = {"family": "perturbed", "c1": "1/2"}
+TAB_HALF_THREE_QUARTERS = {
+    "family": "tab",
+    "a": {"family": "central", "ratios": "1/2"},
+    "b": {"family": "central", "ratios": "3/4"},
+}
 GREEDY = {
     "family": "greedy",
     "b": {"family": "central", "ratios": {"rule": "geometric", "base": "1/4"}},
@@ -41,7 +58,18 @@ CASES = {
         TERNARY, ["construct", "--max-stage", "6", "--budget", "16"]
     ),
     "construct-perturbed": (PERTURBED, ["construct", "--max-stage", "4"]),
+    "construct-central-list": (LIST_CENTRAL, ["construct", "--max-stage", "4"]),
+    "construct-central-geometric": (GEOMETRIC, ["construct", "--max-stage", "4"]),
+    "construct-perturbed-interior": (
+        PERTURBED_INTERIOR, ["construct", "--max-stage", "4"]
+    ),
+    "construct-perturbed-refused": (
+        PERTURBED_REFUSED, ["construct", "--max-stage", "3"]
+    ),
     "construct-tab": (TAB, ["construct", "--max-stage", "5"]),
+    "construct-tab-1_2-3_4": (
+        TAB_HALF_THREE_QUARTERS, ["construct", "--max-stage", "5"]
+    ),
     "construct-greedy": (GREEDY, ["construct", "--max-stage", "5"]),
     "construct-tab-over-budget": (
         TAB, ["construct", "--max-stage", "4", "--budget", "8"]
