@@ -475,11 +475,7 @@ class PerturbedSpec:
             if n > 1:
                 s, e = union.ranges[0]
                 leftmost_len = Fraction(e - s, 3 * union.grid)
-                prev, c = c, self.shrink * min(c, leftmost_len)
-                if not c < prev:
-                    raise InvalidSpecError(
-                        f"gap length fails to shrink at step {n}: {c} >= {prev}"
-                    )
+                c = self.shrink * min(c, leftmost_len)
                 if not c < leftmost_len / 2:
                     raise InvalidSpecError(
                         f"gap length {c} at step {n} is not below half the leftmost "
@@ -640,10 +636,11 @@ class GreedySpec:
     """Builds A inside [0, 1/2] avoiding translated copies of B.
 
     At each stage m one new avoidance point is admitted from
-    :func:`dyadic_candidates` (deferred candidates retried first); every
-    component of A splits into two closed children that keep the parent
-    endpoints and stay clear of every admitted point's avoidance set,
-    padded by ``quartic_margin(m)``.
+    :func:`dyadic_candidates` (deferred candidates retried first): the
+    first whose avoidance set, like every admitted point's, padded by
+    ``quartic_margin(m)``, misses A_{m-1}.  Every component of A keeps
+    its outer quarters, so A is the central 1/2 set scaled into
+    [0, 1/2]; the construction chooses the points.
     """
 
     b_source: HalfSourceSpec
@@ -713,51 +710,6 @@ class _GreedyA:
 _MAX_STAGE_ATTEMPTS = 64
 
 
-class _ComponentEmptied(Exception):
-    def __init__(self, index: int):
-        self.index = index
-
-
-def _closed_within(piece: _Range, from_left: bool) -> int:
-    """A closed cut key strictly inside an allowed piece's open side."""
-    s, e = piece
-    lo, hi = s - s % 3, e + e % 3 // 2  # the closed keys of its ends
-    if from_left:
-        return s if s == lo else lo + (hi - lo) // 4
-    return e if e == hi else hi - (hi - lo) // 4
-
-
-def _avoiding_cuts(
-    ranges: Sequence[_Range], pieces: Sequence[_Range]
-) -> list[tuple[int, int]]:
-    """One gap (x, y) per closed range, cut between the allowed
-    ``pieces``, on a grid where a quarter of each is whole keys; the
-    ranges lie apart, so each piece falls inside exactly one."""
-    cuts: list[tuple[int, int]] = []
-    i = 0
-    for index, (s, e) in enumerate(ranges):
-        j = i
-        while j < len(pieces) and pieces[j][1] <= e:
-            j += 1
-        if j == i:
-            raise _ComponentEmptied(index)
-        first, last = pieces[i], pieces[j - 1]
-        whole = j == i + 1
-        i = j
-        # Parent endpoints must survive so they stay in the limit set.
-        if first[0] != s or last[1] != e:
-            raise _ComponentEmptied(index)
-        if whole:
-            x, y = s + (e - s) // 4, e - (e - s) // 4
-        else:
-            x = _closed_within(first, from_left=False)
-            y = _closed_within(last, from_left=True)
-        if not x < y:
-            raise _ComponentEmptied(index)
-        cuts.append((x, y))
-    return cuts
-
-
 def _padded_reflection(b: IntervalUnion, delta: Fraction) -> IntervalUnion:
     """-B with each part widened to a closed interval by ``delta``."""
     grid = lcm(b.grid, delta.denominator)
@@ -782,9 +734,8 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
             padded = _padded_reflection(b, quartic_margin(m))
             points = [p.value for p in admitted]
             retries, deferred = deferred, []
-            cuts = None
-            attempts = 0
-            while cuts is None and attempts < _MAX_STAGE_ATTEMPTS:
+            whole, attempts = False, 0
+            while not whole and attempts < _MAX_STAGE_ATTEMPTS:
                 attempts += 1
                 candidate = retries.pop(0) if retries else next(stream, None)
                 if candidate is None:  # the candidate stream ran out
@@ -794,17 +745,28 @@ def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
                     continue
                 # a still holds A_{m-1}.
                 allowed = a.minus_translates(padded, points_union([*points, candidate]))
-                grid = 4 * lcm(a.grid, allowed.grid)
-                ranges = a._on(grid)
-                try:
-                    cuts = _avoiding_cuts(ranges, allowed._on(grid))
-                except _ComponentEmptied as emptied:
-                    address = _address(m - 1, emptied.index)
-                    events.append(DeferralEvent(candidate, address, m))
+                whole = allowed == a
+                if not whole:
+                    grid = lcm(a.grid, allowed.grid)
+                    kept = set(allowed._on(grid))
+                    index = next(i for i, r in enumerate(a._on(grid)) if r not in kept)
+                    events.append(DeferralEvent(candidate, _address(m - 1, index), m))
                     deferred.append(candidate)
             deferred = retries + deferred
-            if cuts is None:
+            if not whole:
                 raise AvoidanceExhaustedError(m, attempts)
+            # A_m keeps the outer quarters of every component.  Each
+            # component of A_{m-1} is 1/2 * 4^-(m-1) = 2 * 4^-m long, and
+            # each part of the padded -B is at least twice the margin long,
+            # so no shorter while the margin is at least 4^-m.  A closed
+            # interval that meets a closed component no longer than itself
+            # contains one of its ends, so a candidate leaves each component
+            # whole or takes an end, and A_m is the central 1/2 set on
+            # [0, 1/2] whatever B is.  Avoidance does not rest on this: A_m
+            # lies inside the A_{m-1} that every admitted point left whole.
+            grid = 4 * a.grid
+            ranges = a._on(grid)
+            cuts = [(s + (e - s) // 4, e - (e - s) // 4) for s, e in ranges]
             a = _split(m, grid, ranges, cuts, gaps)
             admitted.append(AdmittedPoint(candidate, m))
         stage = CantorStage(m, a, tuple(gaps), "greedy-a", frame=HALF)

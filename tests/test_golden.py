@@ -50,6 +50,9 @@ GREEDY = {
     "family": "greedy",
     "b": {"family": "central", "ratios": {"rule": "geometric", "base": "1/4"}},
 }
+# greedy with a perturbed B source and with a constant one
+GREEDY_PERTURBED = {"family": "greedy", "b": PERTURBED}
+GREEDY_TWO_THIRDS = {"family": "greedy", "b": {"family": "central", "ratios": "2/3"}}
 
 # name -> (spec, CLI arguments after the subcommand's --spec/--out)
 CASES = {
@@ -71,6 +74,9 @@ CASES = {
         TAB_HALF_THREE_QUARTERS, ["construct", "--max-stage", "5"]
     ),
     "construct-greedy": (GREEDY, ["construct", "--max-stage", "5"]),
+    "construct-greedy-perturbed": (
+        GREEDY_PERTURBED, ["construct", "--max-stage", "6"]
+    ),
     "construct-tab-over-budget": (
         TAB, ["construct", "--max-stage", "4", "--budget", "8"]
     ),
@@ -92,6 +98,9 @@ CASES = {
     "verify-ts3": (PERTURBED, ["verify", "ts3", "--max-stage", "5"]),
     "verify-tab": (TAB, ["verify", "tab", "--max-stage", "5"]),
     "verify-tab-greedy": (GREEDY, ["verify", "tab", "--max-stage", "3"]),
+    "verify-tab-greedy-2_3": (
+        GREEDY_TWO_THIRDS, ["verify", "tab", "--max-stage", "6"]
+    ),
     "verify-cspm": (GREEDY, ["verify", "cspm", "--max-stage", "5"]),
     "verify-steinhaus-central": (TERNARY, ["verify", "steinhaus", "--max-stage", "4"]),
     "verify-steinhaus-tab": (TAB, ["verify", "steinhaus", "--max-stage", "3"]),
