@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidSpecError, InvariantError, NotCertifiableError
+from .errors import InvariantError, NotCertifiableError
 from .intervals import (
     BOX,
     UNIT,
@@ -83,14 +83,6 @@ _BOX_UNION = IntervalUnion((BOX,))
 _OPEN_BOX_UNION = IntervalUnion((Interval.open(-1, 1),))
 
 
-def _require_unit_frame(stage: CantorStage) -> None:
-    if stage.frame != UNIT:
-        raise InvalidSpecError(
-            "difference brackets are defined for stages on [0,1]; "
-            f"got frame {stage.frame}"
-        )
-
-
 def inner_difference(stage: CantorStage) -> IntervalUnion:
     """Certified subset of the true difference set.
 
@@ -102,7 +94,6 @@ def inner_difference(stage: CantorStage) -> IntervalUnion:
     (-1, 1), so their union is [-1,1] minus what ``minus_translates``
     leaves of [-1,1], which never forms the gap x endpoint product.
     """
-    _require_unit_frame(stage)
     # The part ends of the reflected components are the negated endpoints.
     gaps, shifts = stage.gap_union(), stage.components.reflect()
     return _BOX_UNION.difference(_BOX_UNION.minus_translates(gaps, shifts))
@@ -117,7 +108,6 @@ def outer_difference(stage: CantorStage) -> IntervalUnion:
     checks pass.  A point component or another hull would break that
     argument, so both are refused.
     """
-    _require_unit_frame(stage)
     components = stage.components
     if components.point_parts():
         raise InvariantError(
@@ -309,7 +299,6 @@ def shift_inclusion_check(
             raise ValueError("Y stages must be nested decreasing")
     last_index = 0
     for index, (stage, y) in enumerate(zip(c_stages, y_stages)):
-        _require_unit_frame(stage)
         reached = stage.components.minkowski_sum(y, within=UNIT)
         escaped = reached.difference(stage.components)
         if not escaped.is_empty:

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .intervals import (
     EMPTY,
-    HALF,
     UNIT,
     Interval,
     IntervalUnion,
@@ -71,7 +70,6 @@ __all__ = [
     "AdmittedPoint",
     "DeferralEvent",
     "GreedyCertificate",
-    "GreedyStages",
     "central_stage",
     "rightmost_branch_gap_end",
     "perturbed_stage",
@@ -128,7 +126,8 @@ class GapRecord:
 
 @dataclass(frozen=True, slots=True)
 class CantorStage:
-    """Finite-stage approximation of a Cantor set on ``frame``.
+    """Finite-stage approximation of a Cantor set on ``frame``, [0, 1]
+    for every family.
 
     ``components`` are the surviving closed parts and ``gaps`` the
     removal records ordered by (stage_created, position), whose
@@ -141,8 +140,9 @@ class CantorStage:
     components: IntervalUnion
     gaps: tuple[GapRecord, ...]
     family: str
-    frame: Interval = UNIT
     notes: tuple[str, ...] = ()
+
+    frame = UNIT
 
     @property
     def endpoints(self) -> tuple[Fraction, ...]:
@@ -335,12 +335,12 @@ def _split(
 # False when a stage must be built to count them), to_obj() for the
 # JSON dialect, stage(n, budget=...) for its unit-frame stage through
 # the family's public function, and _steps(), the generator of its
-# stage sequence.  The binary builders (central, perturbed and the
-# greedy A half) hold their stage as its union, whose key ranges are
-# the parts (see ``cantordiff.intervals``).  Each step lifts them to a
-# step grid on which every cut is a whole closed key, chooses one gap
-# (x, y) per part and cuts them all with ``_split``, which names each
-# gap record by ``_address``.
+# stage sequence.  The binary builders (central and perturbed) hold
+# their stage as its union, whose key ranges are the parts (see
+# ``cantordiff.intervals``).  Each step lifts them to a step grid on
+# which every cut is a whole closed key, chooses one gap (x, y) per part
+# and cuts them all with ``_split``, which names each gap record by
+# ``_address``.
 
 
 @dataclass(frozen=True)
@@ -631,16 +631,20 @@ def quartic_margin(n: int) -> Fraction:
     return Fraction(1, 4 ** n)
 
 
+_CENTRAL_HALF = CentralSpec.constant(Fraction(1, 2))
+
+
 @dataclass(frozen=True)
 class GreedySpec:
-    """Builds A inside [0, 1/2] avoiding translated copies of B.
+    """The composite of A, the central 1/2 set, and B, each on [0, 1/2]:
+    its stages are those of ``tab`` (central 1/2, B) under the family
+    name ``"greedy"``.
 
-    At each stage m one new avoidance point is admitted from
-    :func:`dyadic_candidates` (deferred candidates retried first): the
-    first whose avoidance set, like every admitted point's, padded by
-    ``quartic_margin(m)``, misses A_{m-1}.  Every component of A keeps
-    its outer quarters, so A is the central 1/2 set scaled into
-    [0, 1/2]; the construction chooses the points.
+    :func:`greedy_certificate` alone chooses avoidance points for A: at
+    each stage m one point is admitted from :func:`dyadic_candidates`
+    (deferred candidates retried first), the first whose avoidance set,
+    like every admitted point's, padded by ``quartic_margin(m)``, leaves
+    A_{m-1} whole.  The stages never read the points.
     """
 
     b_source: HalfSourceSpec
@@ -651,12 +655,11 @@ class GreedySpec:
         return {"family": "greedy", "b": self.b_source.to_obj()}
 
     def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
-        return greedy_stage(self, n, budget=budget).c_stage
+        return greedy_stage(self, n, budget=budget)
 
     def _steps(self) -> Iterator[CantorStage]:
-        a_half = _GreedyA(self)
         return _composite_steps(
-            lambda m: _sequence(a_half).get(m).stage.components,
+            functools.partial(_half, _CENTRAL_HALF),
             functools.partial(_half, self.b_source),
             "greedy",
         )
@@ -683,30 +686,6 @@ class GreedyCertificate:
     verified: bool
 
 
-class GreedyStages(NamedTuple):
-    a_stage: CantorStage  # on [0, 1/2]
-    c_stage: CantorStage  # composite on [0, 1]
-
-
-class _GreedyStep(NamedTuple):
-    stage: CantorStage  # A on [0, 1/2]
-    points: tuple[AdmittedPoint, ...]
-    deferrals: tuple[DeferralEvent, ...]
-
-
-@dataclass(frozen=True)
-class _GreedyA:
-    """Cache key of a greedy spec's A half, whose sequence yields one
-    :class:`_GreedyStep` per stage."""
-
-    spec: GreedySpec
-
-    binary = True
-
-    def _steps(self) -> Iterator[_GreedyStep]:
-        return _greedy_a_steps(self.spec)
-
-
 _MAX_STAGE_ATTEMPTS = 64
 
 
@@ -719,65 +698,55 @@ def _padded_reflection(b: IntervalUnion, delta: Fraction) -> IntervalUnion:
     return _from_ranges(_merge(widened), grid)
 
 
-def _greedy_a_steps(spec: GreedySpec) -> Iterator[_GreedyStep]:
-    a = IntervalUnion((HALF,))
-    gaps: list[GapRecord] = []
+def _greedy_points(
+    spec: GreedySpec, n: int
+) -> tuple[tuple[AdmittedPoint, ...], tuple[DeferralEvent, ...]]:
+    """The points admitted at stages 1..n and the deferrals on the way.
+
+    A candidate is admitted at stage m only when the padded -B, moved by
+    it and by every earlier point, leaves A_{m-1} whole; one that cuts a
+    component waits, recorded at that component's address.
+    """
     admitted: list[AdmittedPoint] = []
     deferred: list[Fraction] = []
     events: list[DeferralEvent] = []
     stream = dyadic_candidates()
-    for m in itertools.count():
-        if m:  # build A_m from A_{m-1}
-            b = _half(spec.b_source, m)
-            b_forbidden = b.union(b.translate(Fraction(1, 2)))
-            # -B padded by delta: admitted point d avoids d + padded.
-            padded = _padded_reflection(b, quartic_margin(m))
-            points = [p.value for p in admitted]
-            retries, deferred = deferred, []
-            whole, attempts = False, 0
-            while not whole and attempts < _MAX_STAGE_ATTEMPTS:
-                attempts += 1
-                candidate = retries.pop(0) if retries else next(stream, None)
-                if candidate is None:  # the candidate stream ran out
-                    break
-                if b_forbidden.contains_point(candidate):
-                    # Certified-inside points are skipped outright.
-                    continue
-                # a still holds A_{m-1}.
-                allowed = a.minus_translates(padded, points_union([*points, candidate]))
-                whole = allowed == a
-                if not whole:
-                    grid = lcm(a.grid, allowed.grid)
-                    kept = set(allowed._on(grid))
-                    index = next(i for i, r in enumerate(a._on(grid)) if r not in kept)
-                    events.append(DeferralEvent(candidate, _address(m - 1, index), m))
-                    deferred.append(candidate)
-            deferred = retries + deferred
+    for m in range(1, n + 1):
+        a = _half(_CENTRAL_HALF, m - 1)
+        b = _half(spec.b_source, m)
+        b_forbidden = b.union(b.translate(Fraction(1, 2)))
+        # -B padded by delta: admitted point d avoids d + padded.
+        padded = _padded_reflection(b, quartic_margin(m))
+        points = [p.value for p in admitted]
+        retries, deferred = deferred, []
+        whole, attempts = False, 0
+        while not whole and attempts < _MAX_STAGE_ATTEMPTS:
+            attempts += 1
+            candidate = retries.pop(0) if retries else next(stream, None)
+            if candidate is None:  # the candidate stream ran out
+                break
+            if b_forbidden.contains_point(candidate):
+                # Certified-inside points are skipped outright.
+                continue
+            allowed = a.minus_translates(padded, points_union([*points, candidate]))
+            whole = allowed == a
             if not whole:
-                raise AvoidanceExhaustedError(m, attempts)
-            # A_m keeps the outer quarters of every component.  Each
-            # component of A_{m-1} is 1/2 * 4^-(m-1) = 2 * 4^-m long, and
-            # each part of the padded -B is at least twice the margin long,
-            # so no shorter while the margin is at least 4^-m.  A closed
-            # interval that meets a closed component no longer than itself
-            # contains one of its ends, so a candidate leaves each component
-            # whole or takes an end, and A_m is the central 1/2 set on
-            # [0, 1/2] whatever B is.  Avoidance does not rest on this: A_m
-            # lies inside the A_{m-1} that every admitted point left whole.
-            grid = 4 * a.grid
-            ranges = a._on(grid)
-            cuts = [(s + (e - s) // 4, e - (e - s) // 4) for s, e in ranges]
-            a = _split(m, grid, ranges, cuts, gaps)
-            admitted.append(AdmittedPoint(candidate, m))
-        stage = CantorStage(m, a, tuple(gaps), "greedy-a", frame=HALF)
-        yield _GreedyStep(stage, tuple(admitted), tuple(events))
+                grid = lcm(a.grid, allowed.grid)
+                kept = set(allowed._on(grid))
+                index = next(i for i, r in enumerate(a._on(grid)) if r not in kept)
+                events.append(DeferralEvent(candidate, _address(m - 1, index), m))
+                deferred.append(candidate)
+        deferred = retries + deferred
+        if not whole:
+            raise AvoidanceExhaustedError(m, attempts)
+        admitted.append(AdmittedPoint(candidate, m))
+    return tuple(admitted), tuple(events)
 
 
 def greedy_stage(
     spec: GreedySpec, n: int, *, budget: int = DEFAULT_BUDGET
-) -> GreedyStages:
-    a = _stage(_GreedyA(spec), n, budget)
-    return GreedyStages(a.stage, _stage(spec, n, budget))
+) -> CantorStage:
+    return _stage(spec, n, budget)
 
 
 def greedy_certificate(
@@ -785,12 +754,11 @@ def greedy_certificate(
 ) -> GreedyCertificate:
     """Check that no admitted point is reachable as a sum from A_n + B_n:
     p is in A + B iff A meets p - B, so no translate of -B may cut A."""
-    a = _stage(_GreedyA(spec), n, budget)
+    a = _stage(_CENTRAL_HALF, n, budget).components.scale(Fraction(1, 2))
+    points, deferrals = _greedy_points(spec, n)
     b = half_scaled_components(spec.b_source, n, budget=budget)
-    components = a.stage.components
-    points = points_union(p.value for p in a.points)
-    unreached = components.minus_translates(b.reflect(), points)
-    return GreedyCertificate(n, a.points, a.deferrals, unreached == components)
+    unreached = a.minus_translates(b.reflect(), points_union(p.value for p in points))
+    return GreedyCertificate(n, points, deferrals, unreached == a)
 
 
 # ---------------------------------------------------------------------

@@ -557,12 +557,16 @@ def _avoiding_cuts(parts, allowed):
     return cuts
 
 
+def oracle_padded_reflection(b, delta):
+    """-B with each part widened to a closed interval by ``delta``."""
+    return normalize(Interval.closed(-p.hi - delta, -p.lo + delta) for p in b)
+
+
 def oracle_greedy_a_stages(spec):
-    """The greedy A half on [0, 1/2]; yields ``(stage, points,
-    deferrals)`` from stage 0 on."""
+    """The greedy A half on [0, 1/2], cut where the admitted points allow;
+    yields ``(components, points, deferrals)`` from stage 0 on."""
     b_half = _half(spec.b_source)
     parts = (HALF,)
-    gaps = []
     admitted = []
     deferred = []
     events = []
@@ -571,10 +575,7 @@ def oracle_greedy_a_stages(spec):
         if m:
             b = b_half(m)
             b_forbidden = b.union(b.translate(Fraction(1, 2)))
-            delta = quartic_margin(m)
-            padded = normalize(
-                Interval.closed(-p.hi - delta, -p.lo + delta) for p in b
-            )
+            padded = oracle_padded_reflection(b, quartic_margin(m))
             points = [p.value for p in admitted]
             retries, deferred = deferred, []
             cuts = None
@@ -596,11 +597,10 @@ def oracle_greedy_a_stages(spec):
             deferred = retries + deferred
             if cuts is None:
                 raise AvoidanceExhaustedError(m, attempts)
-            parts = _split(m, parts, cuts, gaps)
+            parts = _split(m, parts, cuts, [])
             admitted.append(AdmittedPoint(candidate, m))
         a = IntervalUnion(parts)
-        stage = CantorStage(m, a, tuple(gaps), "greedy-a", frame=HALF)
-        yield stage, tuple(admitted), tuple(events)
+        yield a, tuple(admitted), tuple(events)
 
 
 def _unit_stages(spec):
@@ -636,5 +636,5 @@ def oracle_stages(spec):
         a, family = _half(spec.a_source), "tab"
     else:
         a_step = _item(oracle_greedy_a_stages(spec))
-        a, family = (lambda m: a_step(m)[0].components), "greedy"
+        a, family = (lambda m: a_step(m)[0]), "greedy"
     return oracle_composite_stages(a, b, family)

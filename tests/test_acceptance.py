@@ -62,7 +62,7 @@ def _family_stage(key, n):
     if key == "tab":
         return composite_stage(TAB, n)
     if key == "fat":
-        return greedy_stage(FAT, n).c_stage
+        return greedy_stage(FAT, n)
     raise KeyError(key)
 
 
@@ -222,7 +222,7 @@ def test_c5_tab_cspm_certification():
             ("base-1/4", FAT, F(166, 100)),
             ("base-1/16", FAT_THIN, F(154, 100)),
         ):
-            c_stages = [greedy_stage(spec, n).c_stage for n in range(9)]
+            c_stages = [greedy_stage(spec, n) for n in range(9)]
             y_stages = [
                 half_scaled_components(spec.b_source, n).translate(F(1, 2))
                 for n in range(9)

@@ -25,6 +25,7 @@ from cantordiff.analysis import (
 from cantordiff.constructions import (
     CantorStage,
     CentralSpec,
+    GreedySpec,
     PerturbedSpec,
     builtin_composite_pair,
     builtin_fat_composite,
@@ -57,7 +58,7 @@ BUILTIN_FAMILIES = {
     "halving": lambda n: central_stage(HALVING, n),
     "perturbed": lambda n: perturbed_stage(builtin_perturbed(), n),
     "tab": lambda n: composite_stage(builtin_composite_pair(), n),
-    "greedy": lambda n: greedy_stage(builtin_fat_composite(), n).c_stage,
+    "greedy": lambda n: greedy_stage(builtin_fat_composite(), n),
 }
 
 
@@ -165,6 +166,24 @@ class TestInnerDifference:
                 inner_difference(stage).measure()
                 == oracle.oracle_covered_measure(stage)
             )
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            CentralSpec.geometric(F(1, 4)),
+            CentralSpec.geometric(F(1, 256)),
+            CentralSpec.constant(F(1, 10)),
+        ],
+        ids=["geometric-1_4", "geometric-1_256", "constant-1_10"],
+    )
+    def test_greedy_inner_measure_closed_form(self, source):
+        # For these fat B the inner bracket misses 3/2 by an amount that
+        # does not depend on B: 2^-(n+1) + 3 * 2^-(2n+1).  It fails at
+        # every n for B geometric 1/3 or constant 2/3.
+        spec = GreedySpec(source)
+        for n in range(2, 9):
+            missed = F(3, 2) - inner_difference(spec.stage(n)).measure()
+            assert missed == F(1, 2 ** (n + 1)) + F(3, 2 ** (2 * n + 1)), n
 
 
 class TestOuterDifference:
@@ -505,7 +524,7 @@ class TestZoneRows:
 
     def test_fat_composite_keeps_upper_band(self):
         spec = builtin_fat_composite()
-        stage = greedy_stage(spec, 4).c_stage
+        stage = greedy_stage(spec, 4)
         row = zone_measure_rows([difference_bracket(stage)])[0]
         b4 = half_scaled_components(spec.b_source, 4)
         assert row.near_positive + row.far_positive >= b4.measure()

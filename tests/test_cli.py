@@ -423,3 +423,15 @@ def test_cli_import_leaves_logging_out():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    # A name left in __all__ after its definition goes breaks
+    # ``from module import *``.
+    import importlib
+    import pkgutil
+
+    for info in pkgutil.iter_modules(cantordiff.__path__):
+        module = importlib.import_module(f"cantordiff.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (info.name, missing)

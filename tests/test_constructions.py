@@ -1,5 +1,6 @@
 """Tests for the four stage generators."""
 
+import dataclasses
 import itertools
 import warnings
 from fractions import Fraction as F
@@ -91,6 +92,31 @@ class TestCentral:
         assert s.components == union_of(
             Interval.closed(0, F(1, 4)), Interval.closed(F(3, 4), 1)
         )
+
+    def test_base_case(self):
+        s = central_stage(HALVING, 0)
+        assert s.components == union_of(UNIT)
+        assert s.gaps == ()
+        assert s.frame == UNIT
+
+    def test_endpoints_retained_and_split_binary(self):
+        for n in range(7):
+            s = central_stage(HALVING, n)
+            assert len(s.components.parts) == 2 ** n
+            assert s.components.contains_point(0)
+            assert s.components.contains_point(1)
+        prev, nxt = central_stage(HALVING, 5), central_stage(HALVING, 6)
+        assert nxt.components.is_subset(prev.components)
+        assert set(prev.endpoints) <= set(nxt.endpoints)
+
+    def test_gaps_are_addressed_by_their_index_in_the_step(self):
+        gaps = central_stage(HALVING, 8).gaps
+        for k in range(1, 9):
+            addresses = [g.address for g in gaps if g.stage_created == k]
+            width = k - 1
+            assert addresses == [
+                format(i, "b").zfill(width) if width else "" for i in range(2**width)
+            ]
 
     def test_component_count_and_endpoints(self):
         s = central_stage(TERNARY, 5)
@@ -202,13 +228,10 @@ class TestComposite:
     def test_stages_match_the_full_product(self, spec):
         # The stage sums only the pairs that reach [1/2, 1], and reads
         # its endpoints and gaps off the union it builds.
+        a_source = HALVING if isinstance(spec, GreedySpec) else spec.a_source
         for m in range(7):
-            if isinstance(spec, GreedySpec):
-                stages = greedy_stage(spec, m)
-                a, stage = stages.a_stage.components, stages.c_stage
-            else:
-                a = half_scaled_components(spec.a_source, m)
-                stage = composite_stage(spec, m)
+            a = half_scaled_components(a_source, m)
+            stage = spec.stage(m)
             b = half_scaled_components(spec.b_source, m)
             assert stage.components == oracle.minkowski_composite_components(a, b)
             assert stage.endpoints == oracle.oracle_endpoints(stage)
@@ -260,26 +283,18 @@ class TestComposite:
 
 
 class TestGreedy:
-    def test_base_case(self):
-        st = greedy_stage(builtin_fat_composite(), 0)
-        assert st.a_stage.components == union_of(Interval.closed(0, F(1, 2)))
-        assert st.a_stage.frame == Interval.closed(0, F(1, 2))
-
-    def test_endpoints_retained_and_split_binary(self):
-        g = builtin_fat_composite()
-        for n in range(7):
-            a = greedy_stage(g, n).a_stage
-            assert len(a.components.parts) == 2 ** n
-            assert a.components.contains_point(0)
-            assert a.components.contains_point(F(1, 2))
-        prev = greedy_stage(g, 5).a_stage
-        nxt = greedy_stage(g, 6).a_stage
-        assert nxt.components.is_subset(prev.components)
-        assert set(prev.endpoints) <= set(nxt.endpoints)
+    @pytest.mark.filterwarnings("ignore:max component length did not decrease")
+    @pytest.mark.parametrize("source", GREEDY_B_SOURCES.values(), ids=GREEDY_B_SOURCES)
+    def test_stages_are_tab_central_half(self, source):
+        # Only the family name tells a greedy stage from a tab one.
+        tab = CompositeSpec(HALVING, source)
+        for n in range(9):
+            expected = dataclasses.replace(composite_stage(tab, n), family="greedy")
+            assert greedy_stage(GreedySpec(source), n) == expected, n
 
     def test_deferrals_are_pinned(self):
         # At stages 7 and 8 the candidates 1/4 and 3/4 each empty one
-        # component of A and wait; no output digest covers the A half.
+        # component of A and wait.
         deferrals = greedy_certificate(builtin_fat_composite(), 8).deferrals
         assert deferrals == (
             (F(1, 4), "010000", 7),
@@ -288,14 +303,26 @@ class TestGreedy:
             (F(3, 4), "1000000", 8),
         )
 
-    def test_gaps_are_addressed_by_their_index_in_the_step(self):
-        gaps = greedy_stage(builtin_fat_composite(), 8).a_stage.gaps
-        for k in range(1, 9):
-            addresses = [g.address for g in gaps if g.stage_created == k]
-            width = k - 1
-            assert addresses == [
-                format(i, "b").zfill(width) if width else "" for i in range(2**width)
-            ]
+    @pytest.mark.parametrize("source", GREEDY_B_SOURCES.values(), ids=GREEDY_B_SOURCES)
+    def test_margin_is_quartic(self, monkeypatch, source):
+        # Stage m pads -B by 4^-m, so each padded part is at least as long
+        # as a component of A_{m-1}; no point or deferral shows the margin.
+        real = constructions._padded_reflection
+        calls = []
+
+        def spy(b, delta):
+            padded = real(b, delta)
+            calls.append((b, delta, padded))
+            return padded
+
+        monkeypatch.setattr(constructions, "_padded_reflection", spy)
+        greedy_certificate(GreedySpec(source), 8)
+        assert len(calls) == 8
+        for m, (b, delta, padded) in enumerate(calls, start=1):
+            assert delta == F(1, 4**m), m
+            assert b == half_scaled_components(source, m), m
+            assert padded == oracle.oracle_padded_reflection(b, delta), m
+            assert all(p.length >= 2 * delta for p in padded), m
 
     def test_certificate(self):
         g = builtin_fat_composite()
@@ -307,23 +334,20 @@ class TestGreedy:
         # The Minkowski form of the same verdict.
         for n in range(7):
             cert = greedy_certificate(g, n)
-            a = greedy_stage(g, n).a_stage.components
+            a = half_scaled_components(HALVING, n)
             reachable = a.minkowski_sum(half_scaled_components(g.b_source, n))
             assert cert.verified
             assert not any(reachable.contains_point(p.value) for p in cert.points)
 
     def test_certificate_flags_a_reachable_point(self, monkeypatch):
         # 0 is in A_n and in B_n, so an admitted 0 = 0 + 0 is reachable.
-        real_stage = constructions._stage
+        real_points = constructions._greedy_points
 
-        def with_zero(spec, n, budget):
-            got = real_stage(spec, n, budget)
-            if isinstance(spec, constructions._GreedyA):
-                zero = constructions.AdmittedPoint(F(0), n)
-                got = got._replace(points=got.points + (zero,))
-            return got
+        def with_zero(spec, n):
+            points, deferrals = real_points(spec, n)
+            return points + (constructions.AdmittedPoint(F(0), n),), deferrals
 
-        monkeypatch.setattr(constructions, "_stage", with_zero)
+        monkeypatch.setattr(constructions, "_greedy_points", with_zero)
         cert = greedy_certificate(builtin_fat_composite(), 4)
         assert cert.points[-1].value == 0
         assert not cert.verified
@@ -337,22 +361,8 @@ class TestGreedy:
                 expected *= 1 - F(1, 4) ** j
             assert b.measure() == expected
 
-    def test_c_stage_is_composite(self):
-        g = builtin_fat_composite()
-        st = greedy_stage(g, 3)
-        a = st.a_stage.components
-        b = half_scaled_components(g.b_source, 3)
-        e = (
-            a.minkowski_sum(b)
-            .translate(F(1, 2))
-            .intersect(union_of(Interval.closed(F(1, 2), 1)))
-        )
-        assert st.c_stage.components == a.union(e)
-
 
 class TestGreedyFailureModes:
-    # These specs equal builtin_fat_composite(): clear the stage cache around
-    # each test so neither a cached nor a hostile sequence leaks across.
     def test_avoidance_deadlock_aborts_with_diagnostic(
         self, monkeypatch, fresh_sequences
     ):
@@ -364,15 +374,19 @@ class TestGreedyFailureModes:
         monkeypatch.setattr(constructions, "quartic_margin", hostile_margin)
         spec = GreedySpec(CentralSpec.geometric(F(1, 4)))
         with pytest.raises(AvoidanceExhaustedError):
-            greedy_stage(spec, 1)
+            greedy_certificate(spec, 1)
+        # The stages never read the points: built afresh under the hostile
+        # margin, they are still tab (central 1/2, B).
+        tab = composite_stage(CompositeSpec(HALVING, spec.b_source), 1)
+        assert greedy_stage(spec, 1) == dataclasses.replace(tab, family="greedy")
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             greedy_stage(builtin_fat_composite(), 6, budget=16)
+        with pytest.raises(BudgetExceededError):
+            greedy_certificate(builtin_fat_composite(), 6, budget=16)
 
-    def test_failed_build_is_not_kept_for_the_next_request(
-        self, monkeypatch, fresh_sequences
-    ):
+    def test_failed_search_is_not_kept_for_the_next_request(self, monkeypatch):
         # 64 certified-inside candidates exhaust stage 1; a retry must start
         # from a fresh candidate stream, not from the one the failure consumed
         from cantordiff.errors import AvoidanceExhaustedError
@@ -385,7 +399,7 @@ class TestGreedyFailureModes:
         spec = GreedySpec(CentralSpec.geometric(F(1, 4)))
         for _ in range(2):
             with pytest.raises(AvoidanceExhaustedError):
-                greedy_stage(spec, 1)
+                greedy_certificate(spec, 1)
 
 
 class TestCompositeBudget:
@@ -417,7 +431,7 @@ class TestParallelGeneration:
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             tab_results = list(pool.map(lambda n: composite_stage(spec, n), [6] * 8))
             greedy_results = list(
-                pool.map(lambda n: greedy_stage(greedy, n).c_stage, [6] * 8)
+                pool.map(lambda n: greedy_stage(greedy, n), [6] * 8)
             )
         assert all(s == tab_results[0] for s in tab_results)
         assert all(s == greedy_results[0] for s in greedy_results)
@@ -457,14 +471,12 @@ class TestStagesReadOffComponents:
             lambda n: central_stage(CentralSpec.geometric(F(1, 4)), n),
             lambda n: perturbed_stage(PERTURBED, n),
             lambda n: composite_stage(builtin_composite_pair(), n),
-            lambda n: greedy_stage(builtin_fat_composite(), n).a_stage,
-            lambda n: greedy_stage(builtin_fat_composite(), n).c_stage,
+            lambda n: central_stage(HALVING, n),
+            lambda n: greedy_stage(builtin_fat_composite(), n),
         ],
-        ids=["ternary", "geometric-1_4", "perturbed", "tab", "greedy-a", "greedy"],
+        ids=["ternary", "geometric-1_4", "perturbed", "tab", "halving", "greedy"],
     )
     def test_endpoints_and_gap_union_match_the_records(self, build):
-        # The greedy A half lies on [0, 1/2]: its gaps are taken within
-        # that frame, not within [0, 1].
         for n in range(7):
             stage = build(n)
             assert stage.endpoints == oracle.oracle_endpoints(stage), n
@@ -543,27 +555,19 @@ class TestKeyBuildersMatchTheFractionOracle:
     def test_composite(self, spec):
         assert_stages_match_the_oracle(spec, lambda s, n: s.stage(n), 8)
 
-    @pytest.mark.filterwarnings("ignore:max component length did not decrease")
     def test_greedy_a_half(self):
-        # The oracle keeps the Fraction cut rule that may cut between
-        # several allowed pieces of one component; no source reaches it.
+        # The oracle cuts A itself, with the Fraction cut rule that may cut
+        # between several allowed pieces of one component (no source
+        # reaches it); A comes out the central 1/2 set on [0, 1/2], and
+        # the points and deferrals are the certificate's.
         for name, source in GREEDY_B_SOURCES.items():
             spec = GreedySpec(source)
             expected = oracle.oracle_greedy_a_stages(spec)
             for n in range(9):
-                stage, points, deferrals = next(expected)
-                assert greedy_stage(spec, n).a_stage == stage, (name, n)
+                a, points, deferrals = next(expected)
+                assert a == half_scaled_components(HALVING, n), (name, n)
                 cert = greedy_certificate(spec, n)
                 assert (cert.points, cert.deferrals) == (points, deferrals), (name, n)
-
-    @pytest.mark.filterwarnings("ignore:max component length did not decrease")
-    @pytest.mark.parametrize("source", GREEDY_B_SOURCES.values(), ids=GREEDY_B_SOURCES)
-    def test_greedy_a_half_is_the_central_half_set(self, source):
-        # Each padded part of -B is at least as long as a component of
-        # A_{m-1}, so every stage keeps the outer quarters whatever B is.
-        for n in range(9):
-            a = greedy_stage(GreedySpec(source), n).a_stage.components
-            assert a == central_stage(HALVING, n).components.scale(F(1, 2)), n
 
     def test_composite_dates_grown_gaps_as_new(self):
         # With B = {0} the composite is A | ((A + 1/2) & [1/2, 1]); its

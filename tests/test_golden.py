@@ -102,6 +102,8 @@ CASES = {
         GREEDY_TWO_THIRDS, ["verify", "tab", "--max-stage", "6"]
     ),
     "verify-cspm": (GREEDY, ["verify", "cspm", "--max-stage", "5"]),
+    # stages 7 and 8 defer the candidates 1/4 and 3/4
+    "verify-cspm-deferrals": (GREEDY, ["verify", "cspm", "--max-stage", "8"]),
     "verify-steinhaus-central": (TERNARY, ["verify", "steinhaus", "--max-stage", "4"]),
     "verify-steinhaus-tab": (TAB, ["verify", "steinhaus", "--max-stage", "3"]),
 }

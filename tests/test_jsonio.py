@@ -14,10 +14,9 @@ from cantordiff.constructions import (
     builtin_ternary,
     central_stage,
     composite_stage,
-    greedy_stage,
 )
 from cantordiff.errors import InvalidSpecError
-from cantordiff.intervals import HALF, Interval, normalize
+from cantordiff.intervals import Interval, normalize
 
 import oracle
 from cantordiff.jsonio import (
@@ -163,12 +162,6 @@ def test_stage_writer_addresses():
     assert "01" in {g.address for g in central.gaps}
     for stage in (tab, central):
         assert_written_as_oracle(stage)
-
-
-def test_stage_writer_greedy_a_half():
-    stage = greedy_stage(GreedySpec(CentralSpec.geometric(F(1, 4))), 5).a_stage
-    assert stage.frame == HALF
-    assert_written_as_oracle(stage)
 
 
 def test_stage_writer_escapes_notes_as_the_encoder():
