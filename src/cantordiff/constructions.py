@@ -14,6 +14,18 @@ cuts every key range at once, and a composite step dates its gaps by
 looking up the complement's key ranges among the previous stage's.
 Each gap record is decoded into its ``Interval`` once, when it is made.
 
+A composite stage's sum ``(A_m + B_m + 1/2) & [1/2, 1]`` is built from
+the previous stage where the sources allow it.  With both sources
+central, a step shrinks every component from ``l`` to ``l'`` and moves
+the right child ``d = l - l'``, so a pair sum's four child sums start
+``0, dA, dB, dA + dB`` after it, each ``lA' + lB'`` long; they cover it
+iff ``min(dA, dB) <= lA' + lB'`` and ``|dA - dB| <= lA' + lB'``, and then
+the sum is the previous stage's.  A central source summed with itself
+keeps the distinct sums of two left ends, at most 3^m of them, less
+those above 1/2: a pair's descendants never start before it, so such a
+pair never reaches [1/2, 1] after the shift by 1/2.  Every other step
+takes the windowed Minkowski sum.
+
 Every spec has one stage sequence, built one step at a time by its
 family's step generator and kept in one bounded cache keyed by the spec
 alone.  A component budget limits each request, not what is cached, and
@@ -554,21 +566,93 @@ class CompositeSpec:
     def _steps(self) -> Iterator[CantorStage]:
         return _composite_steps(
             functools.partial(_half, self.a_source),
-            functools.partial(_half, self.b_source),
+            _source_sums(self.a_source, self.b_source),
             "tab",
         )
 
 
 _HALF_TO_ONE = Interval.closed(Fraction(1, 2), 1)
+_UPPER_HALF = IntervalUnion((_HALF_TO_ONE,))
+
+
+def _windowed_sum(a: IntervalUnion, b: IntervalUnion) -> IntervalUnion:
+    """(a + b + 1/2) & [1/2, 1] by the windowed Minkowski sum."""
+    return a.minkowski_sum(b.translate(Fraction(1, 2)), within=_HALF_TO_ONE)
+
+
+def _grown_offsets(
+    offsets: list[int], grid: int, deltas: Sequence[Fraction]
+) -> tuple[list[int], int]:
+    """The sorted distinct sums of two left ends of a central source with
+    itself: ``offsets`` on ``grid`` grown by ``{0, d, 2d}`` for each step's
+    shift ``d``, on a grid that holds 1/2 and every ``d``.  An offset above
+    1/2 is dropped, since a pair's descendants never start before it."""
+    old = grid
+    grid = lcm(grid, 2, *(d.denominator for d in deltas))
+    offsets = [s * (grid // old) for s in offsets]
+    half = grid // 2
+    for d in deltas:
+        k = d.numerator * (grid // d.denominator)
+        grown = {t for s in offsets for t in (s, s + k, s + 2 * k)}
+        offsets = sorted(t for t in grown if t <= half)
+    return offsets, grid
+
+
+def _offset_sum(offsets: Sequence[int], grid: int, width: Fraction) -> IntervalUnion:
+    """The union of ``[s, s + width]`` over the offsets, moved by 1/2 and
+    met with [1/2, 1]; ``grid`` holds 1/2 and ``width``."""
+    half = grid // 2
+    w = width.numerator * (grid // width.denominator)
+    ranges = _merge((3 * (s + half), 3 * min(s + half + w, grid)) for s in offsets)
+    return _from_ranges(ranges, grid)
+
+
+def _source_sums(
+    a_source: HalfSourceSpec, b_source: HalfSourceSpec
+) -> Iterator[IntervalUnion | None]:
+    """``(A_m + B_m + 1/2) & [1/2, 1]`` for m = 0, 1, ..., with A_m and B_m
+    the stage-m components of the sources on [0, 1/2]; None for a sum
+    that is the previous stage's.
+
+    With both sources central, a step whose children cover every pair
+    (the test in the module docstring) yields None.  A central source
+    summed with itself is the union of ``[s, s + 2l]`` over the distinct
+    sums ``s`` of two left ends (``_grown_offsets``).  Every other step
+    takes the windowed Minkowski sum of the two stages.
+    """
+    central = isinstance(a_source, CentralSpec) and isinstance(b_source, CentralSpec)
+    same = central and a_source == b_source
+    la = lb = Fraction(1, 2)  # the component lengths on [0, 1/2]
+    offsets, grid, deltas = [0], 1, []  # deltas: the shifts not yet in offsets
+    for m in itertools.count():
+        if m and central:
+            da, db = la * (1 + a_source.ratio(m)) / 2, lb * (1 + b_source.ratio(m)) / 2
+            la, lb = la - da, lb - db
+            if same:
+                deltas.append(da)
+            if min(da, db) <= la + lb and abs(da - db) <= la + lb:
+                yield None
+                continue
+        if same:
+            offsets, grid = _grown_offsets(offsets, grid, deltas)
+            deltas = []
+            yield _offset_sum(offsets, grid, 2 * la)
+        else:
+            yield _windowed_sum(_half(a_source, m), _half(b_source, m))
 
 
 def _composite_steps(
     a_components: Callable[[int], IntervalUnion],
-    b_components: Callable[[int], IntervalUnion],
+    sums: Iterator[IntervalUnion | None],
     family: str,
 ) -> Iterator[CantorStage]:
-    """Composite stages from the stage-m unions of A and B on [0, 1/2],
-    tracking when each maximal gap of the complement first appeared.
+    """Composite stages from the stage-m unions of A on [0, 1/2] and the
+    stage-m sums ``(A_m + B_m + 1/2) & [1/2, 1]``, tracking when each
+    maximal gap of the complement first appeared.
+
+    A sum given as None is the previous stage's, read off its components:
+    A lies in [0, 1/2] and both sources hold 0, so the sum holds 1/2 and
+    is the part of the composite in [1/2, 1].
 
     The sources shrink from stage to stage, so the composite does too
     and a gap only grows: a gap of stage m that is no gap of stage m-1
@@ -579,9 +663,11 @@ def _composite_steps(
     prev_gaps, prev_records = EMPTY, []  # the records in position order
     prev_max: Fraction | None = None
     for m in itertools.count():
-        a = a_components(m)
-        b = b_components(m).translate(Fraction(1, 2))
-        components = a.union(a.minkowski_sum(b, within=_HALF_TO_ONE))
+        total = next(sums)
+        if total is None:
+            total = components.intersect(_UPPER_HALF)
+        components = a_components(m).union(total)
+        del total  # held by the stage alone, not across steps
         cur_max = components.max_component_length()
         notes: tuple[str, ...] = ()
         if prev_max is not None and cur_max >= prev_max:
@@ -660,7 +746,7 @@ class GreedySpec:
     def _steps(self) -> Iterator[CantorStage]:
         return _composite_steps(
             functools.partial(_half, _CENTRAL_HALF),
-            functools.partial(_half, self.b_source),
+            _source_sums(_CENTRAL_HALF, self.b_source),
             "greedy",
         )
 

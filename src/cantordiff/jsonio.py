@@ -22,7 +22,7 @@ from decimal import Context
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .constructions import (
     CantorStage,
@@ -266,16 +266,21 @@ def _fields(obj: dict, path: str, what: str, keys: tuple, other: tuple) -> list:
     return [obj[key] for key in keys]
 
 
-def _rational(value: Any, path: str) -> Fraction:
+def _at(path: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, a refusal of it prefixed by ``path``."""
     try:
-        return parse_rational(value)
+        return make(*args, **kwargs)
     except InvalidSpecError as exc:
         raise InvalidSpecError(f"{path}: {exc}") from exc
 
 
+def _rational(value: Any, path: str) -> Fraction:
+    return _at(path, parse_rational, value)
+
+
 def _ratios_from_obj(obj: Any, path: str) -> RatioRule:
     if isinstance(obj, str):
-        return ConstantRatios(_rational(obj, path))
+        return _at(path, ConstantRatios, _rational(obj, path))
     if not isinstance(obj, dict) or "rule" not in obj:
         raise InvalidSpecError(
             f"{path}: ratios must be a 'p/q' string or a rule object"
@@ -283,18 +288,22 @@ def _ratios_from_obj(obj: Any, path: str) -> RatioRule:
     kind = obj["rule"]
     if kind == "constant":
         (value,) = _fields(obj, path, "constant rule", ("value",), ("rule",))
-        return ConstantRatios(_rational(value, f"{path}.value"))
+        path = f"{path}.value"
+        return _at(path, ConstantRatios, _rational(value, path))
     if kind == "list":
         values, tail = _fields(obj, path, "list rule", ("values", "tail"), ("rule",))
         if not isinstance(values, list):
             raise InvalidSpecError(f"{path}.values: expected a list of rationals")
-        return ListRatios(
+        return _at(
+            path,
+            ListRatios,
             tuple(_rational(v, f"{path}.values[{i}]") for i, v in enumerate(values)),
             _rational(tail, f"{path}.tail"),
         )
     if kind == "geometric":
         (base,) = _fields(obj, path, "geometric rule", ("base",), ("rule",))
-        return GeometricRatios(_rational(base, f"{path}.base"))
+        path = f"{path}.base"
+        return _at(path, GeometricRatios, _rational(base, path))
     raise InvalidSpecError(f"{path}: unknown ratio rule {kind!r}")
 
 
@@ -314,7 +323,7 @@ def spec_from_obj(obj: Any, *, path: str = "spec") -> FamilySpec:
         (c1,) = _fields(obj, path, "perturbed spec", ("c1",), ("family", *optional))
         c1 = _rational(c1, f"{path}.c1")
         kwargs = {k: _rational(obj[k], f"{path}.{k}") for k in optional if k in obj}
-        return PerturbedSpec(c1, **kwargs)
+        return _at(path, PerturbedSpec, c1, **kwargs)
     if family == "tab":
         a, b = _fields(obj, path, "tab spec", ("a", "b"), ("family",))
         a = spec_from_obj(a, path=f"{path}.a")

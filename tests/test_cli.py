@@ -73,6 +73,20 @@ def test_invalid_ratio_is_config_error(tmp_path, capsys):
     assert "ratio out of (0,1)" in capsys.readouterr().err
 
 
+def test_out_of_range_source_ratio_names_its_path(tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({
+        "family": "tab",
+        "a": {"family": "central", "ratios": "1/2"},
+        "b": {"family": "central", "ratios": "3/2"},
+    }))
+    code = main(
+        ["construct", "--spec", str(spec), "--max-stage", "1", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "spec.b.ratios: ratio out of (0,1)" in capsys.readouterr().err
+
+
 def test_malformed_json_reports_line(tmp_path, capsys):
     spec = tmp_path / "broken.json"
     spec.write_text('{"family":\n "central",,}')

@@ -33,7 +33,7 @@ from cantordiff.errors import (
     BudgetExceededError,
     InvalidSpecError,
 )
-from cantordiff.intervals import UNIT, Interval, union_of
+from cantordiff.intervals import UNIT, Interval, IntervalUnion, union_of
 
 import oracle
 
@@ -270,10 +270,11 @@ class TestComposite:
     def test_max_component_warning_path(self):
         # a source that never refines cannot shrink the components;
         # the composite step must report it instead of silently accepting
-        from cantordiff.constructions import _composite_steps
+        from cantordiff.constructions import _composite_steps, _windowed_sum
 
         frozen = union_of(Interval.closed(0, F(1, 2)))
-        steps = _composite_steps(lambda n: frozen, lambda n: frozen, "tab")
+        sums = itertools.repeat(_windowed_sum(frozen, frozen))
+        steps = _composite_steps(lambda n: frozen, sums, "tab")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             next(steps)
@@ -526,6 +527,19 @@ def assert_stages_match_the_oracle(spec, build, n_max):
         assert build(spec, n) == stage, n
 
 
+@st.composite
+def composite_specs(draw):
+    """A tab spec on two central sources, a third of them with A = B, or
+    a greedy spec on a central B."""
+    a = draw(central_specs())
+    kind = draw(st.sampled_from(("same", "pair", "greedy")))
+    if kind == "same":
+        return CompositeSpec(a, a)
+    if kind == "pair":
+        return CompositeSpec(a, draw(central_specs()))
+    return GreedySpec(a)
+
+
 class TestKeyBuildersMatchTheFractionOracle:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(central_specs())
@@ -543,17 +557,34 @@ class TestKeyBuildersMatchTheFractionOracle:
         with pytest.raises(InvalidSpecError, match="not below half the leftmost"):
             perturbed_stage(PerturbedSpec(F(1, 2)), 2)
 
+    # The stage sum is reused where a step's children cover every pair,
+    # built from the offsets where A = B, and windowed elsewhere.
+    @pytest.mark.filterwarnings("ignore:max component length did not decrease")
     @pytest.mark.parametrize(
         "spec",
         [
-            builtin_composite_pair(),
-            CompositeSpec(HALVING, CentralSpec.constant(F(3, 4))),
-            builtin_fat_composite(),
+            builtin_composite_pair(),  # A = B, no step covers
+            CompositeSpec(HALVING, CentralSpec.constant(F(3, 4))),  # none covers
+            builtin_fat_composite(),  # every step covers
+            CompositeSpec(TERNARY, TERNARY),  # A = B, every step covers
+            CompositeSpec(  # steps 1 and 2 do not cover, 3-8 do
+                CentralSpec.constant(F(1, 3)), CentralSpec.constant(F(2, 5))
+            ),
+            GreedySpec(PERTURBED),  # a perturbed B: every step windowed
         ],
-        ids=["tab-1_2-1_2", "tab-1_2-3_4", "greedy-1_4"],
+        ids=[
+            "tab-1_2-1_2", "tab-1_2-3_4", "greedy-1_4", "tern-tern", "tab-1_3-2_5",
+            "greedy-perturbed",
+        ],
     )
     def test_composite(self, spec):
         assert_stages_match_the_oracle(spec, lambda s, n: s.stage(n), 8)
+
+    @pytest.mark.filterwarnings("ignore:max component length did not decrease")
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(composite_specs())
+    def test_composite_on_central_sources(self, spec):
+        assert_stages_match_the_oracle(spec, lambda s, n: s.stage(n), 7)
 
     def test_greedy_a_half(self):
         # The oracle cuts A itself, with the Fraction cut rule that may cut
@@ -580,9 +611,11 @@ class TestKeyBuildersMatchTheFractionOracle:
             union_of(Interval.closed(0, F(1, 16)), Interval.closed(F(7, 16), F(1, 2))),
         ]
         zero = union_of(Interval.point(0))
-        sources = (a_stages.__getitem__, lambda m: zero, "tab")
-        built = constructions._composite_steps(*sources)
-        expected = oracle.oracle_composite_stages(*sources)
+        sums = (constructions._windowed_sum(a, zero) for a in a_stages)
+        built = constructions._composite_steps(a_stages.__getitem__, sums, "tab")
+        expected = oracle.oracle_composite_stages(
+            a_stages.__getitem__, lambda m: zero, "tab"
+        )
         for m in range(4):
             assert next(built) == next(expected), m
 
@@ -608,6 +641,45 @@ class TestBuildersWorkOnTheKeys:
             for g in kept:
                 assert g is earlier[g.interval], (cur.n, g)
                 assert g.stage_created == earlier[g.interval].stage_created
+
+    @pytest.mark.filterwarnings("ignore:max component length did not decrease")
+    @pytest.mark.parametrize(
+        "spec, calls",
+        [
+            (builtin_composite_pair(), lambda n: 0),  # A = B: the offsets
+            (builtin_fat_composite(), lambda n: 1),  # stage 0, then reused
+            (  # stages 0-2, then reused
+                CompositeSpec(
+                    CentralSpec.constant(F(1, 3)), CentralSpec.constant(F(2, 5))
+                ),
+                lambda n: min(n + 1, 3),
+            ),
+            (
+                CompositeSpec(HALVING, CentralSpec.constant(F(3, 4))),
+                lambda n: n + 1,  # no step covers
+            ),
+            (  # steps 1-4 cover, 5 on do not
+                GreedySpec(CentralSpec.constant(F(1, 10))),
+                lambda n: max(1, n - 3),
+            ),
+        ],
+        ids=["tab-1_2-1_2", "greedy-1_4", "tab-1_3-2_5", "tab-1_2-3_4", "greedy-1_10"],
+    )
+    def test_windowed_sums_are_taken_only_where_needed(
+        self, spec, calls, monkeypatch, fresh_sequences
+    ):
+        # Only the composite sums call minkowski_sum while stages are built.
+        made = []
+        windowed = IntervalUnion.minkowski_sum
+
+        def counted(self, *args, **kwargs):
+            made.append(args)
+            return windowed(self, *args, **kwargs)
+
+        monkeypatch.setattr(IntervalUnion, "minkowski_sum", counted)
+        for n in range(10):
+            spec.stage(n)
+            assert len(made) == calls(n), n
 
 
 class TestBranchShift:

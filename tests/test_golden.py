@@ -53,6 +53,7 @@ GREEDY = {
 # greedy with a perturbed B source and with a constant one
 GREEDY_PERTURBED = {"family": "greedy", "b": PERTURBED}
 GREEDY_TWO_THIRDS = {"family": "greedy", "b": {"family": "central", "ratios": "2/3"}}
+GREEDY_TENTH = {"family": "greedy", "b": {"family": "central", "ratios": "1/10"}}
 
 # name -> (spec, CLI arguments after the subcommand's --spec/--out)
 CASES = {
@@ -77,6 +78,9 @@ CASES = {
     "construct-greedy-perturbed": (
         GREEDY_PERTURBED, ["construct", "--max-stage", "6"]
     ),
+    # steps 1-4 reuse the previous sum (their children cover every pair)
+    # and steps 5-6 do not: the hand-over between the two sum paths
+    "construct-greedy-1_10": (GREEDY_TENTH, ["construct", "--max-stage", "6"]),
     "construct-tab-over-budget": (
         TAB, ["construct", "--max-stage", "4", "--budget", "8"]
     ),

@@ -194,6 +194,9 @@ def test_spec_shorthand_constant_ratio():
     assert spec == CentralSpec.constant(F(1, 3))
 
 
+_CENTRAL = {"family": "central", "ratios": "1/2"}
+
+
 @pytest.mark.parametrize(
     "obj,fragment",
     [
@@ -226,14 +229,35 @@ def test_spec_shorthand_constant_ratio():
              "ratios": {"rule": "list", "values": ["1/3", "2e-1"], "tail": "1/3"}},
             r"^spec\.ratios\.values\[1\]: invalid rational",
         ),
+        # a value out of range is refused at its path as well
+        (
+            {"family": "tab", "a": _CENTRAL,
+             "b": {"family": "central", "ratios": "3/2"}},
+            r"^spec\.b\.ratios: ratio out of \(0,1\)$",
+        ),
+        (
+            {"family": "greedy",
+             "b": {"family": "central", "ratios": {"rule": "geometric", "base": "1"}}},
+            r"^spec\.b\.ratios\.base: ratio out of \(0,1\)$",
+        ),
+        (
+            {"family": "central",
+             "ratios": {"rule": "list", "values": ["1/3"], "tail": "0/1"}},
+            r"^spec\.ratios: ratio out of \(0,1\)$",
+        ),
+        (
+            {"family": "tab", "a": {"family": "perturbed", "c1": "2"}, "b": _CENTRAL},
+            r"^spec\.a: c1 out of \(0,1\)$",
+        ),
+        (
+            {"family": "perturbed", "c1": "1/5", "shrink": "1"},
+            r"^spec: shrink out of \(0,1\)$",
+        ),
     ],
 )
 def test_spec_errors(obj, fragment):
     with pytest.raises(InvalidSpecError, match=fragment):
         spec_from_obj(obj)
-
-
-_CENTRAL = {"family": "central", "ratios": "1/2"}
 
 
 @pytest.mark.parametrize(
