@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import InvariantError, NotCertifiableError
@@ -222,18 +223,20 @@ def dominant_gap_certificate(
         )
     if a > b:
         raise NotCertifiableError("window ends out of order")
-    if a <= gap.interval.lo and gap.interval.hi <= b:
+    interval = gap.interval
+    if a <= interval.lo and interval.hi <= b:
         raise NotCertifiableError("window must not contain the gap")
-    gap_length = gap.interval.length
+    gap_length = interval.length
     window = IntervalUnion((Interval.closed(a, b),))
     max_component = stage.components.intersect(window).max_component_length()
+    # The recorded gaps inside [a, b], tested on their numerators.
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     recorded = [
-        g
-        for g in stage.gaps
-        if a <= g.interval.lo and g.interval.hi <= b
+        g for g in stage.gaps if an * g.grid <= g.lo * ad and g.hi * bd <= bn * g.grid
     ]
-    max_recorded = max((g.interval.length for g in recorded), default=Fraction(0))
-    certified = Interval.open(gap.interval.lo - b, gap.interval.hi - a)
+    lengths = [Fraction(g.hi - g.lo, g.grid) for g in recorded]
+    max_recorded = max(lengths, default=Fraction(0))
+    certified = Interval.open(interval.lo - b, interval.hi - a)
     if gap_length < max_component:
         raise NotCertifiableError(
             f"gap length {gap_length} is below the window's component bound "
@@ -245,9 +248,9 @@ def dominant_gap_certificate(
         )
     exceptions = tuple(
         sorted(
-            gap.interval.lo - g.interval.lo
-            for g in recorded
-            if g.interval.length == gap_length
+            interval.lo - Fraction(g.lo, g.grid)
+            for g, length in zip(recorded, lengths)
+            if length == gap_length
         )
     )
     mode = "non-strict" if exceptions else "strict"
@@ -402,14 +405,14 @@ def rightmost_gap_chain(
     stage = central_stage(spec, stage_n, budget=budget)
     links: list[GapChainLink] = []
     prev_right = Fraction(0)
-    by_position: dict[tuple[Fraction, Fraction], GapRecord] = {
-        (g.interval.lo, g.interval.hi): g for g in stage.gaps
-    }
+    # The records by their numerators on their canonical grids.
+    by_position = {(g.lo, g.hi, g.grid): g for g in stage.gaps}
     for k in steps:
         # Rightmost gap created at step k lies in the all-ones branch.
         lo = 1 - spec.component_length(k - 1) * (1 + spec.ratio(k)) / 2
         hi = 1 - spec.component_length(k)
-        gap = by_position[(lo, hi)]
+        grid = lcm(lo.denominator, hi.denominator)  # canonical for (lo, hi)
+        gap = by_position[(lo * grid, hi * grid, grid)]  # whole: they hash as ints
         cert = dominant_gap_certificate(stage, gap, 0, lo - prev_right)
         if cert.certified != Interval.open(prev_right, hi):
             raise InvariantError(

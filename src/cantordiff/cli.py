@@ -14,9 +14,8 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-from .analysis import DiffBracket, difference_bracket, zone_measure_rows
 from .constructions import DEFAULT_BUDGET, max_binary_stage
 from .errors import CantorDiffError
 from .jsonio import (
@@ -29,9 +28,16 @@ from .jsonio import (
     load_spec_file,
     stage_json,
 )
-from .verify import SUITES, family_stage, run_suite
+
+if TYPE_CHECKING:
+    from .analysis import DiffBracket
 
 __all__ = ["main", "entrypoint"]
+
+# The keys of ``verify.SUITES``, sorted: ``analysis`` and ``verify`` are
+# imported only by the commands that run them, so ``construct`` does not
+# pay for them at start-up.
+_SUITE_NAMES = ("ccp", "cspm", "steinhaus", "t13", "tab", "tamc", "ts3")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -74,7 +80,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     out = Path(args.out)
     max_stage = _clamped_max_stage(spec, args.max_stage, args.budget)
     # Build every stage before writing, so a refused stage leaves no files.
-    stages = [family_stage(spec, n, budget=args.budget) for n in range(max_stage + 1)]
+    stages = [spec.stage(n, budget=args.budget) for n in range(max_stage + 1)]
     for n, stage in enumerate(stages):
         _write_text(out / f"stage_{n:03d}.json", stage_json(stage))
         _write_text(
@@ -85,10 +91,15 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _stage_brackets(args: argparse.Namespace) -> list[DiffBracket]:
+    from .analysis import difference_bracket
+
     spec = load_spec_file(args.spec)
     max_stage = _clamped_max_stage(spec, args.max_stage, args.budget)
+    # Build up to the deepest stage first, so a refused stage is refused
+    # before any bracket is computed; the stages stay cached for these.
+    spec.stage(max_stage, budget=args.budget)
     return [
-        difference_bracket(family_stage(spec, n, budget=args.budget))
+        difference_bracket(spec.stage(n, budget=args.budget))
         for n in range(max_stage + 1)
     ]
 
@@ -154,6 +165,8 @@ def _scan_column(field: str, value: int | Fraction) -> str:
 
 
 def _cmd_measure_scan(args: argparse.Namespace) -> int:
+    from .analysis import zone_measure_rows
+
     rows = [
         {_scan_column(f, v): v for f, v in asdict(r).items()}
         for r in zone_measure_rows(_stage_brackets(args))
@@ -165,6 +178,8 @@ def _cmd_measure_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
+
     spec = load_spec_file(args.spec)
     max_stage = _clamped_max_stage(spec, args.max_stage, args.budget)
     report = run_suite(args.suite, spec, max_stage, budget=args.budget)
@@ -212,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, (func, help_text, flags) in commands.items():
         p = sub.add_parser(name, help=help_text)
         if name == "verify":
-            p.add_argument("suite", choices=sorted(SUITES))
+            p.add_argument("suite", choices=_SUITE_NAMES)
         p.add_argument("--spec", required=True, help="spec JSON file")
         p.add_argument("--max-stage", type=_stage_number, default=4)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

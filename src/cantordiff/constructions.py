@@ -12,7 +12,8 @@ Stages are built on the integer keys of :mod:`cantordiff.intervals`: a
 binary step computes its cuts as whole closed keys on a step grid and
 cuts every key range at once, and a composite step dates its gaps by
 looking up the complement's key ranges among the previous stage's.
-Each gap record is decoded into its ``Interval`` once, when it is made.
+Each gap record holds its ends as numerators on its canonical grid, made
+from the key range of the gap, so no ``Fraction`` is made per gap.
 
 A composite stage's sum ``(A_m + B_m + 1/2) & [1/2, 1]`` is built from
 the previous stage where the sources allow it.  With both sources
@@ -40,7 +41,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -56,8 +57,8 @@ from .intervals import (
     Interval,
     IntervalUnion,
     RationalLike,
+    _encode,
     _from_ranges,
-    _interval,
     _merge,
     _Range,
     as_rational,
@@ -112,28 +113,77 @@ NodeAddress = str  # binary string, "" for the root interval
 
 
 def _check_address(address: str) -> None:
-    if any(ch not in "01" for ch in address):
+    # strip stops at the first character outside "01" from either side
+    if address.strip("01"):
         raise ValueError(f"address must be a binary string, got {address!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GapRecord:
     """An open interval removed during construction.
 
     ``address`` names the component the gap was cut from (None for gaps
     derived from a complement rather than an explicit binary split);
-    ``stage_created`` is the 1-based step that removed it.
+    ``stage_created`` is the 1-based step that removed it.  The gap is
+    ``(lo/grid, hi/grid)``, held as its two end numerators on its
+    canonical grid (``gcd(grid, lo, hi) == 1``), so the generated ``==``
+    and ``hash`` are set equality and no ``Fraction`` is made until
+    ``interval`` decodes it.  The builders make records from key ranges
+    with ``_gap``; ``GapRecord(address, interval, stage_created)`` takes
+    an open ``Interval``.
     """
 
     address: NodeAddress | None
-    interval: Interval
+    lo: int
+    hi: int
+    grid: int
     stage_created: int
 
-    def __post_init__(self) -> None:
-        if self.address is not None:
-            _check_address(self.address)
-        if self.interval.lo_closed or self.interval.hi_closed:
-            raise ValueError("gap intervals are open at both ends")
+    def __new__(
+        cls, address: NodeAddress | None, interval: Interval, stage_created: int
+    ) -> "GapRecord":
+        ((s, e),), grid = _encode((interval,))
+        return _gap(address, s, e, grid, stage_created)
+
+    @property
+    def interval(self) -> Interval:
+        """The open gap, decoded from the numerators on each access."""
+        return Interval(
+            Fraction(self.lo, self.grid), Fraction(self.hi, self.grid), False, False
+        )
+
+
+# The slot setters, which a frozen dataclass leaves usable and which cost
+# less than object.__setattr__.
+_set_address, _set_lo, _set_hi, _set_grid, _set_stage = (
+    getattr(GapRecord, name).__set__
+    for name in ("address", "lo", "hi", "grid", "stage_created")
+)
+
+
+def _gap(
+    address: NodeAddress | None, s: int, e: int, grid: int, stage_created: int
+) -> GapRecord:
+    """The record of the gap of the key range ``[s, e]`` on ``grid`` (see
+    ``cantordiff.intervals``), which must be open at both ends: then
+    ``s <= e`` is the ``lo < hi`` that ``Interval`` checks."""
+    if address is not None:
+        _check_address(address)
+    if s % 3 != 1 or e % 3 != 2:
+        raise ValueError("gap intervals are open at both ends")
+    if s > e:
+        raise ValueError(f"gap key range [{s}, {e}] is empty")
+    lo, hi = s // 3, (e + 1) // 3
+    g = gcd(grid, lo, hi)
+    if g > 1:
+        lo, hi, grid = lo // g, hi // g, grid // g
+    record = object.__new__(GapRecord)
+    _set_address(record, address)
+    _set_lo(record, lo)
+    _set_hi(record, hi)
+    _set_grid(record, grid)
+    _set_stage(record, stage_created)
+    return record
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,11 +380,10 @@ def _split(
 ) -> IntervalUnion:
     """Stage-n union of a binary family: the open gap between the closed
     keys ``cuts[i]`` is removed from the stage-(n-1) key range i, all on
-    ``grid``; ``gaps`` accumulates every step's records, each decoded
-    once."""
+    ``grid``; ``gaps`` accumulates every step's records."""
     kept: list[_Range] = []
     for idx, ((s, e), (x, y)) in enumerate(zip(ranges, cuts)):
-        gaps.append(GapRecord(_address(n - 1, idx), _interval(x + 1, y - 1, grid), n))
+        gaps.append(_gap(_address(n - 1, idx), x + 1, y - 1, grid, n))
         kept += ((s, x), (y, e))
     return _from_ranges(kept, grid)
 
@@ -658,7 +707,7 @@ def _composite_steps(
     and a gap only grows: a gap of stage m that is no gap of stage m-1
     was never one before.  The complement's key ranges are looked up
     among the previous stage's, lifted to their common grid; an
-    unchanged gap keeps its record, and only a new one is decoded.
+    unchanged gap keeps its record, and a new one is made from its keys.
     """
     prev_gaps, prev_records = EMPTY, []  # the records in position order
     prev_max: Fraction | None = None
@@ -683,7 +732,7 @@ def _composite_steps(
         grid = lcm(prev_gaps.grid, gaps.grid)
         old = dict(zip(prev_gaps._on(grid), prev_records))
         records = [
-            old.get(r) or GapRecord(None, _interval(*r, grid), m)
+            old.get(r) or _gap(None, *r, grid, m)
             for r in gaps._on(grid)
         ]
         prev_gaps, prev_records = gaps, records

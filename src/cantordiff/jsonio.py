@@ -9,10 +9,11 @@ and returns exactly ``dump_json(stage_to_obj(stage))``.  The general
 path decodes every component into ``Fraction`` ends and, with
 ``indent=2``, makes ``json`` fall back to its pure-Python encoder; for
 the largest stages that cost more than building them.  The writer reads
-the components and the endpoints off the union's integer keys, formats
-the rationals itself and hands each string to ``json.dumps``, so the
-bytes, escaping included, stay those of the general path, which the
-tests keep as its oracle.
+the components and the endpoints off the union's integer keys and the
+gaps off their records' numerators, formats the rationals itself and
+hands each string to ``json.dumps``, so the bytes, escaping included,
+stay those of the general path, which the tests keep as its oracle.
+The gap table is written off the numerators the same way.
 """
 
 from __future__ import annotations
@@ -118,10 +119,11 @@ def union_from_obj(obj: list[dict[str, Any]]) -> IntervalUnion:
 
 
 def _gap_to_obj(gap: GapRecord) -> dict[str, Any]:
+    interval = gap.interval
     return {
         "address": gap.address,
-        "lo": format_rational(gap.interval.lo),
-        "hi": format_rational(gap.interval.hi),
+        "lo": format_rational(interval.lo),
+        "hi": format_rational(interval.hi),
         "stage_created": gap.stage_created,
     }
 
@@ -162,14 +164,14 @@ def gap_table_rows(stage: CantorStage) -> Iterator[list[str]]:
     """One row per gap, the ``GAP_TABLE_HEADER`` columns, yielded as the
     table is written so that no more than one row is held."""
     for g in stage.gaps:
-        lo, hi = g.interval.lo, g.interval.hi
         yield [
             "-" if g.address is None else g.address,
-            format_rational(lo),
-            format_rational(hi),
+            _ratio_text(g.lo, g.grid),
+            _ratio_text(g.hi, g.grid),
             str(g.stage_created),
-            decimal_str(lo),
-            decimal_str(hi),
+            # rounding p/grid unreduced gives decimal_str's text
+            str(_DECIMALS.divide(g.lo, g.grid)),
+            str(_DECIMALS.divide(g.hi, g.grid)),
         ]
 
 
@@ -211,13 +213,12 @@ def _component_json(s: int, e: int, grid: int) -> str:
 
 
 def _gap_json(gap: GapRecord) -> str:
-    lo, hi = gap.interval.lo, gap.interval.hi
     # json.dumps takes its slow path on None, the address of every tab gap
     address = "null" if gap.address is None else json.dumps(gap.address)
     return (
         f'{{\n      "address": {address},\n'
-        f'      "hi": "{hi.numerator}/{hi.denominator}",\n'
-        f'      "lo": "{lo.numerator}/{lo.denominator}",\n'
+        f'      "hi": "{_ratio_text(gap.hi, gap.grid)}",\n'
+        f'      "lo": "{_ratio_text(gap.lo, gap.grid)}",\n'
         f'      "stage_created": {gap.stage_created}\n    }}'
     )
 
@@ -226,9 +227,9 @@ def stage_json(stage: CantorStage) -> str:
     """``dump_json(stage_to_obj(stage))``, written in its fixed layout.
 
     The components and the endpoints are read off the union's keys, as
-    ``IntervalUnion.endpoints`` reads them, so no ``Interval`` or
-    ``Fraction`` is made for them; the strings go through
-    ``json.dumps``, so escaping is the encoder's.
+    ``IntervalUnion.endpoints`` reads them, and the gaps off their
+    numerators, so no ``Interval`` or ``Fraction`` is made for them; the
+    strings go through ``json.dumps``, so escaping is the encoder's.
     """
     grid, ranges, frame = stage.components.grid, stage.components.ranges, stage.frame
     ends = (k for s, e in ranges for k in ((s,) if s == e else (s, e + 1)))

@@ -216,7 +216,7 @@ def _right_branch_gap_ends(stage: CantorStage) -> dict[int, Fraction]:
     ends: dict[int, Fraction] = {}
     for g in stage.gaps:
         if g.address is not None and g.address == "1" * (g.stage_created - 1):
-            ends[g.stage_created] = g.interval.hi
+            ends[g.stage_created] = Fraction(g.hi, g.grid)
     return ends
 
 
@@ -310,7 +310,7 @@ def _suite_tamc(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertio
     _require(CentralSpec, spec, "tamc")
     depth = min(max_stage, 6) if max_stage >= 1 else 1
     chain = rightmost_gap_chain(spec, depth, budget=budget)
-    ends = [link.gap.interval.hi for link in chain]
+    ends = [Fraction(link.gap.hi, link.gap.grid) for link in chain]
     assertions = [
         _check(
             all(a < b for a, b in zip(ends, ends[1:])),

@@ -449,3 +449,107 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"cantordiff.{info.name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (info.name, missing)
+
+
+GREEDY_QUARTER_SPEC = (
+    '{"family": "greedy",'
+    ' "b": {"family": "central", "ratios": {"rule": "geometric", "base": "1/4"}}}'
+)
+
+
+@pytest.mark.parametrize("command", ["diff-bounds", "measure-scan"])
+def test_over_budget_max_stage_is_refused_before_any_bracket(tmp_path, command):
+    # Bracketing stages 0-14 of greedy 1/4 first took 3 to 60 s before
+    # stage 15 was refused; requesting the deepest stage first takes
+    # well under a second.
+    spec = tmp_path / "greedy.json"
+    spec.write_text(GREEDY_QUARTER_SPEC)
+    src = str(Path(cantordiff.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", command, "--spec", str(spec),
+         "--max-stage", "15", "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == (
+        "error: stage needs 32768 components, budget allows 16384\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["diff-bounds", "measure-scan"])
+def test_refused_stage_computes_no_bracket(tmp_path, capsys, monkeypatch, command):
+    # Tab 1/2,1/2 fits the budget of 64 up to stage 4 and fails at stage 5.
+    # Every inner bracket filters with minus_translates; no stage does.
+    from cantordiff.intervals import IntervalUnion
+
+    def bracket(*args):
+        raise AssertionError("a bracket was computed before the refusal")
+
+    monkeypatch.setattr(IntervalUnion, "minus_translates", bracket)
+    spec = tmp_path / "tab.json"
+    spec.write_text(TAB_SPEC)
+    code = main(
+        [command, "--spec", str(spec), "--max-stage", "5", "--budget", "64",
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: stage needs 153 components, budget allows 64\n"
+    )
+
+
+def _run_python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter."""
+    src = str(Path(cantordiff.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_construct_imports_neither_analysis_nor_verify(tmp_path, ternary_spec):
+    code = (
+        "import sys\n"
+        "from cantordiff.cli import main\n"
+        f"code = main(['construct', '--spec', {str(ternary_spec)!r},"
+        f" '--max-stage', '2', '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('cantordiff.')))\n"
+    )
+    assert _run_python(code).split(" ", 1) == [
+        "0",
+        "['cantordiff.cli', 'cantordiff.constructions', 'cantordiff.errors', "
+        "'cantordiff.intervals', 'cantordiff.jsonio']\n",
+    ]
+    assert (tmp_path / "out" / "gaps_002.csv").exists()
+
+
+def test_package_names_resolve_on_first_access():
+    code = (
+        "import sys, cantordiff\n"
+        "print('cantordiff.analysis' in sys.modules)\n"
+        "values = {name: getattr(cantordiff, name) for name in cantordiff.__all__}\n"
+        "from cantordiff import analysis, verify\n"
+        "from cantordiff import *\n"
+        "print(values['difference_bracket'] is analysis.difference_bracket,"
+        " difference_bracket is analysis.difference_bracket,"
+        " set(cantordiff.__all__) <= set(dir(cantordiff)))\n"
+    )
+    assert _run_python(code) == "False\nTrue True True\n"
+    with pytest.raises(AttributeError, match="no attribute 'family_stage'"):
+        cantordiff.family_stage
+
+
+def test_suite_choices_are_the_verify_suites():
+    from cantordiff import cli
+    from cantordiff.verify import SUITES
+
+    assert cli._SUITE_NAMES == tuple(sorted(SUITES))

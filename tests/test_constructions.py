@@ -70,6 +70,53 @@ def stage_list(build, spec, n_max):
     return [build(spec, n) for n in range(n_max + 1)]
 
 
+class TestGapRecord:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(0, 10**6), st.integers(1, 10**6),
+           st.integers(1, 50))
+    def test_one_gap_on_any_grid_is_one_record(self, grid, lo, width, k):
+        # (lo/grid, (lo + width)/grid) as open key ranges on grid and k*grid
+        hi = lo + width
+        on_grid = constructions._gap("01", 3 * lo + 1, 3 * hi - 1, grid, 2)
+        on_multiple = constructions._gap(
+            "01", 3 * k * lo + 1, 3 * k * hi - 1, k * grid, 2
+        )
+        from_interval = constructions.GapRecord(
+            "01", Interval.open(F(lo, grid), F(hi, grid)), 2
+        )
+        assert on_grid == on_multiple == from_interval
+        assert hash(on_grid) == hash(on_multiple) == hash(from_interval)
+        assert on_multiple.interval == Interval.open(F(lo, grid), F(hi, grid))
+
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            Interval.closed(F(1, 3), F(2, 3)),
+            Interval.left_open(F(1, 3), F(2, 3)),
+            Interval.right_open(F(1, 3), F(2, 3)),
+            Interval.point(F(1, 3)),
+        ],
+    )
+    def test_a_gap_that_is_not_open_is_refused(self, interval):
+        with pytest.raises(ValueError, match="open at both ends"):
+            constructions.GapRecord(None, interval, 1)
+        ((s, e),), grid = constructions._encode((interval,))
+        with pytest.raises(ValueError, match="open at both ends"):
+            constructions._gap(None, s, e, grid, 1)
+
+    def test_an_empty_gap_is_refused(self):
+        with pytest.raises(ValueError):
+            constructions.GapRecord(None, Interval.open(F(1, 3), F(1, 3)), 1)
+        with pytest.raises(ValueError, match="empty"):  # the open cell (1/3, 1/3)
+            constructions._gap(None, 4, 2, 3, 1)
+
+    def test_a_bad_address_is_refused(self):
+        with pytest.raises(ValueError, match="binary string"):
+            constructions.GapRecord("012", Interval.open(0, 1), 1)
+        with pytest.raises(ValueError, match="binary string"):
+            constructions._gap("0 1", 1, 2, 1, 1)
+
+
 class TestCentral:
     def test_stage1_ternary(self):
         s = central_stage(TERNARY, 1)
@@ -621,15 +668,18 @@ class TestKeyBuildersMatchTheFractionOracle:
 
 
 class TestBuildersWorkOnTheKeys:
-    def test_central_makes_two_fractions_per_gap_record(
-        self, monkeypatch, fresh_sequences
+    @pytest.mark.parametrize(
+        "spec, n, per_step",
+        [(TERNARY, 12, 6), (builtin_composite_pair(), 9, 20)],
+        ids=["central-1_3", "tab-1_2-1_2"],
+    )
+    def test_no_fraction_per_gap_record(
+        self, spec, n, per_step, monkeypatch, fresh_sequences
     ):
-        # Each gap record decodes its two ends; the rest is a few
-        # Fractions per step for the child length.
-        stage, made = oracle.fractions_made(
-            monkeypatch, lambda: central_stage(TERNARY, 12)
-        )
-        assert len(made) <= 2 * len(stage.gaps) + 6 * 12, len(made)
+        # Gap records hold numerators, so the only Fractions are a few
+        # per step for the lengths and ratios: 48 and 148 when written.
+        stage, made = oracle.fractions_made(monkeypatch, lambda: spec.stage(n))
+        assert len(made) <= per_step * n < len(stage.gaps), len(made)
 
     def test_composite_keeps_the_records_of_unchanged_gaps(self):
         # Every gap of tab 1/2, 1/2 stays a gap of the next stage.

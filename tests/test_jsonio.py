@@ -20,6 +20,7 @@ from cantordiff.intervals import Interval, normalize
 
 import oracle
 from cantordiff.jsonio import (
+    _DECIMALS,
     decimal_str,
     dump_json,
     format_rational,
@@ -59,6 +60,13 @@ def test_decimal_is_20_significant_digits():
 @given(st.fractions())
 def test_decimal_matches_the_local_context_form(q):
     assert decimal_str(q) == oracle.oracle_decimal_str(q)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30), st.integers(1, 10**6))
+def test_unreduced_quotient_has_the_decimal_text(p, grid, k):
+    # gap_table_rows divides a record's numerator by its grid, unreduced.
+    assert str(_DECIMALS.divide(k * p, k * grid)) == decimal_str(F(p, grid))
 
 
 def test_interval_round_trip():
