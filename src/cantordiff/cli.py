@@ -19,14 +19,12 @@ from typing import TYPE_CHECKING, Any, Iterable
 from .constructions import DEFAULT_BUDGET, max_binary_stage
 from .errors import CantorDiffError
 from .jsonio import (
-    GAP_TABLE_HEADER,
     bracket_to_obj,
     decimal_str,
     dump_json,
     exact_to_obj,
-    gap_table_rows,
     load_spec_file,
-    stage_json,
+    write_stage_files,
 )
 
 if TYPE_CHECKING:
@@ -42,7 +40,7 @@ _SUITE_NAMES = ("ccp", "cspm", "steinhaus", "t13", "tab", "tamc", "ts3")
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
@@ -68,25 +66,27 @@ def _clamped_max_stage(spec, max_stage: int, budget: int) -> int:
     return clamped
 
 
-def _stage_number(text: str) -> int:
+def _at_least(text: str, minimum: int) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _stage_number(text: str) -> int:
+    return _at_least(text, 0)
+
+
+def _budget(text: str) -> int:
+    return _at_least(text, 1)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
-    out = Path(args.out)
     max_stage = _clamped_max_stage(spec, args.max_stage, args.budget)
     # Build every stage before writing, so a refused stage leaves no files.
     stages = [spec.stage(n, budget=args.budget) for n in range(max_stage + 1)]
-    for n, stage in enumerate(stages):
-        _write_text(out / f"stage_{n:03d}.json", stage_json(stage))
-        _write_text(
-            out / f"gaps_{n:03d}.csv",
-            _csv_text(GAP_TABLE_HEADER, gap_table_rows(stage)),
-        )
+    write_stage_files(stages, Path(args.out))
     return 0
 
 
@@ -224,13 +224,14 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "verify": (_cmd_verify, "run a named verification suite", ("--format",)),
     }
+    parsers = {}
     for name, (func, help_text, flags) in commands.items():
-        p = sub.add_parser(name, help=help_text)
+        p = parsers[name] = sub.add_parser(name, help=help_text)
         if name == "verify":
             p.add_argument("suite", choices=_SUITE_NAMES)
         p.add_argument("--spec", required=True, help="spec JSON file")
         p.add_argument("--max-stage", type=_stage_number, default=4)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
         # verify writes its report to stdout when --out is absent.
         p.add_argument("--out", required=name != "verify", help="output directory")
         if "--format" in flags:
@@ -240,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         p.set_defaults(func=func)
 
     args = parser.parse_args(argv)
+    # The CSV table goes next to the report, so without --out it has no place.
+    if args.out is None and getattr(args, "format", None) == "csv":
+        parsers[args.command].error("--format csv needs --out")
     try:
         return args.func(args)
     # Spec files are read through InvalidSpecError: an OSError is an output.

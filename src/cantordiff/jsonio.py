@@ -4,16 +4,19 @@ Rationals serialize as canonical "p/q" strings (q > 0, reduced); the
 decimal column emitted next to them in CSV is a 20-significant-digit
 approximation and is explicitly non-authoritative.
 
-Stage files have one fixed layout, so ``stage_json`` writes it directly
-and returns exactly ``dump_json(stage_to_obj(stage))``.  The general
+Stage files have one fixed layout, so ``write_stage_files`` streams
+each stage's ``stage_NNN.json`` and ``gaps_NNN.csv`` in one pass, piece
+by piece into the open files, with no whole-file string.  The general
 path decodes every component into ``Fraction`` ends and, with
 ``indent=2``, makes ``json`` fall back to its pure-Python encoder; for
 the largest stages that cost more than building them.  The writer reads
-the components and the endpoints off the union's integer keys and the
-gaps off their records' numerators, formats the rationals itself and
-hands each string to ``json.dumps``, so the bytes, escaping included,
-stay those of the general path, which the tests keep as its oracle.
-The gap table is written off the numerators the same way.
+the ends off the union's integer keys and formats each one once: its
+"p/q" text serves the components, the endpoints and the gaps that end
+there, in the stage file and in the gap table alike.  The other strings
+go through ``json.dumps``, so the bytes, escaping included, stay those
+of the general path.  The tests keep ``dump_json(stage_to_obj(stage))``
+as the oracle of the stage file and a ``csv.writer`` table of the gaps
+as that of the gap table.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .constructions import (
     PerturbedSpec,
     RatioRule,
 )
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, InvariantError
 from .intervals import Interval, IntervalUnion, format_rational
 
 __all__ = [
@@ -50,7 +53,7 @@ __all__ = [
     "union_to_obj",
     "union_from_obj",
     "stage_to_obj",
-    "stage_json",
+    "write_stage_files",
     "gap_table_rows",
     "GAP_TABLE_HEADER",
     "bracket_to_obj",
@@ -161,8 +164,9 @@ GAP_TABLE_HEADER = [
 
 
 def gap_table_rows(stage: CantorStage) -> Iterator[list[str]]:
-    """One row per gap, the ``GAP_TABLE_HEADER`` columns, yielded as the
-    table is written so that no more than one row is held."""
+    """One row per gap, the ``GAP_TABLE_HEADER`` columns: the cells of
+    the gap table that ``write_stage_files`` writes, read off each
+    record alone."""
     for g in stage.gaps:
         yield [
             "-" if g.address is None else g.address,
@@ -181,11 +185,67 @@ def gap_table_rows(stage: CantorStage) -> Iterator[list[str]]:
 _BOOL = ("false", "true")
 
 
-def _list_json(items: Iterable[str]) -> tuple[str, ...]:
-    """The pieces of a top-level list of rendered items, laid out as
-    ``dump_json``; the items are joined once and not kept."""
-    text = ",\n    ".join(items)
-    return ("[\n    ", text, "\n  ]") if text else ("[]",)
+def write_stage_files(stages: Iterable[CantorStage], out: Path) -> None:
+    """Write ``stage_NNN.json`` and ``gaps_NNN.csv`` of each stage into
+    ``out``, with the bytes of ``dump_json(stage_to_obj(stage))`` and of
+    a CSV of ``GAP_TABLE_HEADER`` and ``gap_table_rows(stage)``.
+
+    Both files of a stage are written in one pass, piece by piece; if
+    that pass fails, the stage's two files are removed, so none is left
+    half written.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    for stage in stages:
+        paths = (out / f"stage_{stage.n:03d}.json", out / f"gaps_{stage.n:03d}.csv")
+        try:
+            with open(paths[0], "w", encoding="utf-8", newline="\n") as stage_file, \
+                    open(paths[1], "w", encoding="utf-8", newline="\n") as gap_file:
+                _write_stage(stage, stage_file.write, gap_file.write)
+        except BaseException:
+            for path in paths:
+                path.unlink(missing_ok=True)
+            raise
+
+
+def _write_stage(
+    stage: CantorStage, put: Callable[[str], Any], put_row: Callable[[str], Any]
+) -> None:
+    """Stream the stage file to ``put`` and the gap table to ``put_row``.
+
+    The ends are read off the union's keys, as ``IntervalUnion.endpoints``
+    reads them, and each is formatted once: its text serves the
+    components, the endpoints and the gaps that end there.
+    """
+    grid, ranges, frame = stage.components.grid, stage.components.ranges, stage.frame
+    ends = [k // 3 for s, e in ranges for k in ((s,) if s == e else (s, e + 1))]
+    texts = [_ratio_text(p, grid) for p in ends]
+    put('{\n  "components": ')
+    _put_list(put, _component_jsons(ranges, texts))
+    put(',\n  "endpoints": ')
+    _put_list(put, (f'"{text}"' for text in texts))
+    put(f',\n  "family": {json.dumps(stage.family)},\n  "frame": ')
+    put(
+        _interval_json(
+            format_rational(frame.lo), format_rational(frame.hi),
+            frame.lo_closed, frame.hi_closed, "  ",
+        )
+    )
+    put(',\n  "gaps": ')
+    put_row(",".join(GAP_TABLE_HEADER) + "\n")
+    _put_list(put, _gap_jsons(stage, dict(zip(ends, texts)), put_row))
+    put(f',\n  "n": {stage.n},\n  "notes": ')
+    # json.dumps escapes a note as the encoder of dump_json does
+    _put_list(put, map(json.dumps, stage.notes))
+    put("\n}\n")
+
+
+def _put_list(put: Callable[[str], Any], items: Iterable[str]) -> None:
+    """A top-level list of rendered items, laid out as ``dump_json``."""
+    first = True
+    for item in items:
+        put(("[\n    " if first else ",\n    ") + item)
+        first = False
+    put("[]" if first else "\n  ]")
 
 
 def _interval_json(
@@ -205,51 +265,48 @@ def _ratio_text(p: int, grid: int) -> str:
     return f"{p // g}/{grid // g}"
 
 
-def _component_json(s: int, e: int, grid: int) -> str:
-    """The component of the key range ``[s, e]`` on ``grid`` (see
-    ``intervals._interval``)."""
-    lo_text, hi_text = _ratio_text(s // 3, grid), _ratio_text((e + 1) // 3, grid)
-    return _interval_json(lo_text, hi_text, s % 3 == 0, e % 3 == 0, "    ")
+def _component_jsons(
+    ranges: Iterable[tuple[int, int]], texts: list[str]
+) -> Iterator[str]:
+    """The component of each key range (see ``intervals._interval``), its
+    end texts taken in order from ``texts``, a point part's once."""
+    end_texts = iter(texts)
+    for s, e in ranges:
+        lo = next(end_texts)
+        hi = lo if s == e else next(end_texts)
+        yield _interval_json(lo, hi, s % 3 == 0, e % 3 == 0, "    ")
 
 
-def _gap_json(gap: GapRecord) -> str:
-    # json.dumps takes its slow path on None, the address of every tab gap
-    address = "null" if gap.address is None else json.dumps(gap.address)
-    return (
-        f'{{\n      "address": {address},\n'
-        f'      "hi": "{_ratio_text(gap.hi, gap.grid)}",\n'
-        f'      "lo": "{_ratio_text(gap.lo, gap.grid)}",\n'
-        f'      "stage_created": {gap.stage_created}\n    }}'
-    )
+def _gap_jsons(
+    stage: CantorStage, texts: dict[int, str], put_row: Callable[[str], Any]
+) -> Iterator[str]:
+    """Each gap's stage-file record, its gap table row put as it goes.
 
-
-def stage_json(stage: CantorStage) -> str:
-    """``dump_json(stage_to_obj(stage))``, written in its fixed layout.
-
-    The components and the endpoints are read off the union's keys, as
-    ``IntervalUnion.endpoints`` reads them, and the gaps off their
-    numerators, so no ``Interval`` or ``Fraction`` is made for them; the
-    strings go through ``json.dumps``, so escaping is the encoder's.
+    The gaps tile the frame with the components, so each gap end is a
+    component end: its text is ``texts`` at its numerator on the stage
+    grid.  An address is a binary string (``constructions._check_address``),
+    so neither JSON nor CSV escapes or quotes it.
     """
-    grid, ranges, frame = stage.components.grid, stage.components.ranges, stage.frame
-    ends = (k for s, e in ranges for k in ((s,) if s == e else (s, e + 1)))
-    pieces = [
-        '{\n  "components": ',
-        *_list_json(_component_json(s, e, grid) for s, e in ranges),
-        ',\n  "endpoints": ',
-        *_list_json(f'"{_ratio_text(k // 3, grid)}"' for k in ends),
-        f',\n  "family": {json.dumps(stage.family)},\n  "frame": ',
-        _interval_json(
-            format_rational(frame.lo), format_rational(frame.hi),
-            frame.lo_closed, frame.hi_closed, "  ",
-        ),
-        ',\n  "gaps": ',
-        *_list_json(map(_gap_json, stage.gaps)),
-        f',\n  "n": {stage.n},\n  "notes": ',
-        *_list_json(map(json.dumps, stage.notes)),
-        "\n}\n",
-    ]
-    return "".join(pieces)
+    grid = stage.components.grid
+    for g in stage.gaps:
+        scale, rest = divmod(grid, g.grid)
+        lo, hi = texts.get(g.lo * scale), texts.get(g.hi * scale)
+        if rest or lo is None or hi is None:
+            raise InvariantError(
+                f"stage {stage.n}: gap ({_ratio_text(g.lo, g.grid)}, "
+                f"{_ratio_text(g.hi, g.grid)}) does not end at component ends"
+            )
+        address, created = g.address, g.stage_created
+        # rounding p/grid unreduced gives decimal_str's text
+        put_row(
+            f"{'-' if address is None else address},{lo},{hi},{created},"
+            f"{_DECIMALS.divide(g.lo, g.grid)!s},{_DECIMALS.divide(g.hi, g.grid)!s}\n"
+        )
+        address = "null" if address is None else f'"{address}"'
+        yield (
+            f'{{\n      "address": {address},\n      "hi": "{hi}",\n'
+            f'      "lo": "{lo}",\n      "stage_created": {created}\n    }}'
+        )
 
 
 # ---------------------------------------------------------------------

@@ -14,6 +14,8 @@ the tests that keep set operations on the integer keys.
 builders that the key builders of ``cantordiff.constructions`` replaced.
 """
 
+import csv
+import io
 import itertools
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -360,7 +362,7 @@ def oracle_covered_measure(stage):
 
 # ---------------------------------------------------------------------
 # output: the per-cell decimals and gap table that cantordiff.jsonio's
-# decimal_str and gap_table_rows replace (the JSON oracle is
+# decimal_str and write_stage_files replace (the JSON oracle is
 # dump_json(stage_to_obj(stage)))
 
 
@@ -386,6 +388,18 @@ def oracle_gap_table_rows(stage):
             ]
         )
     return rows
+
+
+def oracle_gap_table(stage):
+    """The text of ``gaps_NNN.csv``: the header and the rows through
+    ``csv.writer``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(
+        ["address", "lo", "hi", "stage_created", "lo_decimal", "hi_decimal"]
+    )
+    writer.writerows(oracle_gap_table_rows(stage))
+    return buffer.getvalue()
 
 
 def fractions_made(monkeypatch, call):

@@ -382,6 +382,78 @@ def test_negative_max_stage_is_refused(tmp_path, ternary_spec, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [["construct"], ["diff-bounds"], ["measure-scan"], ["verify", "ccp"]],
+    ids=" ".join,
+)
+def test_budget_below_one_is_refused(tmp_path, capsys, command, budget):
+    # Refused while the arguments are parsed: the spec, which does not
+    # exist, is never read, and no stage is clamped.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as caught:
+        main([*command, "--spec", str(tmp_path / "missing.json"), "--max-stage", "8",
+              "--budget", budget, "--out", str(out)])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--budget: must be at least 1, got {budget}" in err
+    assert "clamped" not in err and "missing.json" not in err
+    assert not out.exists()
+
+
+def test_verify_csv_without_out_is_refused(ternary_spec, capsys):
+    # Without --out the JSON report goes to stdout and the CSV table
+    # would go nowhere.
+    with pytest.raises(SystemExit) as caught:
+        main(["verify", "ccp", "--spec", str(ternary_spec), "--max-stage", "2",
+              "--format", "csv"])
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert "--format csv needs --out" in captured.err
+    assert captured.out == ""
+
+
+def test_reports_are_utf8_whatever_the_locale(tmp_path, ternary_spec):
+    # Every report is opened with an explicit encoding: a default one
+    # would be the locale's, and here raises an EncodingWarning as error.
+    src = str(Path(cantordiff.__file__).parents[1])
+    commands = [
+        ["construct"],
+        ["diff-bounds", "--plot-data"],
+        ["verify", "tamc", "--format", "csv"],
+    ]
+    for command in commands:
+        out = tmp_path / command[0]
+        result = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "cantordiff.cli", *command,
+             "--spec", str(ternary_spec), "--max-stage", "2", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, (command, result.stderr)
+        for path in out.iterdir():
+            assert b"\r" not in path.read_bytes(), path
+
+
+def test_construct_twice_in_one_process_gives_the_same_bytes(tmp_path):
+    spec = tmp_path / "tab.json"
+    spec.write_text(TAB_SPEC)
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        assert main(
+            ["construct", "--spec", str(spec), "--max-stage", "6", "--out", str(out)]
+        ) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert len(names) == 14
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -1,21 +1,25 @@
 """Round-trip tests for the shared JSON dialect."""
 
 import dataclasses
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantordiff import constructions, jsonio
 from cantordiff.constructions import (
     CentralSpec,
     CompositeSpec,
+    GapRecord,
     GreedySpec,
     PerturbedSpec,
     builtin_ternary,
     central_stage,
     composite_stage,
 )
-from cantordiff.errors import InvalidSpecError
+from cantordiff.errors import InvalidSpecError, InvariantError
 from cantordiff.intervals import Interval, normalize
 
 import oracle
@@ -30,10 +34,10 @@ from cantordiff.jsonio import (
     parse_rational,
     spec_from_obj,
     spec_to_obj,
-    stage_json,
     stage_to_obj,
     union_from_obj,
     union_to_obj,
+    write_stage_files,
 )
 
 
@@ -101,7 +105,8 @@ def test_gap_table_rows():
 
 
 # ---------------------------------------------------------------------
-# the fixed-layout stage writer against dump_json(stage_to_obj(stage))
+# the streamed stage writer against dump_json(stage_to_obj(stage)) and
+# the csv.writer table of oracle_gap_table_rows(stage)
 
 
 def assert_same_items(got, want):
@@ -116,12 +121,32 @@ def assert_same_items(got, want):
     assert same, f"item {first}: {got[first:first + 1]} != {want[first:first + 1]}"
 
 
-def assert_written_as_oracle(stage):
-    assert_same_items(
-        stage_json(stage).splitlines(keepends=True),
-        dump_json(stage_to_obj(stage)).splitlines(keepends=True),
+def assert_written_as_oracle(stages, out):
+    """Write ``stages`` into ``out`` and compare every file with its
+    oracle; return the stage files' texts."""
+    write_stage_files(stages, out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{kind}_{s.n:03d}.{ext}" for s in stages
+        for kind, ext in (("stage", "json"), ("gaps", "csv"))
     )
-    assert_same_items(list(gap_table_rows(stage)), oracle.oracle_gap_table_rows(stage))
+    texts = []
+    for stage in stages:
+        # bytes, so that a "\r\n" line end would show
+        text = (out / f"stage_{stage.n:03d}.json").read_bytes().decode("utf-8")
+        table = (out / f"gaps_{stage.n:03d}.csv").read_bytes().decode("utf-8")
+        assert_same_items(
+            text.splitlines(keepends=True),
+            dump_json(stage_to_obj(stage)).splitlines(keepends=True),
+        )
+        assert_same_items(
+            table.splitlines(keepends=True),
+            oracle.oracle_gap_table(stage).splitlines(keepends=True),
+        )
+        assert_same_items(
+            list(gap_table_rows(stage)), oracle.oracle_gap_table_rows(stage)
+        )
+        texts.append(text)
+    return texts
 
 
 _ratios = st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=10)
@@ -149,18 +174,22 @@ _specs = st.one_of(
 @pytest.mark.filterwarnings("ignore:max component length did not decrease")
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_specs, st.integers(0, 6))
-def test_stage_writer_matches_oracle_on_random_stages(spec, n):
-    assert_written_as_oracle(spec.stage(n))
+def test_stage_writer_matches_oracle_on_random_stage_sequences(spec, n):
+    with tempfile.TemporaryDirectory() as out:
+        assert_written_as_oracle([spec.stage(k) for k in range(n + 1)], Path(out))
 
 
-def test_stage_writer_stage0_has_no_gaps():
+def test_stage_writer_stage0_has_no_gaps(tmp_path):
     stage = central_stage(builtin_ternary(), 0)
     assert stage.gaps == ()
-    assert '"gaps": [],' in stage_json(stage)
-    assert_written_as_oracle(stage)
+    (text,) = assert_written_as_oracle([stage], tmp_path)
+    assert '"gaps": [],' in text
+    assert (tmp_path / "gaps_000.csv").read_text(encoding="utf-8") == (
+        "address,lo,hi,stage_created,lo_decimal,hi_decimal\n"
+    )
 
 
-def test_stage_writer_addresses():
+def test_stage_writer_addresses(tmp_path):
     tab = composite_stage(
         CompositeSpec(CentralSpec.constant(F(1, 2)), CentralSpec.constant(F(1, 2))), 3
     )
@@ -168,17 +197,97 @@ def test_stage_writer_addresses():
     central = central_stage(builtin_ternary(), 3)
     assert "" in {g.address for g in central.gaps}
     assert "01" in {g.address for g in central.gaps}
-    for stage in (tab, central):
-        assert_written_as_oracle(stage)
+    assert_written_as_oracle([tab], tmp_path / "tab")
+    assert_written_as_oracle([central], tmp_path / "central")
 
 
-def test_stage_writer_escapes_notes_as_the_encoder():
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CompositeSpec(CentralSpec.constant(F(1, 2)), CentralSpec.constant(F(3, 4))),
+        GreedySpec(CentralSpec.constant(F(1, 10))),
+    ],
+    ids=["tab-1_2-3_4", "greedy-1_10"],
+)
+def test_stage_writer_reads_gap_records_on_their_own_grids(tmp_path, spec):
+    # A record keeps the grid of the step that made it, so the records
+    # of one stage sit on several grids, each dividing the stage's.
+    stages = [spec.stage(n) for n in range(9)]
+    assert len({g.grid for g in stages[-1].gaps}) > 2
+    assert_written_as_oracle(stages, tmp_path)
+
+
+def test_stage_writer_reads_regrown_gaps(tmp_path):
+    # With B = {0} the composite is A | ((A + 1/2) & [1/2, 1]); its gap
+    # (1/8, 3/8) grows at stages 2 and 3 and is recorded anew each time
+    # (as in test_composite_dates_grown_gaps_as_new).
+    a_stages = [
+        normalize([Interval.closed(0, F(1, 2))]),
+        normalize([Interval.closed(0, F(1, 8)), Interval.closed(F(3, 8), F(1, 2))]),
+        normalize([Interval.closed(0, F(1, 8)), Interval.closed(F(7, 16), F(1, 2))]),
+        normalize([Interval.closed(0, F(1, 16)), Interval.closed(F(7, 16), F(1, 2))]),
+    ]
+    zero = normalize([Interval.point(0)])
+    sums = (constructions._windowed_sum(a, zero) for a in a_stages)
+    built = constructions._composite_steps(a_stages.__getitem__, sums, "tab")
+    stages = [next(built) for _ in a_stages]
+    assert [[g.stage_created for g in s.gaps] for s in stages] == [
+        [], [1, 1], [2, 2], [3, 3]
+    ]
+    assert_written_as_oracle(stages, tmp_path)
+
+
+def test_stage_writer_escapes_notes_as_the_encoder(tmp_path):
     stage = dataclasses.replace(
         central_stage(builtin_ternary(), 2),
         notes=('a "quoted" note', "back\\slash", "\u00e9t\u00e9 \u2264 1"),
     )
-    assert r"\u00e9t\u00e9 \u2264" in stage_json(stage)
-    assert_written_as_oracle(stage)
+    (text,) = assert_written_as_oracle([stage], tmp_path)
+    assert r"\u00e9t\u00e9 \u2264" in text
+
+
+def test_stage_writer_formats_each_end_once(tmp_path, monkeypatch):
+    # One "p/q" text per listed endpoint serves the components, the
+    # endpoints and the gaps, in the stage file and in the gap table.
+    stages = [
+        composite_stage(
+            CompositeSpec(CentralSpec.constant(F(1, 2)), CentralSpec.constant(F(1, 2))),
+            n,
+        )
+        for n in range(10)
+    ]
+    calls = []
+    ratio_text = jsonio._ratio_text
+    monkeypatch.setattr(
+        jsonio, "_ratio_text", lambda p, grid: calls.append(p) or ratio_text(p, grid)
+    )
+    write_stage_files(stages, tmp_path)
+    assert len(calls) == sum(len(s.endpoints) for s in stages) == 31_560
+
+
+def _unit_thirds_stage(gap):
+    """Stage 1 of the ternary set with its one gap record replaced."""
+    stage = central_stage(builtin_ternary(), 1)
+    return dataclasses.replace(stage, gaps=(GapRecord("", gap, 1),))
+
+
+@pytest.mark.parametrize(
+    "gap",
+    [
+        Interval.open(F(1, 3), F(1, 2)),  # on a grid that divides the stage's
+        Interval.open(F(1, 4), F(2, 3)),  # on one that does not
+        Interval.open(F(1, 9), F(2, 9)),  # inside a component
+    ],
+    ids=str,
+)
+def test_gap_end_off_the_components_is_an_invariant_error(tmp_path, gap):
+    stage = _unit_thirds_stage(gap)
+    with pytest.raises(InvariantError, match="stage 1: gap .* component ends"):
+        write_stage_files([central_stage(builtin_ternary(), 0), stage], tmp_path)
+    # the stage before it is whole, and the failed stage leaves no file
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "gaps_000.csv", "stage_000.json"
+    ]
 
 
 @pytest.mark.parametrize(
