@@ -839,8 +839,10 @@ def _greedy_points(
     """The points admitted at stages 1..n and the deferrals on the way.
 
     A candidate is admitted at stage m only when the padded -B, moved by
-    it and by every earlier point, leaves A_{m-1} whole; one that cuts a
-    component waits, recorded at that component's address.
+    it, leaves A_{m-1} whole; one that cuts a component waits, recorded
+    at that component's address.  A point admitted at stage m' < m needs
+    no new check: stages are nested and the margin shrinks, so its padded
+    translate, which missed A_{m'-1}, misses A_{m-1} too.
     """
     admitted: list[AdmittedPoint] = []
     deferred: list[Fraction] = []
@@ -852,18 +854,15 @@ def _greedy_points(
         b_forbidden = b.union(b.translate(Fraction(1, 2)))
         # -B padded by delta: admitted point d avoids d + padded.
         padded = _padded_reflection(b, quartic_margin(m))
-        points = [p.value for p in admitted]
         retries, deferred = deferred, []
         whole, attempts = False, 0
         while not whole and attempts < _MAX_STAGE_ATTEMPTS:
             attempts += 1
-            candidate = retries.pop(0) if retries else next(stream, None)
-            if candidate is None:  # the candidate stream ran out
-                break
+            candidate = retries.pop(0) if retries else next(stream)
             if b_forbidden.contains_point(candidate):
                 # Certified-inside points are skipped outright.
                 continue
-            allowed = a.minus_translates(padded, points_union([*points, candidate]))
+            allowed = a.minus_translates(padded, points_union([candidate]))
             whole = allowed == a
             if not whole:
                 grid = lcm(a.grid, allowed.grid)

@@ -15,7 +15,9 @@ class BudgetExceededError(CantorDiffError):
     def __init__(self, requested: int, budget: int):
         self.requested = requested
         self.budget = budget
-        super().__init__(f"stage needs {requested} components, budget allows {budget}")
+        # Only a binary stage's 2^n is this long; str() stops at 4300 digits.
+        count = requested if requested < 10 ** 20 else f"2^{requested.bit_length() - 1}"
+        super().__init__(f"stage needs {count} components, budget allows {budget}")
 
 
 class NotCertifiableError(CantorDiffError):

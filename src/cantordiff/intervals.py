@@ -49,8 +49,8 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
-    "Rational",
     "RationalLike",
+    "format_rational",
     "Interval",
     "IntervalUnion",
     "normalize",
@@ -62,7 +62,6 @@ __all__ = [
     "BOX",
 ]
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 

@@ -44,7 +44,6 @@ from .errors import InvalidSpecError, InvariantError
 from .intervals import Interval, IntervalUnion, format_rational
 
 __all__ = [
-    "format_rational",
     "parse_rational",
     "decimal_str",
     "exact_to_obj",
@@ -333,6 +332,12 @@ def _at(path: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
 
 
 def _rational(value: Any, path: str) -> Fraction:
+    # Fraction would read a float as its binary value, not the decimal
+    # it spells, and true as 1; ints are exact.
+    if isinstance(value, (float, bool)):
+        raise InvalidSpecError(
+            f"{path}: expected a 'p/q' string or an integer, got {json.dumps(value)}"
+        )
     return _at(path, parse_rational, value)
 
 

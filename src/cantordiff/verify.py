@@ -36,12 +36,11 @@ from .constructions import (
     rightmost_branch_gap_end,
 )
 from .errors import InvalidSpecError
-from .intervals import Interval, IntervalUnion, normalize, points_union
+from .intervals import Interval, IntervalUnion, format_rational, normalize, points_union
 from .jsonio import (
     FamilySpec,
     decimal_str,
     exact_to_obj,
-    format_rational,
     interval_to_obj,
     spec_to_obj,
     union_to_obj,

@@ -21,6 +21,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
 
+from cantordiff import constructions
 from cantordiff.analysis import ShiftInclusionResult
 from cantordiff.constructions import (
     AdmittedPoint,
@@ -615,6 +616,43 @@ def oracle_greedy_a_stages(spec):
             admitted.append(AdmittedPoint(candidate, m))
         a = IntervalUnion(parts)
         yield a, tuple(admitted), tuple(events)
+
+
+def oracle_greedy_points(spec, n):
+    """``(points, deferrals)`` of greedy stage n, from the loop that
+    filters each candidate together with every point admitted before it;
+    the library filters by the candidate alone."""
+    admitted = []
+    deferred = []
+    events = []
+    stream = dyadic_candidates()
+    for m in range(1, n + 1):
+        a = constructions._half(constructions._CENTRAL_HALF, m - 1)
+        b = constructions._half(spec.b_source, m)
+        b_forbidden = b.union(b.translate(Fraction(1, 2)))
+        padded = constructions._padded_reflection(b, quartic_margin(m))
+        points = [p.value for p in admitted]
+        retries, deferred = deferred, []
+        whole, attempts = False, 0
+        while not whole and attempts < 64:
+            attempts += 1
+            candidate = retries.pop(0) if retries else next(stream)
+            if b_forbidden.contains_point(candidate):
+                continue
+            allowed = a.minus_translates(padded, points_union([*points, candidate]))
+            whole = allowed == a
+            if not whole:
+                grid = lcm(a.grid, allowed.grid)
+                kept = set(allowed._on(grid))
+                index = next(i for i, r in enumerate(a._on(grid)) if r not in kept)
+                address = constructions._address(m - 1, index)
+                events.append(DeferralEvent(candidate, address, m))
+                deferred.append(candidate)
+        deferred = retries + deferred
+        if not whole:
+            raise AvoidanceExhaustedError(m, attempts)
+        admitted.append(AdmittedPoint(candidate, m))
+    return tuple(admitted), tuple(events)
 
 
 def _unit_stages(spec):

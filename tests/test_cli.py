@@ -529,17 +529,32 @@ GREEDY_QUARTER_SPEC = (
 )
 
 
-@pytest.mark.parametrize("command", ["diff-bounds", "measure-scan"])
-def test_over_budget_max_stage_is_refused_before_any_bracket(tmp_path, command):
-    # Bracketing stages 0-14 of greedy 1/4 first took 3 to 60 s before
-    # stage 15 was refused; requesting the deepest stage first takes
-    # well under a second.
-    spec = tmp_path / "greedy.json"
-    spec.write_text(GREEDY_QUARTER_SPEC)
+@pytest.mark.parametrize(
+    "command,spec_text,max_stage,needs",
+    [
+        # Bracketing stages 0-14 of greedy 1/4 first took 3 to 60 s
+        # before stage 15 was refused; requesting the deepest stage
+        # first takes well under a second.
+        *(
+            pytest.param(command, GREEDY_QUARTER_SPEC, 15, "32768", id=command)
+            for command in ("diff-bounds", "measure-scan")
+        ),
+        # 2**100000 has too many digits for str() to print.
+        *(
+            pytest.param(command, TAB_SPEC, 100000, "2^100000", id=f"{command}-tab")
+            for command in ("diff-bounds", "measure-scan")
+        ),
+    ],
+)
+def test_over_budget_max_stage_is_refused_before_any_bracket(
+    tmp_path, command, spec_text, max_stage, needs
+):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
     src = str(Path(cantordiff.__file__).parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "cantordiff.cli", command, "--spec", str(spec),
-         "--max-stage", "15", "--out", str(tmp_path / "out")],
+         "--max-stage", str(max_stage), "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
         timeout=5,
@@ -547,7 +562,7 @@ def test_over_budget_max_stage_is_refused_before_any_bracket(tmp_path, command):
     )
     assert result.returncode == 2, result.stderr
     assert result.stderr == (
-        "error: stage needs 32768 components, budget allows 16384\n"
+        f"error: stage needs {needs} components, budget allows 16384\n"
     )
     assert not (tmp_path / "out").exists()
 
@@ -604,20 +619,29 @@ def test_construct_imports_neither_analysis_nor_verify(tmp_path, ternary_spec):
     assert (tmp_path / "out" / "gaps_002.csv").exists()
 
 
-def test_package_names_resolve_on_first_access():
+def test_importing_the_package_loads_no_module():
     code = (
         "import sys, cantordiff\n"
-        "print('cantordiff.analysis' in sys.modules)\n"
-        "values = {name: getattr(cantordiff, name) for name in cantordiff.__all__}\n"
-        "from cantordiff import analysis, verify\n"
-        "from cantordiff import *\n"
-        "print(values['difference_bracket'] is analysis.difference_bracket,"
-        " difference_bracket is analysis.difference_bracket,"
-        " set(cantordiff.__all__) <= set(dir(cantordiff)))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cantordiff.')),"
+        " [n for n in vars(cantordiff) if not n.startswith('_')])\n"
     )
-    assert _run_python(code) == "False\nTrue True True\n"
-    with pytest.raises(AttributeError, match="no attribute 'family_stage'"):
-        cantordiff.family_stage
+    assert _run_python(code) == "[] []\n"
+
+
+def test_each_exported_name_is_defined_in_its_module():
+    # A name exported from a module that imports it is a second import
+    # path; builtin and typing aliases (``NodeAddress = str``) are skipped.
+    import importlib
+    import inspect
+    import pkgutil
+
+    for info in pkgutil.iter_modules(cantordiff.__path__):
+        module = importlib.import_module(f"cantordiff.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                if value.__module__.startswith("cantordiff."):
+                    assert value.__module__ == module.__name__, (module.__name__, name)
 
 
 def test_suite_choices_are_the_verify_suites():

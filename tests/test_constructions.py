@@ -340,6 +340,30 @@ class TestGreedy:
             expected = dataclasses.replace(composite_stage(tab, n), family="greedy")
             assert greedy_stage(GreedySpec(source), n) == expected, n
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            CentralSpec.geometric(F(1, 4)),
+            CentralSpec.geometric(F(1, 256)),
+            CentralSpec.geometric(F(1, 2)),
+            CentralSpec.constant(F(2, 3)),
+            CentralSpec.constant(F(1, 10)),
+            CentralSpec.constant(F(1, 3)),
+            PerturbedSpec(F(1, 5)),
+            CentralSpec.from_list((F(1, 2), F(1, 5), F(2, 3)), F(1, 7)),
+        ],
+        ids=[
+            "geometric-1_4", "geometric-1_256", "geometric-1_2", "constant-2_3",
+            "constant-1_10", "constant-1_3", "perturbed-1_5", "list-tail-1_7",
+        ],
+    )
+    def test_earlier_points_need_no_recheck(self, source):
+        # A candidate is filtered alone; the oracle filters it together
+        # with every earlier point.
+        spec = GreedySpec(source)
+        expected = oracle.oracle_greedy_points(spec, 9)
+        assert constructions._greedy_points(spec, 9) == expected
+
     def test_deferrals_are_pinned(self):
         # At stages 7 and 8 the candidates 1/4 and 3/4 each empty one
         # component of A and wait.
@@ -466,6 +490,13 @@ class TestCompositeBudget:
         with pytest.raises(BudgetExceededError) as caught:
             composite_stage(spec, 4, budget=20)
         assert (caught.value.requested, caught.value.budget) == (21, 20)
+
+    def test_budget_message_writes_a_long_count_as_a_power_of_two(self):
+        # 2^66 has 20 digits and 2^67 has 21.
+        for n, needs in [(66, "73786976294838206464"), (67, "2^67")]:
+            with pytest.raises(BudgetExceededError) as caught:
+                central_stage(TERNARY, n, budget=1)
+            assert str(caught.value) == f"stage needs {needs} components, budget allows 1"
 
 
 class TestParallelGeneration:

@@ -1,6 +1,7 @@
 """Round-trip tests for the shared JSON dialect."""
 
 import dataclasses
+import re
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -20,14 +21,13 @@ from cantordiff.constructions import (
     composite_stage,
 )
 from cantordiff.errors import InvalidSpecError, InvariantError
-from cantordiff.intervals import Interval, normalize
+from cantordiff.intervals import Interval, format_rational, normalize
 
 import oracle
 from cantordiff.jsonio import (
     _DECIMALS,
     decimal_str,
     dump_json,
-    format_rational,
     gap_table_rows,
     interval_from_obj,
     interval_to_obj,
@@ -375,6 +375,43 @@ _CENTRAL = {"family": "central", "ratios": "1/2"}
 def test_spec_errors(obj, fragment):
     with pytest.raises(InvalidSpecError, match=fragment):
         spec_from_obj(obj)
+
+
+_RATIONAL_FIELDS = {
+    "spec.c1": lambda x: {"family": "perturbed", "c1": x},
+    "spec.shrink": lambda x: {"family": "perturbed", "c1": "1/5", "shrink": x},
+    "spec.interior_gap_fraction": lambda x: {
+        "family": "perturbed", "c1": "1/5", "interior_gap_fraction": x
+    },
+    "spec.ratios.value": lambda x: {
+        "family": "central", "ratios": {"rule": "constant", "value": x}
+    },
+    "spec.ratios.base": lambda x: {
+        "family": "central", "ratios": {"rule": "geometric", "base": x}
+    },
+    "spec.ratios.values[1]": lambda x: {
+        "family": "central",
+        "ratios": {"rule": "list", "values": ["1/3", x], "tail": "1/3"},
+    },
+    "spec.ratios.tail": lambda x: {
+        "family": "central", "ratios": {"rule": "list", "values": ["1/3"], "tail": x}
+    },
+}
+
+
+@pytest.mark.parametrize("value", [0.2, True], ids=["float", "bool"])
+@pytest.mark.parametrize("path", _RATIONAL_FIELDS)
+def test_rational_fields_refuse_floats_and_booleans(path, value):
+    # 0.2 would be read as 3602879701896397/18014398509481984, true as 1.
+    with pytest.raises(
+        InvalidSpecError, match=rf"^{re.escape(path)}: expected a 'p/q' string"
+    ):
+        spec_from_obj(_RATIONAL_FIELDS[path](value))
+
+
+def test_rational_fields_take_ints():
+    spec = spec_from_obj(_RATIONAL_FIELDS["spec.interior_gap_fraction"](1))
+    assert spec == PerturbedSpec(F(1, 5), interior_gap_fraction=F(1))
 
 
 @pytest.mark.parametrize(
