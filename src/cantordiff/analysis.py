@@ -38,7 +38,6 @@ which is the soundness argument this module rests on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -50,6 +49,7 @@ from .intervals import (
     Interval,
     IntervalUnion,
     RationalLike,
+    _record,
     as_rational,
     points_union,
 )
@@ -123,7 +123,7 @@ def outer_difference(stage: CantorStage) -> IntervalUnion:
     return _OPEN_BOX_UNION
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class DiffBracket:
     """Sandwich inner <= true difference set <= outer at one stage,
     with the induced bracket for the missing set S."""
@@ -167,7 +167,7 @@ def difference_bracket(stage: CantorStage) -> DiffBracket:
 # gap-dominance certificates
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class DominantGapCertificate:
     """Evidence that translates of one gap cover an interval of the
     difference set, up to finitely many exceptions.
@@ -263,7 +263,7 @@ def dominant_gap_certificate(
 # shift-inclusion certificates
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ShiftInclusionResult:
     """Outcome of the staged check (C_n + Y_n) in [0,1] always lands in C_n.
 
@@ -342,7 +342,7 @@ def prediction_is_complete(spec: CentralSpec) -> bool:
 # rightmost-longest gap chain
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class GapChainLink:
     gap: GapRecord
     certificate: DominantGapCertificate
@@ -428,7 +428,7 @@ def rightmost_gap_chain(
 # zone measure monitoring
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ZoneMeasureRow:
     """Per-stage measures of the missing-set bracket across the fixed
     zones: the middle band and the four outer quarters."""
@@ -443,6 +443,9 @@ class ZoneMeasureRow:
     outer_total: Fraction
     missing_point_parts: int
     missing_interval_parts: int
+
+    def as_dict(self) -> dict[str, int | Fraction]:
+        return {name: getattr(self, name) for name in self.__match_args__}
 
 
 _ZONES = {

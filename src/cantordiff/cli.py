@@ -8,10 +8,8 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
@@ -44,6 +42,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
+    import csv  # only --format csv loads it
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -168,7 +167,7 @@ def _cmd_measure_scan(args: argparse.Namespace) -> int:
     from .analysis import zone_measure_rows
 
     rows = [
-        {_scan_column(f, v): v for f, v in asdict(r).items()}
+        {_scan_column(f, v): v for f, v in r.as_dict().items()}
         for r in zone_measure_rows(_stage_brackets(args))
     ]
     _write_rows(

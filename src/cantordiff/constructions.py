@@ -39,7 +39,6 @@ import functools
 import itertools
 import threading
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
@@ -61,6 +60,7 @@ from .intervals import (
     _from_ranges,
     _merge,
     _Range,
+    _record,
     as_rational,
     format_rational,
     points_union,
@@ -118,7 +118,7 @@ def _check_address(address: str) -> None:
         raise ValueError(f"address must be a binary string, got {address!r}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class GapRecord:
     """An open interval removed during construction.
 
@@ -153,7 +153,7 @@ class GapRecord:
         )
 
 
-# The slot setters, which a frozen dataclass leaves usable and which cost
+# The slot setters, which a frozen record leaves usable and which cost
 # less than object.__setattr__.
 _set_address, _set_lo, _set_hi, _set_grid, _set_stage = (
     getattr(GapRecord, name).__set__
@@ -186,7 +186,7 @@ def _gap(
     return record
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class CantorStage:
     """Finite-stage approximation of a Cantor set on ``frame``, [0, 1]
     for every family.
@@ -220,7 +220,7 @@ class CantorStage:
 # ratio rules
 
 
-@dataclass(frozen=True)
+@_record
 class ConstantRatios:
     """Every step removes the same middle fraction."""
 
@@ -244,7 +244,7 @@ class ConstantRatios:
         return {"rule": "constant", "value": format_rational(self.value)}
 
 
-@dataclass(frozen=True)
+@_record
 class ListRatios:
     """Explicit leading ratios, then a constant tail."""
 
@@ -279,7 +279,7 @@ class ListRatios:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class GeometricRatios:
     """Step k removes the middle base**k fraction; ratios are summable."""
 
@@ -404,7 +404,7 @@ def _split(
 # ``_address``.
 
 
-@dataclass(frozen=True)
+@_record
 class CentralSpec:
     """Middle-removal Cantor set: step k removes the open middle
     ratio(k) portion of every surviving component."""
@@ -485,7 +485,7 @@ def rightmost_branch_gap_end(spec: CentralSpec, k: int) -> Fraction:
 # perturbed family
 
 
-@dataclass(frozen=True)
+@_record
 class PerturbedSpec:
     """Cantor set with gaps pinned to component centers.
 
@@ -593,7 +593,7 @@ def half_scaled_components(
     return spec.stage(n, budget=budget).components.scale(Fraction(1, 2))
 
 
-@dataclass(frozen=True)
+@_record
 class CompositeSpec:
     """Sources for A and B, each generated on [0,1] and scaled to [0,1/2]."""
 
@@ -769,7 +769,7 @@ def quartic_margin(n: int) -> Fraction:
 _CENTRAL_HALF = CentralSpec.constant(Fraction(1, 2))
 
 
-@dataclass(frozen=True)
+@_record
 class GreedySpec:
     """The composite of A, the central 1/2 set, and B, each on [0, 1/2]:
     its stages are those of ``tab`` (central 1/2, B) under the family
@@ -811,7 +811,7 @@ class DeferralEvent(NamedTuple):
     stage: int
 
 
-@dataclass(frozen=True)
+@_record
 class GreedyCertificate:
     """Per-stage avoidance evidence: no admitted point lies in A + B."""
 

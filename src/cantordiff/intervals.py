@@ -41,12 +41,11 @@ of the frame lies in the sum of its own pair, which reaches the frame.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence, Union
+from operator import attrgetter, itemgetter
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "RationalLike",
@@ -77,7 +76,60 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True, slots=True)
+def _record(cls: type) -> type:
+    """``cls`` as a frozen slots record, like ``dataclass(frozen=True,
+    slots=True)`` but without its ``exec`` (about 1 ms a class at start-up).
+    The fields are the class's own annotations, a field's class attribute
+    is its default, ``==`` holds only within one class (specs are cache
+    keys), and a class with its own ``__new__`` gets no ``__init__``."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    fields = set(names)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", lambda self: None)
+    get = attrgetter(*names)
+    key = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        given = dict(zip(names, args))
+        values = {**defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs or values.keys() != fields:
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+        __setstate__(self, [values[name] for name in names])
+        post_init(self)
+
+    def __setstate__(self, state: Sequence[Any]) -> None:
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return key(self) == key(other) if same else NotImplemented
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{n}={v!r}" for n, v in zip(names, key(self)))
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    dropped = ("__dict__", "__weakref__", *defaults)
+    ns = {k: v for k, v in cls.__dict__.items() if k not in dropped}
+    ns.update(
+        __eq__=__eq__, __hash__=lambda self: hash(key(self)), __repr__=__repr__,
+        __setattr__=__setattr__, __delattr__=__delattr__, __match_args__=names,
+        __setstate__=__setstate__, __qualname__=cls.__qualname__, __slots__=names,
+        # copies and pickles are made past __init__ and __new__
+        __reduce__=lambda self: (object.__new__, (self.__class__,), key(self)),
+    )
+    if "__new__" not in cls.__dict__:
+        ns["__init__"] = __init__
+    return type(cls)(cls.__name__, cls.__bases__, ns)
+
+
+@_record
 class Interval:
     """A nonempty rational interval with per-endpoint openness.
 
@@ -333,7 +385,7 @@ def _sum_rows(
     return merged
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class IntervalUnion:
     """A normalized finite union of pairwise-disjoint intervals.
 

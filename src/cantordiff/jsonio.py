@@ -104,12 +104,12 @@ def interval_to_obj(interval: Interval) -> dict[str, Any]:
 
 
 def interval_from_obj(obj: dict[str, Any]) -> Interval:
-    return Interval(
-        parse_rational(obj["lo"]),
-        parse_rational(obj["hi"]),
-        bool(obj["lo_closed"]),
-        bool(obj["hi_closed"]),
-    )
+    for key in ("lo_closed", "hi_closed"):
+        if not isinstance(obj[key], bool):  # bool("false") is True
+            got = json.dumps(obj[key])
+            raise InvalidSpecError(f"{key}: expected a boolean, got {got}")
+    lo, hi = (_rational(obj[key], key) for key in ("lo", "hi"))
+    return Interval(lo, hi, obj["lo_closed"], obj["hi_closed"])
 
 
 def union_to_obj(union: IntervalUnion) -> list[dict[str, Any]]:

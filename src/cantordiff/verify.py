@@ -8,7 +8,6 @@ Suite keys are opaque selector names fixed by the external interface.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -36,7 +35,14 @@ from .constructions import (
     rightmost_branch_gap_end,
 )
 from .errors import InvalidSpecError
-from .intervals import Interval, IntervalUnion, format_rational, normalize, points_union
+from .intervals import (
+    Interval,
+    IntervalUnion,
+    _record,
+    format_rational,
+    normalize,
+    points_union,
+)
 from .jsonio import (
     FamilySpec,
     decimal_str,
@@ -49,15 +55,15 @@ from .jsonio import (
 __all__ = ["Assertion", "SuiteReport", "run_suite", "family_stage", "SUITES"]
 
 
-@dataclass(frozen=True)
+@_record
 class Assertion:
     id: str
     description: str
     status: str  # "pass" | "fail" | "flag"
-    details: dict[str, Any] = field(default_factory=dict)
+    details: dict[str, Any]
 
 
-@dataclass(frozen=True)
+@_record
 class SuiteReport:
     suite: str
     spec: dict[str, Any]
@@ -417,7 +423,7 @@ def _suite_steinhaus(
             all(a.middle >= b.middle for a, b in zip(rows, rows[1:])),
             "steinhaus-middle-monotone",
             "the middle-band missing measure never increases",
-            rows=[exact_to_obj(asdict(r)) for r in rows],
+            rows=[exact_to_obj(r.as_dict()) for r in rows],
         ),
         # Holds by construction, like cspm-outer-floor.
         _check(

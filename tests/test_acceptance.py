@@ -298,7 +298,8 @@ def test_c9_determinism(tmp_path):
     with _Criterion("C9", "byte-identical verification reports"):
         spec_path = tmp_path / "ternary.json"
         spec_path.write_text(
-            '{"family": "central", "ratios": {"rule": "constant", "value": "1/3"}}'
+            '{"family": "central", "ratios": {"rule": "constant", "value": "1/3"}}',
+            encoding="utf-8",
         )
         outputs = []
         for run in ("one", "two"):

@@ -308,7 +308,7 @@ class TestBracket:
         result = subprocess.run(
             [sys.executable, "-O", "-c", code],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             timeout=60,
             env={**os.environ, "PYTHONPATH": src},
         )

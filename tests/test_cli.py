@@ -25,7 +25,7 @@ TAB_SPEC = (
 @pytest.fixture
 def ternary_spec(tmp_path):
     path = tmp_path / "ternary.json"
-    path.write_text(TERNARY_SPEC)
+    path.write_text(TERNARY_SPEC, encoding="utf-8")
     return path
 
 
@@ -43,9 +43,9 @@ def test_construct_writes_stages_and_gap_tables(tmp_path, ternary_spec):
         ]
     )
     assert code == 0
-    stage = json.loads((out / "stage_002.json").read_text())
+    stage = json.loads((out / "stage_002.json").read_text(encoding="utf-8"))
     assert stage["n"] == 2 and len(stage["components"]) == 4
-    gaps = (out / "gaps_002.csv").read_text().splitlines()
+    gaps = (out / "gaps_002.csv").read_text(encoding="utf-8").splitlines()
     assert gaps[0].startswith("address,lo,hi,stage_created")
     assert gaps[1].startswith(",1/3,2/3,1")
     assert gaps[2].startswith("0,1/9,2/9,2")
@@ -54,18 +54,18 @@ def test_construct_writes_stages_and_gap_tables(tmp_path, ternary_spec):
 
 def test_construct_perturbed_single_gap(tmp_path):
     spec = tmp_path / "p.json"
-    spec.write_text(PERTURBED_SPEC)
+    spec.write_text(PERTURBED_SPEC, encoding="utf-8")
     out = tmp_path / "out"
     assert main(
         ["construct", "--spec", str(spec), "--max-stage", "1", "--out", str(out)]
     ) == 0
-    gaps = (out / "gaps_001.csv").read_text().splitlines()
+    gaps = (out / "gaps_001.csv").read_text(encoding="utf-8").splitlines()
     assert gaps[1].startswith(",2/5,3/5,1")
 
 
 def test_invalid_ratio_is_config_error(tmp_path, capsys):
     spec = tmp_path / "bad.json"
-    spec.write_text('{"family": "central", "ratios": "1/1"}')
+    spec.write_text('{"family": "central", "ratios": "1/1"}', encoding="utf-8")
     code = main(
         ["construct", "--spec", str(spec), "--max-stage", "1", "--out", str(tmp_path)]
     )
@@ -79,7 +79,7 @@ def test_out_of_range_source_ratio_names_its_path(tmp_path, capsys):
         "family": "tab",
         "a": {"family": "central", "ratios": "1/2"},
         "b": {"family": "central", "ratios": "3/2"},
-    }))
+    }), encoding="utf-8")
     code = main(
         ["construct", "--spec", str(spec), "--max-stage", "1", "--out", str(tmp_path)]
     )
@@ -89,7 +89,7 @@ def test_out_of_range_source_ratio_names_its_path(tmp_path, capsys):
 
 def test_malformed_json_reports_line(tmp_path, capsys):
     spec = tmp_path / "broken.json"
-    spec.write_text('{"family":\n "central",,}')
+    spec.write_text('{"family":\n "central",,}', encoding="utf-8")
     code = main(
         ["construct", "--spec", str(spec), "--max-stage", "1", "--out", str(tmp_path)]
     )
@@ -101,14 +101,14 @@ def test_exponent_notation_is_refused_at_once(tmp_path):
     # Fraction expands "1e99999999" into a 10^8-digit integer; the
     # spec reader refuses exponent notation before that starts.
     spec = tmp_path / "huge.json"
-    spec.write_text('{"family": "perturbed", "c1": "1e99999999"}')
+    spec.write_text('{"family": "perturbed", "c1": "1e99999999"}', encoding="utf-8")
     src = str(Path(cantordiff.__file__).parents[1])
     started = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-m", "cantordiff.cli", "construct", "--spec", str(spec),
          "--max-stage", "1", "--out", str(tmp_path / "out")],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=20,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -128,7 +128,7 @@ def test_huge_max_stage_is_clamped_at_once(tmp_path, ternary_spec):
          str(ternary_spec), "--max-stage", "100000", "--budget", "16",
          "--out", str(out)],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=20,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -146,14 +146,15 @@ def test_tamc_chain_beyond_budget_is_refused_at_once(tmp_path):
     spec = tmp_path / "steep.json"
     spec.write_text(
         '{"family": "central", "ratios": '
-        '{"rule": "geometric", "base": "1/1073741824"}}'
+        '{"rule": "geometric", "base": "1/1073741824"}}',
+        encoding="utf-8",
     )
     src = str(Path(cantordiff.__file__).parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "cantordiff.cli", "verify", "tamc", "--spec",
          str(spec), "--max-stage", "6"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=20,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -165,14 +166,14 @@ def test_tab_stage8_diff_bounds_finishes(tmp_path):
     # Tab 1/2,1/2 stage 8 has 3,535 gaps and 7,072 endpoints; a bracket
     # that sums every gap with every endpoint takes about 20 s on 2 vCPUs.
     spec = tmp_path / "tab.json"
-    spec.write_text(TAB_SPEC)
+    spec.write_text(TAB_SPEC, encoding="utf-8")
     out = tmp_path / "out"
     src = str(Path(cantordiff.__file__).parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "cantordiff.cli", "diff-bounds", "--spec", str(spec),
          "--max-stage", "8", "--out", str(out)],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=15,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -184,7 +185,7 @@ def test_construct_over_budget_writes_nothing(tmp_path, capsys):
     # Tab 1/2,1/2 fits the budget of 8 up to stage 2 and fails at stage 3:
     # no stage file may be left behind.
     spec = tmp_path / "tab.json"
-    spec.write_text(TAB_SPEC)
+    spec.write_text(TAB_SPEC, encoding="utf-8")
     out = tmp_path / "out"
     code = main(
         ["construct", "--spec", str(spec), "--max-stage", "4", "--budget", "8",
@@ -212,10 +213,10 @@ def test_diff_bounds_csv(tmp_path, ternary_spec):
         ]
     )
     assert code == 0
-    rows = (out / "diff_bounds.csv").read_text().splitlines()
+    rows = (out / "diff_bounds.csv").read_text(encoding="utf-8").splitlines()
     assert rows[1].startswith("0,0/1,2/1,2/1,0")
     assert rows[2].startswith("1,4/3,2/1,2/3,3")
-    dat = (out / "diff_bounds.dat").read_text().splitlines()
+    dat = (out / "diff_bounds.dat").read_text(encoding="utf-8").splitlines()
     assert dat[0].startswith("#")
     assert dat[2].split()[1] == "1.3333333333333333333"
 
@@ -234,7 +235,7 @@ def test_measure_scan_json(tmp_path, ternary_spec):
         ]
     )
     assert code == 0
-    records = json.loads((out / "measure_scan.json").read_text())
+    records = json.loads((out / "measure_scan.json").read_text(encoding="utf-8"))
     assert records[3]["m_middle"] == "0/1"
     assert records[0]["m_outer"] == "2/1"
 
@@ -254,7 +255,7 @@ def test_verify_pass_and_report(tmp_path, ternary_spec):
         ]
     )
     assert code == 0
-    report = json.loads((out / "verify_ccp.json").read_text())
+    report = json.loads((out / "verify_ccp.json").read_text(encoding="utf-8"))
     assert report["passed"] is True
     assert len(report["assertions"]) == 5
     assert report["assertions"][1]["details"]["missing_measure"] == "2/3"
@@ -262,7 +263,7 @@ def test_verify_pass_and_report(tmp_path, ternary_spec):
 
 def test_verify_incompatible_selector(tmp_path, capsys):
     spec = tmp_path / "quarter.json"
-    spec.write_text('{"family": "central", "ratios": "1/4"}')
+    spec.write_text('{"family": "central", "ratios": "1/4"}', encoding="utf-8")
     code = main(["verify", "t13", "--spec", str(spec), "--max-stage", "3"])
     assert code == 2
     assert "at least 1/3" in capsys.readouterr().err
@@ -270,7 +271,7 @@ def test_verify_incompatible_selector(tmp_path, capsys):
 
 def test_verify_tab_stdout(tmp_path, capsys):
     spec = tmp_path / "tab.json"
-    spec.write_text(TAB_SPEC)
+    spec.write_text(TAB_SPEC, encoding="utf-8")
     code = main(["verify", "tab", "--spec", str(spec), "--max-stage", "3"])
     assert code == 0
     out = capsys.readouterr().out
@@ -313,7 +314,7 @@ def test_diff_bounds_json_embeds_brackets(tmp_path, ternary_spec):
             str(out),
         ]
     ) == 0
-    records = json.loads((out / "diff_bounds.json").read_text())
+    records = json.loads((out / "diff_bounds.json").read_text(encoding="utf-8"))
     bracket = records[1]["bracket"]
     assert bracket["inner"][0]["lo"] == "-2/3"
     assert {p["lo"] for p in bracket["missing_outer"]} >= {"-1/3", "0/1", "1/3"}
@@ -430,7 +431,7 @@ def test_reports_are_utf8_whatever_the_locale(tmp_path, ternary_spec):
              "-W", "error::EncodingWarning", "-m", "cantordiff.cli", *command,
              "--spec", str(ternary_spec), "--max-stage", "2", "--out", str(out)],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             timeout=60,
             env={**os.environ, "PYTHONPATH": src},
         )
@@ -441,7 +442,7 @@ def test_reports_are_utf8_whatever_the_locale(tmp_path, ternary_spec):
 
 def test_construct_twice_in_one_process_gives_the_same_bytes(tmp_path):
     spec = tmp_path / "tab.json"
-    spec.write_text(TAB_SPEC)
+    spec.write_text(TAB_SPEC, encoding="utf-8")
     outs = [tmp_path / "r1", tmp_path / "r2"]
     for out in outs:
         assert main(
@@ -480,13 +481,13 @@ def test_unwritable_out_is_config_error(tmp_path, ternary_spec, command):
     # An output directory under a regular file cannot be made: exit 2
     # with an error line, not a traceback and exit 1.
     blocker = tmp_path / "file"
-    blocker.write_text("")
+    blocker.write_text("", encoding="utf-8")
     src = str(Path(cantordiff.__file__).parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "cantordiff.cli", *command, "--spec", str(ternary_spec),
          "--max-stage", "1", "--out", str(blocker / "out")],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -503,7 +504,7 @@ def test_cli_import_leaves_logging_out():
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -550,13 +551,13 @@ def test_over_budget_max_stage_is_refused_before_any_bracket(
     tmp_path, command, spec_text, max_stage, needs
 ):
     spec = tmp_path / "spec.json"
-    spec.write_text(spec_text)
+    spec.write_text(spec_text, encoding="utf-8")
     src = str(Path(cantordiff.__file__).parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "cantordiff.cli", command, "--spec", str(spec),
          "--max-stage", str(max_stage), "--out", str(tmp_path / "out")],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=5,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -578,7 +579,7 @@ def test_refused_stage_computes_no_bracket(tmp_path, capsys, monkeypatch, comman
 
     monkeypatch.setattr(IntervalUnion, "minus_translates", bracket)
     spec = tmp_path / "tab.json"
-    spec.write_text(TAB_SPEC)
+    spec.write_text(TAB_SPEC, encoding="utf-8")
     code = main(
         [command, "--spec", str(spec), "--max-stage", "5", "--budget", "64",
          "--out", str(tmp_path / "out")]
@@ -595,7 +596,7 @@ def _run_python(code: str) -> str:
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -617,6 +618,32 @@ def test_construct_imports_neither_analysis_nor_verify(tmp_path, ternary_spec):
         "'cantordiff.intervals', 'cantordiff.jsonio']\n",
     ]
     assert (tmp_path / "out" / "gaps_002.csv").exists()
+
+
+_STARTUP_COMMANDS = {
+    "construct": ["construct"],
+    "diff-bounds": ["diff-bounds", "--format", "json"],
+    "measure-scan": ["measure-scan"],
+    "verify-tab": ["verify", "tab", "--format", "json"],
+    "diff-bounds-csv": ["diff-bounds", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("argv", _STARTUP_COMMANDS.values(), ids=_STARTUP_COMMANDS)
+def test_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
+    # dataclasses (which loads inspect, ast, dis, tokenize) would cost
+    # every command tens of ms of start-up; csv only --format csv needs.
+    spec = tmp_path / "spec.json"
+    spec.write_text(TAB_SPEC if "tab" in argv else TERNARY_SPEC, encoding="utf-8")
+    argv = [*argv, "--spec", str(spec), "--max-stage", "2", "--out", str(tmp_path)]
+    code = (
+        "import sys\n"
+        "from cantordiff.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))\n"
+    )
+    expected = ["csv"] if "csv" in argv else []
+    assert _run_python(code) == f"0 {expected}\n"
 
 
 def test_importing_the_package_loads_no_module():

@@ -1,6 +1,5 @@
 """Tests for the four stage generators."""
 
-import dataclasses
 import itertools
 import warnings
 from fractions import Fraction as F
@@ -10,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantordiff import constructions
 from cantordiff.constructions import (
+    CantorStage,
     CentralSpec,
     CompositeSpec,
     GreedySpec,
@@ -337,7 +337,8 @@ class TestGreedy:
         # Only the family name tells a greedy stage from a tab one.
         tab = CompositeSpec(HALVING, source)
         for n in range(9):
-            expected = dataclasses.replace(composite_stage(tab, n), family="greedy")
+            s = composite_stage(tab, n)
+            expected = CantorStage(s.n, s.components, s.gaps, "greedy", s.notes)
             assert greedy_stage(GreedySpec(source), n) == expected, n
 
     @pytest.mark.parametrize(
@@ -450,7 +451,9 @@ class TestGreedyFailureModes:
         # The stages never read the points: built afresh under the hostile
         # margin, they are still tab (central 1/2, B).
         tab = composite_stage(CompositeSpec(HALVING, spec.b_source), 1)
-        assert greedy_stage(spec, 1) == dataclasses.replace(tab, family="greedy")
+        assert greedy_stage(spec, 1) == CantorStage(
+            tab.n, tab.components, tab.gaps, "greedy", tab.notes
+        )
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):

@@ -116,7 +116,7 @@ CASES = {
 def run_case(name: str, root: Path) -> dict:
     spec, args = CASES[name]
     spec_path = root / f"{name}.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
     out = root / name
     stderr = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
@@ -135,7 +135,7 @@ def run_case(name: str, root: Path) -> dict:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_match_recorded_digests(name, tmp_path):
-    expected = json.loads(DIGESTS.read_text())[name]
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
     assert run_case(name, tmp_path) == expected
 
 
@@ -144,5 +144,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: run_case(name, Path(tmp)) for name in sorted(CASES)}
-    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(digests, indent=2, sort_keys=True) + "\n"
+    DIGESTS.write_text(text, encoding="utf-8")
     print(f"wrote {len(digests)} cases to {DIGESTS}", file=sys.stderr)

@@ -1,6 +1,5 @@
 """Round-trip tests for the shared JSON dialect."""
 
-import dataclasses
 import re
 import tempfile
 from fractions import Fraction as F
@@ -11,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantordiff import constructions, jsonio
 from cantordiff.constructions import (
+    CantorStage,
     CentralSpec,
     CompositeSpec,
     GapRecord,
@@ -238,10 +238,9 @@ def test_stage_writer_reads_regrown_gaps(tmp_path):
 
 
 def test_stage_writer_escapes_notes_as_the_encoder(tmp_path):
-    stage = dataclasses.replace(
-        central_stage(builtin_ternary(), 2),
-        notes=('a "quoted" note', "back\\slash", "\u00e9t\u00e9 \u2264 1"),
-    )
+    s = central_stage(builtin_ternary(), 2)
+    notes = ('a "quoted" note', "back\\slash", "\u00e9t\u00e9 \u2264 1")
+    stage = CantorStage(s.n, s.components, s.gaps, s.family, notes)
     (text,) = assert_written_as_oracle([stage], tmp_path)
     assert r"\u00e9t\u00e9 \u2264" in text
 
@@ -268,7 +267,9 @@ def test_stage_writer_formats_each_end_once(tmp_path, monkeypatch):
 def _unit_thirds_stage(gap):
     """Stage 1 of the ternary set with its one gap record replaced."""
     stage = central_stage(builtin_ternary(), 1)
-    return dataclasses.replace(stage, gaps=(GapRecord("", gap, 1),))
+    return CantorStage(
+        stage.n, stage.components, (GapRecord("", gap, 1),), stage.family, stage.notes
+    )
 
 
 @pytest.mark.parametrize(
@@ -412,6 +413,33 @@ def test_rational_fields_refuse_floats_and_booleans(path, value):
 def test_rational_fields_take_ints():
     spec = spec_from_obj(_RATIONAL_FIELDS["spec.interior_gap_fraction"](1))
     assert spec == PerturbedSpec(F(1, 5), interior_gap_fraction=F(1))
+
+
+_INTERVAL = {"lo": "1/5", "hi": 1, "lo_closed": True, "hi_closed": False}
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("lo", 0.2, "expected a 'p/q' string or an integer, got 0.2"),
+        ("lo", False, "expected a 'p/q' string or an integer, got false"),
+        ("hi", 1.0, "expected a 'p/q' string or an integer, got 1.0"),
+        ("hi", True, "expected a 'p/q' string or an integer, got true"),
+        ("lo_closed", "false", 'expected a boolean, got "false"'),
+        ("lo_closed", 1, "expected a boolean, got 1"),
+        ("hi_closed", "true", 'expected a boolean, got "true"'),
+        ("hi_closed", 0, "expected a boolean, got 0"),
+    ],
+)
+def test_interval_fields_refuse_other_json_types(key, value, message):
+    # A float end would be read as its binary value, "false" as closed.
+    with pytest.raises(InvalidSpecError) as caught:
+        interval_from_obj({**_INTERVAL, key: value})
+    assert str(caught.value) == f"{key}: {message}"
+
+
+def test_interval_fields_take_ints_and_booleans():
+    assert interval_from_obj(_INTERVAL) == Interval.right_open(F(1, 5), 1)
 
 
 @pytest.mark.parametrize(
