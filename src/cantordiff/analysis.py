@@ -191,11 +191,6 @@ class DominantGapCertificate:
     max_component_in_window: Fraction
     max_recorded_gap_in_window: Fraction
 
-    def certified_union(self) -> IntervalUnion:
-        return IntervalUnion((self.certified,)).difference(
-            points_union(self.exceptions)
-        )
-
 
 def dominant_gap_certificate(
     stage: CantorStage,

@@ -89,15 +89,9 @@ __all__ = [
     "composite_stage",
     "greedy_stage",
     "greedy_certificate",
-    "branch_shift",
     "half_scaled_components",
     "dyadic_candidates",
     "quartic_margin",
-    "builtin_ternary",
-    "builtin_half",
-    "builtin_perturbed",
-    "builtin_composite_pair",
-    "builtin_fat_composite",
 ]
 
 DEFAULT_BUDGET = 2 ** 14
@@ -361,11 +355,6 @@ def _stage(spec, n: int, budget: int):
     return _sequence(spec).get(n, None if spec.binary else budget)
 
 
-def _half(spec, n: int) -> IntervalUnion:
-    """Stage-n components of a unit-frame source, scaled into [0, 1/2]."""
-    return _sequence(spec).get(n).components.scale(Fraction(1, 2))
-
-
 def _address(n: int, i: int) -> NodeAddress:
     """The address of stage-n component i of a binary family."""
     return format(i, f"0{n}b") if n else ""
@@ -416,12 +405,6 @@ class CentralSpec:
     @classmethod
     def constant(cls, value: RationalLike) -> "CentralSpec":
         return cls(ConstantRatios(as_rational(value)))
-
-    @classmethod
-    def from_list(
-        cls, values: tuple[RationalLike, ...], tail: RationalLike
-    ) -> "CentralSpec":
-        return cls(ListRatios(tuple(as_rational(v) for v in values), as_rational(tail)))
 
     @classmethod
     def geometric(cls, base: RationalLike) -> "CentralSpec":
@@ -586,11 +569,11 @@ def perturbed_stage(
 HalfSourceSpec = Union[CentralSpec, PerturbedSpec]
 
 
-def half_scaled_components(
-    spec: HalfSourceSpec, n: int, *, budget: int = DEFAULT_BUDGET
-) -> IntervalUnion:
-    """Stage-n components of a unit-frame family, scaled into [0, 1/2]."""
-    return spec.stage(n, budget=budget).components.scale(Fraction(1, 2))
+def half_scaled_components(spec: HalfSourceSpec, n: int) -> IntervalUnion:
+    """Stage-n components of a unit-frame source, scaled into [0, 1/2].
+    No budget is checked: every caller has already checked one that
+    covers the 2^n components of stage n."""
+    return _sequence(spec).get(n).components.scale(Fraction(1, 2))
 
 
 @_record
@@ -614,7 +597,7 @@ class CompositeSpec:
 
     def _steps(self) -> Iterator[CantorStage]:
         return _composite_steps(
-            functools.partial(_half, self.a_source),
+            functools.partial(half_scaled_components, self.a_source),
             _source_sums(self.a_source, self.b_source),
             "tab",
         )
@@ -687,7 +670,9 @@ def _source_sums(
             deltas = []
             yield _offset_sum(offsets, grid, 2 * la)
         else:
-            yield _windowed_sum(_half(a_source, m), _half(b_source, m))
+            yield _windowed_sum(
+                half_scaled_components(a_source, m), half_scaled_components(b_source, m)
+            )
 
 
 def _composite_steps(
@@ -794,7 +779,7 @@ class GreedySpec:
 
     def _steps(self) -> Iterator[CantorStage]:
         return _composite_steps(
-            functools.partial(_half, _CENTRAL_HALF),
+            functools.partial(half_scaled_components, _CENTRAL_HALF),
             _source_sums(_CENTRAL_HALF, self.b_source),
             "greedy",
         )
@@ -849,8 +834,8 @@ def _greedy_points(
     events: list[DeferralEvent] = []
     stream = dyadic_candidates()
     for m in range(1, n + 1):
-        a = _half(_CENTRAL_HALF, m - 1)
-        b = _half(spec.b_source, m)
+        a = half_scaled_components(_CENTRAL_HALF, m - 1)
+        b = half_scaled_components(spec.b_source, m)
         b_forbidden = b.union(b.translate(Fraction(1, 2)))
         # -B padded by delta: admitted point d avoids d + padded.
         padded = _padded_reflection(b, quartic_margin(m))
@@ -890,63 +875,6 @@ def greedy_certificate(
     p is in A + B iff A meets p - B, so no translate of -B may cut A."""
     a = _stage(_CENTRAL_HALF, n, budget).components.scale(Fraction(1, 2))
     points, deferrals = _greedy_points(spec, n)
-    b = half_scaled_components(spec.b_source, n, budget=budget)
+    b = half_scaled_components(spec.b_source, n)
     unreached = a.minus_translates(b.reflect(), points_union(p.value for p in points))
     return GreedyCertificate(n, points, deferrals, unreached == a)
-
-
-# ---------------------------------------------------------------------
-# self-similarity shift
-
-
-def branch_shift(stage: CantorStage, address: NodeAddress) -> Fraction:
-    """Shift carrying the leftmost depth-|address| branch onto the
-    addressed branch, verified exactly on the stage components.
-
-    Only central stages are self-similar in this sense; other families
-    are rejected.
-    """
-    if stage.family != "central":
-        raise InvalidSpecError(
-            f"branch shifts require a central stage, got family {stage.family!r}"
-        )
-    _check_address(address)
-    depth = len(address)
-    if depth > stage.n:
-        raise ValueError(f"address depth {depth} exceeds stage {stage.n}")
-    parts = stage.components.parts
-    per_branch = len(parts) >> depth
-    index = int(address, 2) if address else 0
-    shift = parts[index * per_branch].lo  # leftmost branch starts at 0
-    left = IntervalUnion(parts[:per_branch])
-    target = IntervalUnion(parts[index * per_branch : (index + 1) * per_branch])
-    if left.translate(shift) != target:
-        raise InvalidSpecError(
-            f"stage is not shift-identical on branch {address!r}"
-        )
-    return shift
-
-
-# ---------------------------------------------------------------------
-# built-in example specs
-
-
-def builtin_ternary() -> CentralSpec:
-    return CentralSpec.constant(Fraction(1, 3))
-
-
-def builtin_half() -> CentralSpec:
-    return CentralSpec.constant(Fraction(1, 2))
-
-
-def builtin_perturbed() -> PerturbedSpec:
-    return PerturbedSpec(Fraction(1, 5))
-
-
-def builtin_composite_pair() -> CompositeSpec:
-    half = builtin_half()
-    return CompositeSpec(half, half)
-
-
-def builtin_fat_composite(base: RationalLike = Fraction(1, 4)) -> GreedySpec:
-    return GreedySpec(CentralSpec.geometric(base))

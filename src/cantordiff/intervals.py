@@ -53,11 +53,9 @@ __all__ = [
     "Interval",
     "IntervalUnion",
     "normalize",
-    "union_of",
     "points_union",
     "EMPTY",
     "UNIT",
-    "HALF",
     "BOX",
 ]
 
@@ -168,14 +166,6 @@ class Interval:
         x = as_rational(x)
         return cls(x, x, True, True)
 
-    @classmethod
-    def left_open(cls, lo: RationalLike, hi: RationalLike) -> "Interval":
-        return cls(as_rational(lo), as_rational(hi), False, True)
-
-    @classmethod
-    def right_open(cls, lo: RationalLike, hi: RationalLike) -> "Interval":
-        return cls(as_rational(lo), as_rational(hi), True, False)
-
     # -- derived accessors -------------------------------------------
 
     @property
@@ -189,16 +179,6 @@ class Interval:
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def contains(self, x: RationalLike) -> bool:
-        x = as_rational(x)
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
 
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
@@ -390,9 +370,9 @@ class IntervalUnion:
     """A normalized finite union of pairwise-disjoint intervals.
 
     It stores the key ranges of its parts on its canonical grid.
-    Construct through :func:`normalize` (or the ``union_of`` helper)
-    unless the parts are already in normalized order; the constructor
-    raises ``ValueError`` on parts that are not.
+    Construct through :func:`normalize` unless the parts are already in
+    normalized order; the constructor raises ``ValueError`` on parts that
+    are not.
     """
 
     grid: int
@@ -417,9 +397,6 @@ class IntervalUnion:
     @property
     def is_empty(self) -> bool:
         return not self.ranges
-
-    def __iter__(self) -> Iterator[Interval]:
-        return iter(self.parts)
 
     def __len__(self) -> int:
         return len(self.ranges)
@@ -458,9 +435,6 @@ class IntervalUnion:
         i = bisect_right(self.ranges, key, key=itemgetter(0))
         return i > 0 and self.ranges[i - 1][1] >= key
 
-    def __contains__(self, x: RationalLike) -> bool:
-        return self.contains_point(x)
-
     # -- boolean algebra ----------------------------------------------
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
@@ -471,17 +445,11 @@ class IntervalUnion:
         grid = lcm(self.grid, other.grid)
         return _from_ranges(_merge(sorted([*self._on(grid), *other._on(grid)])), grid)
 
-    def __or__(self, other: "IntervalUnion") -> "IntervalUnion":
-        return self.union(other)
-
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         if self.is_empty or other.is_empty:
             return EMPTY
         grid = lcm(self.grid, other.grid)
         return _from_ranges(_meet(self._on(grid), other._on(grid)), grid)
-
-    def __and__(self, other: "IntervalUnion") -> "IntervalUnion":
-        return self.intersect(other)
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
         """Set difference self minus other (not the algebraic difference)."""
@@ -553,9 +521,6 @@ class IntervalUnion:
         """The mirror image {-x : x in self}; flags swap ends."""
         return self._affine(-1, 0)
 
-    def __neg__(self) -> "IntervalUnion":
-        return self.reflect()
-
     def translate(self, t: RationalLike) -> "IntervalUnion":
         t = as_rational(t)
         if t == 0:
@@ -598,9 +563,6 @@ class IntervalUnion:
             merged = _meet(merged, (frame,))
         return _from_ranges(merged, grid)
 
-    def __add__(self, other: "IntervalUnion") -> "IntervalUnion":
-        return self.minkowski_sum(other)
-
 
 def normalize(intervals: Iterable[Interval]) -> IntervalUnion:
     """Canonical union of an arbitrary finite collection of intervals.
@@ -612,10 +574,6 @@ def normalize(intervals: Iterable[Interval]) -> IntervalUnion:
     return _from_ranges(_merge(sorted(ranges)), grid)
 
 
-def union_of(*intervals: Interval) -> IntervalUnion:
-    return normalize(intervals)
-
-
 def points_union(values: Iterable[RationalLike]) -> IntervalUnion:
     """Union of degenerate point parts, one per distinct value."""
     return normalize(Interval.point(v) for v in values)
@@ -623,5 +581,4 @@ def points_union(values: Iterable[RationalLike]) -> IntervalUnion:
 
 EMPTY = IntervalUnion(())
 UNIT = Interval.closed(0, 1)
-HALF = Interval.closed(0, Fraction(1, 2))
 BOX = Interval.closed(-1, 1)

@@ -48,9 +48,7 @@ __all__ = [
     "decimal_str",
     "exact_to_obj",
     "interval_to_obj",
-    "interval_from_obj",
     "union_to_obj",
-    "union_from_obj",
     "stage_to_obj",
     "write_stage_files",
     "gap_table_rows",
@@ -103,21 +101,8 @@ def interval_to_obj(interval: Interval) -> dict[str, Any]:
     }
 
 
-def interval_from_obj(obj: dict[str, Any]) -> Interval:
-    for key in ("lo_closed", "hi_closed"):
-        if not isinstance(obj[key], bool):  # bool("false") is True
-            got = json.dumps(obj[key])
-            raise InvalidSpecError(f"{key}: expected a boolean, got {got}")
-    lo, hi = (_rational(obj[key], key) for key in ("lo", "hi"))
-    return Interval(lo, hi, obj["lo_closed"], obj["hi_closed"])
-
-
 def union_to_obj(union: IntervalUnion) -> list[dict[str, Any]]:
     return [interval_to_obj(p) for p in union.parts]
-
-
-def union_from_obj(obj: list[dict[str, Any]]) -> IntervalUnion:
-    return IntervalUnion(tuple(interval_from_obj(item) for item in obj))
 
 
 def _gap_to_obj(gap: GapRecord) -> dict[str, Any]:

@@ -278,9 +278,7 @@ def _composite_parts(
 ) -> tuple[list[CantorStage], list[IntervalUnion]]:
     c_stages = [family_stage(spec, n, budget=budget) for n in range(max_stage + 1)]
     y_stages = [
-        half_scaled_components(spec.b_source, n, budget=budget).translate(
-            Fraction(1, 2)
-        )
+        half_scaled_components(spec.b_source, n).translate(Fraction(1, 2))
         for n in range(max_stage + 1)
     ]
     return c_stages, y_stages
@@ -355,9 +353,7 @@ def _suite_cspm(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertio
         )
     c_stages, y_stages = _composite_parts(spec, max_stage, budget)
     result = shift_inclusion_check(c_stages, y_stages)
-    b_measure = half_scaled_components(
-        spec.b_source, max_stage, budget=budget
-    ).measure()
+    b_measure = half_scaled_components(spec.b_source, max_stage).measure()
     lower = b_measure - Fraction(1, 2) * tail
     certified_upper = 2 - lower
     outer_measures = [outer_difference(s).measure() for s in c_stages]

@@ -36,7 +36,6 @@ from cantordiff.constructions import (
 )
 from cantordiff.errors import AvoidanceExhaustedError, InvalidSpecError
 from cantordiff.intervals import (
-    HALF,
     UNIT,
     Interval,
     IntervalUnion,
@@ -278,7 +277,7 @@ def minkowski_outer_difference(stage):
 def closed_form_outer_difference(stage):
     """The union of (-h, 1 - l) over the components [l, h], one open
     interval decoded and normalized per component."""
-    return normalize(Interval.open(-c.hi, 1 - c.lo) for c in stage.components)
+    return normalize(Interval.open(-c.hi, 1 - c.lo) for c in stage.components.parts)
 
 
 # ---------------------------------------------------------------------
@@ -521,7 +520,7 @@ def oracle_composite_stages(a_components, b_components, family):
             )
         prev_max = cur_max
         gaps = []
-        for part in components.complement_within(UNIT):
+        for part in components.complement_within(UNIT).parts:
             created = gap_created.setdefault((part.lo, part.hi), m)
             gaps.append(GapRecord(None, part, created))
         ordered = tuple(sorted(gaps, key=lambda g: g.stage_created))
@@ -574,14 +573,14 @@ def _avoiding_cuts(parts, allowed):
 
 def oracle_padded_reflection(b, delta):
     """-B with each part widened to a closed interval by ``delta``."""
-    return normalize(Interval.closed(-p.hi - delta, -p.lo + delta) for p in b)
+    return normalize(Interval.closed(-p.hi - delta, -p.lo + delta) for p in b.parts)
 
 
 def oracle_greedy_a_stages(spec):
     """The greedy A half on [0, 1/2], cut where the admitted points allow;
     yields ``(components, points, deferrals)`` from stage 0 on."""
     b_half = _half(spec.b_source)
-    parts = (HALF,)
+    parts = (Interval.closed(0, Fraction(1, 2)),)
     admitted = []
     deferred = []
     events = []
@@ -627,8 +626,8 @@ def oracle_greedy_points(spec, n):
     events = []
     stream = dyadic_candidates()
     for m in range(1, n + 1):
-        a = constructions._half(constructions._CENTRAL_HALF, m - 1)
-        b = constructions._half(spec.b_source, m)
+        a = constructions.half_scaled_components(constructions._CENTRAL_HALF, m - 1)
+        b = constructions.half_scaled_components(spec.b_source, m)
         b_forbidden = b.union(b.translate(Fraction(1, 2)))
         padded = constructions._padded_reflection(b, quartic_margin(m))
         points = [p.value for p in admitted]

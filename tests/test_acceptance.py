@@ -20,11 +20,10 @@ from cantordiff.analysis import (
 )
 from cantordiff.cli import main as cli_main
 from cantordiff.constructions import (
-    builtin_composite_pair,
-    builtin_fat_composite,
-    builtin_half,
-    builtin_perturbed,
-    builtin_ternary,
+    CentralSpec,
+    CompositeSpec,
+    GreedySpec,
+    PerturbedSpec,
     central_stage,
     composite_stage,
     greedy_stage,
@@ -38,18 +37,17 @@ from cantordiff.intervals import (
     IntervalUnion,
     normalize,
     points_union,
-    union_of,
 )
 
 import oracle
 
 
-TERNARY = builtin_ternary()
-HALVING = builtin_half()
-PERTURBED = builtin_perturbed()
-TAB = builtin_composite_pair()
-FAT = builtin_fat_composite()
-FAT_THIN = builtin_fat_composite(F(1, 16))
+TERNARY = CentralSpec.constant(F(1, 3))
+HALVING = CentralSpec.constant(F(1, 2))
+PERTURBED = PerturbedSpec(F(1, 5))
+TAB = CompositeSpec(HALVING, HALVING)
+FAT = GreedySpec(CentralSpec.geometric(F(1, 4)))
+FAT_THIN = GreedySpec(CentralSpec.geometric(F(1, 16)))
 
 _BOX_UNION = IntervalUnion((BOX,))
 
@@ -180,7 +178,7 @@ def test_c3_t13_certification():
                 piece = IntervalUnion((cert.certified,))
                 assembled = assembled.union(piece).union(piece.reflect())
             r6 = rightmost_branch_gap_end(spec, 6)
-            window = union_of(Interval.closed(-r6, r6))
+            window = normalize([Interval.closed(-r6, r6)])
             assert assembled.intersect(window) == window
 
 

@@ -25,13 +25,10 @@ from cantordiff.analysis import (
 from cantordiff.constructions import (
     CantorStage,
     CentralSpec,
+    CompositeSpec,
     GreedySpec,
+    ListRatios,
     PerturbedSpec,
-    builtin_composite_pair,
-    builtin_fat_composite,
-    builtin_half,
-    builtin_perturbed,
-    builtin_ternary,
     central_stage,
     composite_stage,
     greedy_stage,
@@ -42,23 +39,26 @@ from cantordiff.constructions import (
 from cantordiff.errors import InvariantError, NotCertifiableError
 from cantordiff.intervals import (
     Interval,
+    IntervalUnion,
     normalize,
     points_union,
-    union_of,
 )
 
 import oracle
 
 
-TERNARY = builtin_ternary()
-HALVING = builtin_half()
+TERNARY = CentralSpec.constant(F(1, 3))
+HALVING = CentralSpec.constant(F(1, 2))
+PERTURBED = PerturbedSpec(F(1, 5))
+TAB = CompositeSpec(HALVING, HALVING)
+FAT = GreedySpec(CentralSpec.geometric(F(1, 4)))
 
 BUILTIN_FAMILIES = {
     "ternary": lambda n: central_stage(TERNARY, n),
     "halving": lambda n: central_stage(HALVING, n),
-    "perturbed": lambda n: perturbed_stage(builtin_perturbed(), n),
-    "tab": lambda n: composite_stage(builtin_composite_pair(), n),
-    "greedy": lambda n: greedy_stage(builtin_fat_composite(), n),
+    "perturbed": lambda n: perturbed_stage(PERTURBED, n),
+    "tab": lambda n: composite_stage(TAB, n),
+    "greedy": lambda n: greedy_stage(FAT, n),
 }
 
 
@@ -77,7 +77,7 @@ def small_stage_lists(draw):
     n = draw(st.integers(0, 4))
     if draw(st.booleans()):
         listed = tuple(draw(st.lists(_ratios, max_size=3)))
-        spec, build = CentralSpec.from_list(listed, draw(_ratios)), central_stage
+        spec, build = CentralSpec(ListRatios(listed, draw(_ratios))), central_stage
     else:
         # a shrink below 1/2 keeps every aligned gap below half its component
         shrink = st.fractions(
@@ -120,7 +120,7 @@ class TestInnerDifference:
         # gaps [0,1] minus its components, and the bracket reads both.
         stage = _hand_stage(Interval.closed(0, F(1, 3)), Interval.closed(F(2, 3), 1))
         assert stage.endpoints == (0, F(1, 3), F(2, 3), 1)
-        assert stage.gap_union() == union_of(Interval.open(F(1, 3), F(2, 3)))
+        assert stage.gap_union() == normalize([Interval.open(F(1, 3), F(2, 3))])
         assert inner_difference(stage) == inner_difference(central_stage(TERNARY, 1))
 
     def test_zero_never_inside(self):
@@ -132,7 +132,7 @@ class TestInnerDifference:
         for spec, build in (
             (TERNARY, central_stage),
             (HALVING, central_stage),
-            (builtin_perturbed(), perturbed_stage),
+            (PERTURBED, perturbed_stage),
         ):
             for n in range(7):
                 stage = build(spec, n)
@@ -140,13 +140,13 @@ class TestInnerDifference:
                     stage
                 ), (spec, n)
         for n in range(5):
-            stage = composite_stage(builtin_composite_pair(), n)
+            stage = composite_stage(TAB, n)
             assert inner_difference(stage) == oracle.oracle_inner_difference(stage)
 
     def test_product_memory_does_not_hold_every_pair(self):
         # Perturbed stage 8: 255 gaps x 512 endpoints = 130,560 pairs that
         # collapse to 6 parts; the sum must not hold the whole product.
-        stage = perturbed_stage(builtin_perturbed(), 8)
+        stage = perturbed_stage(PERTURBED, 8)
         gaps = stage.gap_union()
         negated_endpoints = points_union(-e for e in stage.endpoints)
         assert len(gaps) * len(negated_endpoints) == 130_560
@@ -189,7 +189,7 @@ class TestInnerDifference:
 class TestOuterDifference:
     def test_stage0_full_sandwich(self):
         outer = outer_difference(central_stage(TERNARY, 0))
-        assert outer == union_of(Interval.open(-1, 1))
+        assert outer == normalize([Interval.open(-1, 1)])
 
     def test_sandwich_and_measures(self):
         for n in range(6):
@@ -283,7 +283,7 @@ class TestBracket:
         stages = [
             central_stage(TERNARY, 6),
             central_stage(TERNARY, 8),
-            composite_stage(builtin_composite_pair(), 6),
+            composite_stage(TAB, 6),
         ]
         counts = [
             len(oracle.fractions_made(monkeypatch, lambda: difference_bracket(s))[1])
@@ -297,8 +297,8 @@ class TestBracket:
         code = (
             "from cantordiff.analysis import DiffBracket\n"
             "from cantordiff.errors import CantorDiffError\n"
-            "from cantordiff.intervals import BOX, EMPTY, union_of\n"
-            "box = union_of(BOX)\n"
+            "from cantordiff.intervals import BOX, EMPTY, normalize\n"
+            "box = normalize([BOX])\n"
             "try:\n"
             "    DiffBracket(0, box, EMPTY, box, EMPTY)\n"
             "except CantorDiffError as exc:\n"
@@ -314,6 +314,11 @@ class TestBracket:
         )
         assert result.returncode == 0, result.stderr
         assert "refused: stage 0: expected the inner bracket" in result.stdout
+
+
+def _certified_union(cert):
+    """The certified interval of ``cert`` less its exceptions."""
+    return IntervalUnion((cert.certified,)).difference(points_union(cert.exceptions))
 
 
 class TestDominantGapCertificate:
@@ -332,7 +337,7 @@ class TestDominantGapCertificate:
         right = dominant_gap_certificate(s1, gap, F(2, 3), F(2, 3))
         assert left.certified == Interval.open(0, F(1, 3))
         assert right.certified == Interval.open(F(-1, 3), 0)
-        both = left.certified_union().union(right.certified_union())
+        both = _certified_union(left).union(_certified_union(right))
         assert both == normalize(
             [Interval.open(F(-1, 3), 0), Interval.open(0, F(1, 3))]
         )
@@ -346,7 +351,7 @@ class TestDominantGapCertificate:
         assert cert.mode == "non-strict"
         assert cert.certified == Interval.open(F(4, 9), F(8, 9))
         assert cert.exceptions == (gap.interval.lo - F(1, 9),)
-        assert not cert.certified_union().contains_point(F(2, 3))
+        assert not _certified_union(cert).contains_point(F(2, 3))
 
     def test_rejects_window_containing_gap(self):
         s1 = central_stage(TERNARY, 1)
@@ -361,7 +366,7 @@ class TestDominantGapCertificate:
     def test_rejects_gap_below_component_bound(self):
         # ratio 1/5: the stage-1 gap is 1/5 long, but the window [0, 2/5]
         # holds a whole component 2/5 long, which later gaps may split
-        s1 = central_stage(CentralSpec.from_list((), F(1, 5)), 1)
+        s1 = central_stage(CentralSpec(ListRatios((), F(1, 5))), 1)
         with pytest.raises(NotCertifiableError, match="component bound 2/5"):
             dominant_gap_certificate(s1, s1.gaps[0], 0, F(2, 5))
 
@@ -400,11 +405,11 @@ class TestShiftInclusion:
         )
 
     def test_composite_pair_stage1(self):
-        spec = builtin_composite_pair()
+        spec = TAB
         stage = composite_stage(spec, 1)
         y = half_scaled_components(spec.b_source, 1).translate(F(1, 2))
-        assert y == union_of(
-            Interval.closed(F(1, 2), F(5, 8)), Interval.closed(F(7, 8), 1)
+        assert y == normalize(
+            [Interval.closed(F(1, 2), F(5, 8)), Interval.closed(F(7, 8), 1)]
         )
         result = shift_inclusion_check([stage], [y])
         assert result.passed
@@ -469,7 +474,7 @@ class TestPredictedPoints:
     def test_predictions_never_certified_reachable(self):
         # cross-validation for steep specs: predicted points stay in the
         # missing bracket at every stage and every depth
-        for spec in (TERNARY, HALVING, CentralSpec.from_list((F(2, 5),), F(1, 3))):
+        for spec in (TERNARY, HALVING, CentralSpec(ListRatios((F(2, 5),), F(1, 3)))):
             for n in range(7):
                 bracket = difference_bracket(central_stage(spec, n))
                 for k in range(7):
@@ -509,7 +514,7 @@ class TestGapChain:
 
     def test_varying_ratios_pick_longest(self):
         # tiny first removal, huge second: the chain starts at step 2
-        spec = CentralSpec.from_list((F(1, 100), F(1, 2)), F(1, 3))
+        spec = CentralSpec(ListRatios((F(1, 100), F(1, 2)), F(1, 3)))
         chain = rightmost_gap_chain(spec, 1)
         assert chain[0].gap.stage_created == 2
 
@@ -523,7 +528,7 @@ class TestZoneRows:
         assert all(r.outer_total > F(3, 2) for r in rows)
 
     def test_fat_composite_keeps_upper_band(self):
-        spec = builtin_fat_composite()
+        spec = FAT
         stage = greedy_stage(spec, 4)
         row = zone_measure_rows([difference_bracket(stage)])[0]
         b4 = half_scaled_components(spec.b_source, 4)

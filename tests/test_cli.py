@@ -1,5 +1,6 @@
 """End-to-end CLI tests."""
 
+import ast
 import json
 import os
 import subprocess
@@ -669,6 +670,62 @@ def test_each_exported_name_is_defined_in_its_module():
             if inspect.isclass(value) or inspect.isfunction(value):
                 if value.__module__.startswith("cantordiff."):
                     assert value.__module__ == module.__name__, (module.__name__, name)
+
+
+def test_every_exported_name_has_a_caller():
+    """A public name lands with its first caller.
+
+    Each entry of a module's ``__all__`` is read somewhere in the package,
+    as a name or an attribute, or named in a string by the benchmark
+    harness, whose tracer patches functions by name.  A name that only
+    the tests call belongs in the tests.
+    """
+    root = Path(__file__).resolve().parents[1]
+    read, exported = set(), {}
+    for path in sorted(Path(cantordiff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and "__all__" in (
+                getattr(t, "id", None) for t in node.targets
+            ):
+                exported[path.stem] = ast.literal_eval(node.value)
+    for path in sorted((root / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert {"intervals", "constructions", "analysis", "jsonio"} <= exported.keys()
+    unread = {m: [n for n in names if n not in read] for m, names in exported.items()}
+    assert {m: names for m, names in unread.items() if names} == {}
+
+
+def test_benchmark_hooks_run_on_the_package(tmp_path, ternary_spec):
+    # The benchmark's tracer patches library functions by name and its
+    # probe imports two of them; a deleted or renamed one fails here.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    env = {**os.environ, "PYTHONPATH": str(Path(cantordiff.__file__).parents[1])}
+    trace = tmp_path / "trace.json"
+    cli_args = ["construct", "--spec", str(ternary_spec), "--max-stage", "0"]
+    traced = subprocess.run(
+        [sys.executable, str(perfbench / "tracer.py"), str(trace), "0", "t",
+         *cli_args, "--out", str(tmp_path / "out")],
+        capture_output=True, encoding="utf-8", timeout=60, env=env,
+    )
+    assert traced.returncode == 0, traced.stderr
+    spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
+    assert "constructions.central_stage" in {span[0] for span in spans}
+    listing = tmp_path / "probe.json"
+    listing.write_text(f"[[{TERNARY_SPEC}, 1]]", encoding="utf-8")
+    probed = subprocess.run(
+        [sys.executable, str(perfbench / "probe.py"), str(listing)],
+        capture_output=True, encoding="utf-8", timeout=60, env=env,
+    )
+    assert probed.returncode == 0, probed.stderr
+    assert json.loads(probed.stdout)["sizes"] == [
+        {"components": 2, "gaps": 1, "endpoints": 4, "pairs": 4}
+    ]
 
 
 def test_suite_choices_are_the_verify_suites():

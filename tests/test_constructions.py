@@ -13,13 +13,8 @@ from cantordiff.constructions import (
     CentralSpec,
     CompositeSpec,
     GreedySpec,
+    ListRatios,
     PerturbedSpec,
-    branch_shift,
-    builtin_composite_pair,
-    builtin_fat_composite,
-    builtin_half,
-    builtin_perturbed,
-    builtin_ternary,
     central_stage,
     composite_stage,
     dyadic_candidates,
@@ -33,15 +28,16 @@ from cantordiff.errors import (
     BudgetExceededError,
     InvalidSpecError,
 )
-from cantordiff.intervals import UNIT, Interval, IntervalUnion, union_of
+from cantordiff.intervals import UNIT, Interval, IntervalUnion, normalize
 
 import oracle
 
 
-TERNARY = builtin_ternary()
-HALVING = builtin_half()
-PERTURBED = builtin_perturbed()
-# B sources for the greedy family; the first is builtin_fat_composite()'s
+TERNARY = CentralSpec.constant(F(1, 3))
+HALVING = CentralSpec.constant(F(1, 2))
+PERTURBED = PerturbedSpec(F(1, 5))
+TAB = CompositeSpec(HALVING, HALVING)
+# B sources for the greedy family; the first is FAT's
 GREEDY_B_SOURCES = {
     "geometric-1_4": CentralSpec.geometric(F(1, 4)),
     "geometric-1_256": CentralSpec.geometric(F(1, 256)),
@@ -51,10 +47,11 @@ GREEDY_B_SOURCES = {
     "constant-1_10": CentralSpec.constant(F(1, 10)),
     "perturbed-1_5": PerturbedSpec(F(1, 5)),
     "perturbed-1_7": PerturbedSpec(F(1, 7)),
-    "list-1_2-1_5-2_3-tail-1_7": CentralSpec.from_list(
-        (F(1, 2), F(1, 5), F(2, 3)), F(1, 7)
+    "list-1_2-1_5-2_3-tail-1_7": CentralSpec(
+        ListRatios((F(1, 2), F(1, 5), F(2, 3)), F(1, 7))
     ),
 }
+FAT = GreedySpec(GREEDY_B_SOURCES["geometric-1_4"])
 
 
 @pytest.fixture
@@ -92,8 +89,8 @@ class TestGapRecord:
         "interval",
         [
             Interval.closed(F(1, 3), F(2, 3)),
-            Interval.left_open(F(1, 3), F(2, 3)),
-            Interval.right_open(F(1, 3), F(2, 3)),
+            Interval(F(1, 3), F(2, 3), False, True),
+            Interval(F(1, 3), F(2, 3), True, False),
             Interval.point(F(1, 3)),
         ],
     )
@@ -120,8 +117,8 @@ class TestGapRecord:
 class TestCentral:
     def test_stage1_ternary(self):
         s = central_stage(TERNARY, 1)
-        assert s.components == union_of(
-            Interval.closed(0, F(1, 3)), Interval.closed(F(2, 3), 1)
+        assert s.components == normalize(
+            [Interval.closed(0, F(1, 3)), Interval.closed(F(2, 3), 1)]
         )
         assert len(s.gaps) == 1
         assert s.gaps[0].address == ""
@@ -129,20 +126,20 @@ class TestCentral:
 
     def test_stage2_lengths(self):
         s = central_stage(TERNARY, 2)
-        assert all(p.length == F(1, 9) for p in s.components)
+        assert all(p.length == F(1, 9) for p in s.components.parts)
         new_gaps = [g for g in s.gaps if g.stage_created == 2]
         assert all(g.interval.length == F(1, 9) for g in new_gaps)
         assert sorted(g.address for g in new_gaps) == ["0", "1"]
 
     def test_stage1_half(self):
         s = central_stage(HALVING, 1)
-        assert s.components == union_of(
-            Interval.closed(0, F(1, 4)), Interval.closed(F(3, 4), 1)
+        assert s.components == normalize(
+            [Interval.closed(0, F(1, 4)), Interval.closed(F(3, 4), 1)]
         )
 
     def test_base_case(self):
         s = central_stage(HALVING, 0)
-        assert s.components == union_of(UNIT)
+        assert s.components == normalize([UNIT])
         assert s.gaps == ()
         assert s.frame == UNIT
 
@@ -188,7 +185,7 @@ class TestCentral:
             assert prev_gaps <= next_gaps
         for s in stages:
             recorded = oracle.oracle_gap_union(s)
-            assert s.components.union(recorded) == union_of(s.frame)
+            assert s.components.union(recorded) == normalize([s.frame])
             assert s.components.measure() + recorded.measure() == 1
 
     def test_central_symmetry(self):
@@ -205,7 +202,7 @@ class TestCentral:
         assert s.gaps[0].interval.hi == rightmost_branch_gap_end(HALVING, 0)
 
     def test_varying_ratio_list(self):
-        spec = CentralSpec.from_list((F(1, 2),), F(1, 3))
+        spec = CentralSpec(ListRatios((F(1, 2),), F(1, 3)))
         s = central_stage(spec, 2)
         # first split removes 1/2, second removes 1/3 of each part
         assert s.components.parts[0].length == F(1, 4) * F(1, 3)
@@ -214,8 +211,8 @@ class TestCentral:
 class TestPerturbed:
     def test_stage1(self):
         s = perturbed_stage(PERTURBED, 1)
-        assert s.components == union_of(
-            Interval.closed(0, F(2, 5)), Interval.closed(F(3, 5), 1)
+        assert s.components == normalize(
+            [Interval.closed(0, F(2, 5)), Interval.closed(F(3, 5), 1)]
         )
         assert s.gaps[0].interval == Interval.open(F(2, 5), F(3, 5))
 
@@ -266,9 +263,9 @@ class TestComposite:
     @pytest.mark.parametrize(
         "spec",
         [
-            builtin_composite_pair(),
+            TAB,
             CompositeSpec(HALVING, CentralSpec.constant(F(3, 4))),
-            builtin_fat_composite(),
+            FAT,
         ],
         ids=["tab-1_2-1_2", "tab-1_2-3_4", "greedy-1_4"],
     )
@@ -283,28 +280,30 @@ class TestComposite:
             assert stage.components == oracle.minkowski_composite_components(a, b)
             assert stage.endpoints == oracle.oracle_endpoints(stage)
             assert {g.interval for g in stage.gaps} == set(
-                stage.components.complement_within(UNIT)
+                stage.components.complement_within(UNIT).parts
             )
 
     def test_stage1_builtin(self):
-        s = composite_stage(builtin_composite_pair(), 1)
-        assert s.components == union_of(
-            Interval.closed(0, F(1, 8)),
-            Interval.closed(F(3, 8), F(3, 4)),
-            Interval.closed(F(7, 8), 1),
+        s = composite_stage(TAB, 1)
+        assert s.components == normalize(
+            [
+                Interval.closed(0, F(1, 8)),
+                Interval.closed(F(3, 8), F(3, 4)),
+                Interval.closed(F(7, 8), 1),
+            ]
         )
 
     def test_one_always_survives(self):
-        spec = builtin_composite_pair()
+        spec = TAB
         for n in range(6):
             assert composite_stage(spec, n).components.contains_point(1)
 
     def test_stage2_component_bound(self):
-        s = composite_stage(builtin_composite_pair(), 2)
+        s = composite_stage(TAB, 2)
         assert len(s.components.parts) <= 4 + 9
 
     def test_nesting_and_gap_persistence(self):
-        spec = builtin_composite_pair()
+        spec = TAB
         stages = stage_list(composite_stage, spec, 5)
         for prev, nxt in zip(stages, stages[1:]):
             assert nxt.components.is_subset(prev.components)
@@ -312,14 +311,15 @@ class TestComposite:
             next_gaps = {(g.interval.lo, g.interval.hi) for g in nxt.gaps}
             assert prev_gaps <= next_gaps
         for s in stages:
-            assert s.components.union(oracle.oracle_gap_union(s)) == union_of(s.frame)
+            whole = s.components.union(oracle.oracle_gap_union(s))
+            assert whole == normalize([s.frame])
 
     def test_max_component_warning_path(self):
         # a source that never refines cannot shrink the components;
         # the composite step must report it instead of silently accepting
         from cantordiff.constructions import _composite_steps, _windowed_sum
 
-        frozen = union_of(Interval.closed(0, F(1, 2)))
+        frozen = normalize([Interval.closed(0, F(1, 2))])
         sums = itertools.repeat(_windowed_sum(frozen, frozen))
         steps = _composite_steps(lambda n: frozen, sums, "tab")
         with warnings.catch_warnings(record=True) as caught:
@@ -351,7 +351,7 @@ class TestGreedy:
             CentralSpec.constant(F(1, 10)),
             CentralSpec.constant(F(1, 3)),
             PerturbedSpec(F(1, 5)),
-            CentralSpec.from_list((F(1, 2), F(1, 5), F(2, 3)), F(1, 7)),
+            CentralSpec(ListRatios((F(1, 2), F(1, 5), F(2, 3)), F(1, 7))),
         ],
         ids=[
             "geometric-1_4", "geometric-1_256", "geometric-1_2", "constant-2_3",
@@ -368,7 +368,7 @@ class TestGreedy:
     def test_deferrals_are_pinned(self):
         # At stages 7 and 8 the candidates 1/4 and 3/4 each empty one
         # component of A and wait.
-        deferrals = greedy_certificate(builtin_fat_composite(), 8).deferrals
+        deferrals = greedy_certificate(FAT, 8).deferrals
         assert deferrals == (
             (F(1, 4), "010000", 7),
             (F(3, 4), "100000", 7),
@@ -395,10 +395,10 @@ class TestGreedy:
             assert delta == F(1, 4**m), m
             assert b == half_scaled_components(source, m), m
             assert padded == oracle.oracle_padded_reflection(b, delta), m
-            assert all(p.length >= 2 * delta for p in padded), m
+            assert all(p.length >= 2 * delta for p in padded.parts), m
 
     def test_certificate(self):
-        g = builtin_fat_composite()
+        g = FAT
         cert = greedy_certificate(g, 6)
         assert cert.verified
         assert len(cert.points) == 6
@@ -421,12 +421,12 @@ class TestGreedy:
             return points + (constructions.AdmittedPoint(F(0), n),), deferrals
 
         monkeypatch.setattr(constructions, "_greedy_points", with_zero)
-        cert = greedy_certificate(builtin_fat_composite(), 4)
+        cert = greedy_certificate(FAT, 4)
         assert cert.points[-1].value == 0
         assert not cert.verified
 
     def test_b_measure_schedule(self):
-        g = builtin_fat_composite()
+        g = FAT
         for n in range(1, 7):
             b = half_scaled_components(g.b_source, n)
             expected = F(1, 2)
@@ -457,9 +457,9 @@ class TestGreedyFailureModes:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            greedy_stage(builtin_fat_composite(), 6, budget=16)
+            greedy_stage(FAT, 6, budget=16)
         with pytest.raises(BudgetExceededError):
-            greedy_certificate(builtin_fat_composite(), 6, budget=16)
+            greedy_certificate(FAT, 6, budget=16)
 
     def test_failed_search_is_not_kept_for_the_next_request(self, monkeypatch):
         # 64 certified-inside candidates exhaust stage 1; a retry must start
@@ -486,7 +486,7 @@ class TestCompositeBudget:
     def test_budget_checks_each_request_against_cached_stages(self):
         # stages built under a large budget are shared, but a later request
         # with a small budget is refused at the first stage it cannot hold
-        spec = builtin_composite_pair()
+        spec = TAB
         counts = [len(composite_stage(spec, n).components) for n in range(5)]
         assert counts == [1, 3, 8, 21, 56]
         assert composite_stage(spec, 2, budget=8).n == 2
@@ -525,7 +525,7 @@ class TestParallelGeneration:
         import sys
 
         spec = CompositeSpec(
-            CentralSpec.from_list((), F(1, 2)), CentralSpec.constant(F(1, 2))
+            CentralSpec(ListRatios((), F(1, 2))), CentralSpec.constant(F(1, 2))
         )
 
         def request(budget):
@@ -552,9 +552,9 @@ class TestStagesReadOffComponents:
             lambda n: central_stage(TERNARY, n),
             lambda n: central_stage(CentralSpec.geometric(F(1, 4)), n),
             lambda n: perturbed_stage(PERTURBED, n),
-            lambda n: composite_stage(builtin_composite_pair(), n),
+            lambda n: composite_stage(TAB, n),
             lambda n: central_stage(HALVING, n),
-            lambda n: greedy_stage(builtin_fat_composite(), n),
+            lambda n: greedy_stage(FAT, n),
         ],
         ids=["ternary", "geometric-1_4", "perturbed", "tab", "halving", "greedy"],
     )
@@ -576,7 +576,7 @@ def central_specs(draw):
         return CentralSpec.constant(draw(_ratios))
     if rule == "list":
         listed = tuple(draw(st.lists(_ratios, min_size=1, max_size=3)))
-        return CentralSpec.from_list(listed, draw(_ratios))
+        return CentralSpec(ListRatios(listed, draw(_ratios)))
     return CentralSpec.geometric(draw(_ratios))
 
 
@@ -644,9 +644,9 @@ class TestKeyBuildersMatchTheFractionOracle:
     @pytest.mark.parametrize(
         "spec",
         [
-            builtin_composite_pair(),  # A = B, no step covers
+            TAB,  # A = B, no step covers
             CompositeSpec(HALVING, CentralSpec.constant(F(3, 4))),  # none covers
-            builtin_fat_composite(),  # every step covers
+            FAT,  # every step covers
             CompositeSpec(TERNARY, TERNARY),  # A = B, every step covers
             CompositeSpec(  # steps 1 and 2 do not cover, 3-8 do
                 CentralSpec.constant(F(1, 3)), CentralSpec.constant(F(2, 5))
@@ -686,12 +686,16 @@ class TestKeyBuildersMatchTheFractionOracle:
         # gap (1/8, 3/8) grows to the right at stage 2 and to the left
         # at stage 3, and each time becomes a new gap.
         a_stages = [
-            union_of(Interval.closed(0, F(1, 2))),
-            union_of(Interval.closed(0, F(1, 8)), Interval.closed(F(3, 8), F(1, 2))),
-            union_of(Interval.closed(0, F(1, 8)), Interval.closed(F(7, 16), F(1, 2))),
-            union_of(Interval.closed(0, F(1, 16)), Interval.closed(F(7, 16), F(1, 2))),
+            normalize([Interval.closed(0, F(1, 2))]),
+            normalize([Interval.closed(0, F(1, 8)), Interval.closed(F(3, 8), F(1, 2))]),
+            normalize(
+                [Interval.closed(0, F(1, 8)), Interval.closed(F(7, 16), F(1, 2))]
+            ),
+            normalize(
+                [Interval.closed(0, F(1, 16)), Interval.closed(F(7, 16), F(1, 2))]
+            ),
         ]
-        zero = union_of(Interval.point(0))
+        zero = normalize([Interval.point(0)])
         sums = (constructions._windowed_sum(a, zero) for a in a_stages)
         built = constructions._composite_steps(a_stages.__getitem__, sums, "tab")
         expected = oracle.oracle_composite_stages(
@@ -704,7 +708,7 @@ class TestKeyBuildersMatchTheFractionOracle:
 class TestBuildersWorkOnTheKeys:
     @pytest.mark.parametrize(
         "spec, n, per_step",
-        [(TERNARY, 12, 6), (builtin_composite_pair(), 9, 20)],
+        [(TERNARY, 12, 6), (TAB, 9, 20)],
         ids=["central-1_3", "tab-1_2-1_2"],
     )
     def test_no_fraction_per_gap_record(
@@ -717,7 +721,7 @@ class TestBuildersWorkOnTheKeys:
 
     def test_composite_keeps_the_records_of_unchanged_gaps(self):
         # Every gap of tab 1/2, 1/2 stays a gap of the next stage.
-        stages = stage_list(composite_stage, builtin_composite_pair(), 8)
+        stages = stage_list(composite_stage, TAB, 8)
         for prev, cur in zip(stages, stages[1:]):
             earlier = {g.interval: g for g in prev.gaps}
             kept = [g for g in cur.gaps if g.interval in earlier]
@@ -730,8 +734,8 @@ class TestBuildersWorkOnTheKeys:
     @pytest.mark.parametrize(
         "spec, calls",
         [
-            (builtin_composite_pair(), lambda n: 0),  # A = B: the offsets
-            (builtin_fat_composite(), lambda n: 1),  # stage 0, then reused
+            (TAB, lambda n: 0),  # A = B: the offsets
+            (FAT, lambda n: 1),  # stage 0, then reused
             (  # stages 0-2, then reused
                 CompositeSpec(
                     CentralSpec.constant(F(1, 3)), CentralSpec.constant(F(2, 5))
@@ -765,19 +769,3 @@ class TestBuildersWorkOnTheKeys:
             spec.stage(n)
             assert len(made) == calls(n), n
 
-
-class TestBranchShift:
-    def test_examples(self):
-        assert branch_shift(central_stage(TERNARY, 2), "1") == F(2, 3)
-        assert branch_shift(central_stage(TERNARY, 2), "11") == F(8, 9)
-        assert branch_shift(central_stage(HALVING, 1), "1") == F(3, 4)
-        assert branch_shift(central_stage(TERNARY, 3), "") == 0
-
-    def test_rejects_non_central(self):
-        s = perturbed_stage(PERTURBED, 2)
-        with pytest.raises(InvalidSpecError):
-            branch_shift(s, "1")
-
-    def test_rejects_deep_address(self):
-        with pytest.raises(ValueError):
-            branch_shift(central_stage(TERNARY, 1), "11")

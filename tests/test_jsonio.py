@@ -15,8 +15,8 @@ from cantordiff.constructions import (
     CompositeSpec,
     GapRecord,
     GreedySpec,
+    ListRatios,
     PerturbedSpec,
-    builtin_ternary,
     central_stage,
     composite_stage,
 )
@@ -29,16 +29,14 @@ from cantordiff.jsonio import (
     decimal_str,
     dump_json,
     gap_table_rows,
-    interval_from_obj,
-    interval_to_obj,
     parse_rational,
     spec_from_obj,
     spec_to_obj,
     stage_to_obj,
-    union_from_obj,
-    union_to_obj,
     write_stage_files,
 )
+
+TERNARY = CentralSpec.constant(F(1, 3))
 
 
 def test_rational_round_trip():
@@ -73,18 +71,8 @@ def test_unreduced_quotient_has_the_decimal_text(p, grid, k):
     assert str(_DECIMALS.divide(k * p, k * grid)) == decimal_str(F(p, grid))
 
 
-def test_interval_round_trip():
-    iv = Interval(F(1, 3), F(2, 3), False, True)
-    assert interval_from_obj(interval_to_obj(iv)) == iv
-
-
-def test_union_round_trip():
-    u = normalize([Interval.open(0, 1), Interval.point(2)])
-    assert union_from_obj(union_to_obj(u)) == u
-
-
 def test_stage_export_shape():
-    obj = stage_to_obj(central_stage(builtin_ternary(), 2))
+    obj = stage_to_obj(central_stage(TERNARY, 2))
     assert obj["family"] == "central"
     assert obj["n"] == 2
     assert len(obj["components"]) == 4
@@ -98,7 +86,7 @@ def test_stage_export_shape():
 
 
 def test_gap_table_rows():
-    rows = list(gap_table_rows(central_stage(builtin_ternary(), 2)))
+    rows = list(gap_table_rows(central_stage(TERNARY, 2)))
     assert rows[0][:4] == ["", "1/3", "2/3", "1"]
     assert rows[1][:4] == ["0", "1/9", "2/9", "2"]
     assert rows[2][:4] == ["1", "7/9", "8/9", "2"]
@@ -180,7 +168,7 @@ def test_stage_writer_matches_oracle_on_random_stage_sequences(spec, n):
 
 
 def test_stage_writer_stage0_has_no_gaps(tmp_path):
-    stage = central_stage(builtin_ternary(), 0)
+    stage = central_stage(TERNARY, 0)
     assert stage.gaps == ()
     (text,) = assert_written_as_oracle([stage], tmp_path)
     assert '"gaps": [],' in text
@@ -194,7 +182,7 @@ def test_stage_writer_addresses(tmp_path):
         CompositeSpec(CentralSpec.constant(F(1, 2)), CentralSpec.constant(F(1, 2))), 3
     )
     assert {g.address for g in tab.gaps} == {None}
-    central = central_stage(builtin_ternary(), 3)
+    central = central_stage(TERNARY, 3)
     assert "" in {g.address for g in central.gaps}
     assert "01" in {g.address for g in central.gaps}
     assert_written_as_oracle([tab], tmp_path / "tab")
@@ -238,7 +226,7 @@ def test_stage_writer_reads_regrown_gaps(tmp_path):
 
 
 def test_stage_writer_escapes_notes_as_the_encoder(tmp_path):
-    s = central_stage(builtin_ternary(), 2)
+    s = central_stage(TERNARY, 2)
     notes = ('a "quoted" note', "back\\slash", "\u00e9t\u00e9 \u2264 1")
     stage = CantorStage(s.n, s.components, s.gaps, s.family, notes)
     (text,) = assert_written_as_oracle([stage], tmp_path)
@@ -266,7 +254,7 @@ def test_stage_writer_formats_each_end_once(tmp_path, monkeypatch):
 
 def _unit_thirds_stage(gap):
     """Stage 1 of the ternary set with its one gap record replaced."""
-    stage = central_stage(builtin_ternary(), 1)
+    stage = central_stage(TERNARY, 1)
     return CantorStage(
         stage.n, stage.components, (GapRecord("", gap, 1),), stage.family, stage.notes
     )
@@ -284,7 +272,7 @@ def _unit_thirds_stage(gap):
 def test_gap_end_off_the_components_is_an_invariant_error(tmp_path, gap):
     stage = _unit_thirds_stage(gap)
     with pytest.raises(InvariantError, match="stage 1: gap .* component ends"):
-        write_stage_files([central_stage(builtin_ternary(), 0), stage], tmp_path)
+        write_stage_files([central_stage(TERNARY, 0), stage], tmp_path)
     # the stage before it is whole, and the failed stage leaves no file
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "gaps_000.csv", "stage_000.json"
@@ -295,7 +283,7 @@ def test_gap_end_off_the_components_is_an_invariant_error(tmp_path, gap):
     "spec",
     [
         CentralSpec.constant(F(1, 3)),
-        CentralSpec.from_list((F(1, 2), F(1, 3)), F(1, 3)),
+        CentralSpec(ListRatios((F(1, 2), F(1, 3)), F(1, 3))),
         CentralSpec.geometric(F(1, 4)),
         PerturbedSpec(F(1, 5)),
         PerturbedSpec(F(1, 7), shrink=F(1, 3), interior_gap_fraction=F(1, 2)),
@@ -413,33 +401,6 @@ def test_rational_fields_refuse_floats_and_booleans(path, value):
 def test_rational_fields_take_ints():
     spec = spec_from_obj(_RATIONAL_FIELDS["spec.interior_gap_fraction"](1))
     assert spec == PerturbedSpec(F(1, 5), interior_gap_fraction=F(1))
-
-
-_INTERVAL = {"lo": "1/5", "hi": 1, "lo_closed": True, "hi_closed": False}
-
-
-@pytest.mark.parametrize(
-    "key,value,message",
-    [
-        ("lo", 0.2, "expected a 'p/q' string or an integer, got 0.2"),
-        ("lo", False, "expected a 'p/q' string or an integer, got false"),
-        ("hi", 1.0, "expected a 'p/q' string or an integer, got 1.0"),
-        ("hi", True, "expected a 'p/q' string or an integer, got true"),
-        ("lo_closed", "false", 'expected a boolean, got "false"'),
-        ("lo_closed", 1, "expected a boolean, got 1"),
-        ("hi_closed", "true", 'expected a boolean, got "true"'),
-        ("hi_closed", 0, "expected a boolean, got 0"),
-    ],
-)
-def test_interval_fields_refuse_other_json_types(key, value, message):
-    # A float end would be read as its binary value, "false" as closed.
-    with pytest.raises(InvalidSpecError) as caught:
-        interval_from_obj({**_INTERVAL, key: value})
-    assert str(caught.value) == f"{key}: {message}"
-
-
-def test_interval_fields_take_ints_and_booleans():
-    assert interval_from_obj(_INTERVAL) == Interval.right_open(F(1, 5), 1)
 
 
 @pytest.mark.parametrize(

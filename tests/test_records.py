@@ -40,7 +40,6 @@ from cantordiff.constructions import (
     GreedySpec,
     ListRatios,
     PerturbedSpec,
-    builtin_ternary,
     central_stage,
     greedy_certificate,
 )
@@ -60,7 +59,7 @@ NO_INIT = (IntervalUnion, GapRecord)
 
 def _samples():
     """Two unequal records of each class."""
-    ternary = builtin_ternary()
+    ternary = CentralSpec.constant(F(1, 3))
     stages = [central_stage(ternary, n) for n in (1, 2)]
     brackets = [difference_bracket(s) for s in stages]
     gap = next(g for g in stages[1].gaps if g.stage_created == 1)

@@ -6,13 +6,18 @@ import pytest
 
 from cantordiff.constructions import (
     CentralSpec,
-    builtin_composite_pair,
-    builtin_fat_composite,
-    builtin_perturbed,
-    builtin_ternary,
+    CompositeSpec,
+    GreedySpec,
+    PerturbedSpec,
 )
 from cantordiff.errors import InvalidSpecError
 from cantordiff.verify import run_suite
+
+TERNARY = CentralSpec.constant(F(1, 3))
+HALVING = CentralSpec.constant(F(1, 2))
+PERTURBED = PerturbedSpec(F(1, 5))
+TAB = CompositeSpec(HALVING, HALVING)
+FAT = GreedySpec(CentralSpec.geometric(F(1, 4)))
 
 
 def _statuses(report):
@@ -25,7 +30,7 @@ def test_ccp_requires_exact_ternary():
 
 
 def test_ccp_passes():
-    report = run_suite("ccp", builtin_ternary(), 5)
+    report = run_suite("ccp", TERNARY, 5)
     assert report.passed
     assert len(report.assertions) == 6
 
@@ -36,14 +41,14 @@ def test_t13_rejects_shallow_ratios():
 
 
 def test_t13_passes_for_halving():
-    report = run_suite("t13", builtin_ternary(), 8)
+    report = run_suite("t13", TERNARY, 8)
     assert report.passed
     ids = _statuses(report)
     assert ids["t13-bracket"] == "pass"
 
 
 def test_ts3_passes_at_stage8():
-    report = run_suite("ts3", builtin_perturbed(), 8)
+    report = run_suite("ts3", PERTURBED, 8)
     assert report.passed
     ids = _statuses(report)
     assert ids["ts3-core-8"] == "pass"
@@ -52,18 +57,18 @@ def test_ts3_passes_at_stage8():
 
 def test_ts3_needs_perturbed():
     with pytest.raises(InvalidSpecError, match="Perturbed"):
-        run_suite("ts3", builtin_ternary(), 4)
+        run_suite("ts3", TERNARY, 4)
 
 
 def test_tab_passes_for_builtin_pair():
-    report = run_suite("tab", builtin_composite_pair(), 4)
+    report = run_suite("tab", TAB, 4)
     assert report.passed
     details = report.assertions[0].details
     assert details["n_checked"] == 5
 
 
 def test_tamc_reports_chain():
-    report = run_suite("tamc", builtin_ternary(), 6)
+    report = run_suite("tamc", TERNARY, 6)
     assert report.passed
     links = [a for a in report.assertions if a.id.startswith("tamc-link")]
     assert len(links) == 6
@@ -71,7 +76,7 @@ def test_tamc_reports_chain():
 
 
 def test_cspm_certifies_bounds():
-    report = run_suite("cspm", builtin_fat_composite(), 6)
+    report = run_suite("cspm", FAT, 6)
     assert report.passed
     ids = _statuses(report)
     assert ids["cspm-upper-bound"] == "pass"
@@ -79,21 +84,21 @@ def test_cspm_certifies_bounds():
 
 
 def test_cspm_rejects_constant_schedule():
-    spec = builtin_fat_composite()
+    spec = FAT
     bad = type(spec)(CentralSpec.constant(F(1, 4)))
     with pytest.raises(InvalidSpecError, match="summable"):
         run_suite("cspm", bad, 4)
 
 
 def test_steinhaus_central():
-    report = run_suite("steinhaus", builtin_ternary(), 8)
+    report = run_suite("steinhaus", TERNARY, 8)
     assert report.passed
     ids = _statuses(report)
     assert ids["steinhaus-middle-zero-8"] == "pass"
 
 
 def test_steinhaus_composite_flags_not_fails():
-    report = run_suite("steinhaus", builtin_fat_composite(), 4)
+    report = run_suite("steinhaus", FAT, 4)
     # the empirical stage-4 middle band may or may not be under 1/100;
     # either way the suite must not hard-fail on it
     assert all(
@@ -104,4 +109,4 @@ def test_steinhaus_composite_flags_not_fails():
 
 def test_unknown_suite():
     with pytest.raises(InvalidSpecError, match="unknown suite"):
-        run_suite("nope", builtin_ternary(), 2)
+        run_suite("nope", TERNARY, 2)
