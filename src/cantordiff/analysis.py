@@ -48,9 +48,7 @@ from .intervals import (
     UNIT,
     Interval,
     IntervalUnion,
-    RationalLike,
     _record,
-    as_rational,
     points_union,
 )
 from .constructions import (
@@ -195,8 +193,8 @@ class DominantGapCertificate:
 def dominant_gap_certificate(
     stage: CantorStage,
     gap: GapRecord,
-    window_lo: RationalLike,
-    window_hi: RationalLike,
+    window_lo: Fraction | int,
+    window_hi: Fraction | int,
 ) -> DominantGapCertificate:
     """Certify (gap.lo - b, gap.hi - a) inside the difference set, where
     [a, b] = [window_lo, window_hi].
@@ -209,8 +207,7 @@ def dominant_gap_certificate(
     unseen gap strictly below |gap|, and only recorded ties can force
     exceptions.
     """
-    a = as_rational(window_lo)
-    b = as_rational(window_hi)
+    a, b = window_lo, window_hi
     endpoint_set = set(stage.endpoints)
     if a not in endpoint_set or b not in endpoint_set:
         raise NotCertifiableError(
@@ -408,7 +405,7 @@ def rightmost_gap_chain(
         hi = 1 - spec.component_length(k)
         grid = lcm(lo.denominator, hi.denominator)  # canonical for (lo, hi)
         gap = by_position[(lo * grid, hi * grid, grid)]  # whole: they hash as ints
-        cert = dominant_gap_certificate(stage, gap, 0, lo - prev_right)
+        cert = dominant_gap_certificate(stage, gap, Fraction(0), lo - prev_right)
         if cert.certified != Interval.open(prev_right, hi):
             raise InvariantError(
                 f"chain link at step {k} certifies {cert.certified}, not the "

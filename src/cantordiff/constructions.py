@@ -42,7 +42,7 @@ import warnings
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     AvoidanceExhaustedError,
@@ -55,14 +55,11 @@ from .intervals import (
     UNIT,
     Interval,
     IntervalUnion,
-    RationalLike,
     _encode,
     _from_ranges,
     _merge,
     _Range,
     _record,
-    as_rational,
-    format_rational,
     points_union,
 )
 
@@ -221,7 +218,6 @@ class ConstantRatios:
     value: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", as_rational(self.value))
         if not 0 < self.value < 1:
             raise InvalidSpecError("ratio out of (0,1)")
 
@@ -234,9 +230,6 @@ class ConstantRatios:
     def tail_ratio_sum(self, after: int) -> Fraction | None:
         return None  # constant tails are not summable
 
-    def to_obj(self) -> dict[str, Any]:
-        return {"rule": "constant", "value": format_rational(self.value)}
-
 
 @_record
 class ListRatios:
@@ -246,10 +239,7 @@ class ListRatios:
     tail: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", tuple(as_rational(v) for v in self.values)
-        )
-        object.__setattr__(self, "tail", as_rational(self.tail))
+        object.__setattr__(self, "values", tuple(self.values))
         for v in (*self.values, self.tail):
             if not 0 < v < 1:
                 raise InvalidSpecError("ratio out of (0,1)")
@@ -265,13 +255,6 @@ class ListRatios:
     def tail_ratio_sum(self, after: int) -> Fraction | None:
         return None
 
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "rule": "list",
-            "values": [format_rational(v) for v in self.values],
-            "tail": format_rational(self.tail),
-        }
-
 
 @_record
 class GeometricRatios:
@@ -280,7 +263,6 @@ class GeometricRatios:
     base: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base", as_rational(self.base))
         if not 0 < self.base < 1:
             raise InvalidSpecError("ratio out of (0,1)")
 
@@ -294,11 +276,8 @@ class GeometricRatios:
         # sum_{k > after} base**k
         return self.base ** (after + 1) / (1 - self.base)
 
-    def to_obj(self) -> dict[str, Any]:
-        return {"rule": "geometric", "base": format_rational(self.base)}
 
-
-RatioRule = Union[ConstantRatios, ListRatios, GeometricRatios]
+RatioRule = ConstantRatios | ListRatios | GeometricRatios
 
 
 # ---------------------------------------------------------------------
@@ -351,7 +330,7 @@ def _stage(spec, n: int, budget: int):
     # components (its own or its sources'); a count not known in
     # advance is checked on each built stage up to n as well.
     if n > max_binary_stage(budget):
-        raise BudgetExceededError(2 ** n, budget)
+        raise BudgetExceededError(None, budget, log2=n)
     return _sequence(spec).get(n, None if spec.binary else budget)
 
 
@@ -382,15 +361,14 @@ def _split(
 #
 # Every family spec answers one protocol: binary (True when stage n has
 # exactly 2^n components, so a budget is checked before it is built;
-# False when a stage must be built to count them), to_obj() for the
-# JSON dialect, stage(n, budget=...) for its unit-frame stage through
-# the family's public function, and _steps(), the generator of its
-# stage sequence.  The binary builders (central and perturbed) hold
-# their stage as its union, whose key ranges are the parts (see
-# ``cantordiff.intervals``).  Each step lifts them to a step grid on
-# which every cut is a whole closed key, chooses one gap (x, y) per part
-# and cuts them all with ``_split``, which names each gap record by
-# ``_address``.
+# False when a stage must be built to count them), stage(n, budget=...)
+# for its unit-frame stage through the family's public function, and
+# _steps(), the generator of its stage sequence.  The binary builders
+# (central and perturbed) hold their stage as its union, whose key
+# ranges are the parts (see ``cantordiff.intervals``).  Each step lifts
+# them to a step grid on which every cut is a whole closed key, chooses
+# one gap (x, y) per part and cuts them all with ``_split``, which names
+# each gap record by ``_address``.
 
 
 @_record
@@ -403,12 +381,12 @@ class CentralSpec:
     binary = True
 
     @classmethod
-    def constant(cls, value: RationalLike) -> "CentralSpec":
-        return cls(ConstantRatios(as_rational(value)))
+    def constant(cls, value: Fraction) -> "CentralSpec":
+        return cls(ConstantRatios(value))
 
     @classmethod
-    def geometric(cls, base: RationalLike) -> "CentralSpec":
-        return cls(GeometricRatios(as_rational(base)))
+    def geometric(cls, base: Fraction) -> "CentralSpec":
+        return cls(GeometricRatios(base))
 
     def ratio(self, k: int) -> Fraction:
         return self.ratios.ratio(k)
@@ -423,9 +401,6 @@ class CentralSpec:
     def gap_length(self, k: int) -> Fraction:
         """Length of every gap removed at step k (k >= 1)."""
         return self.ratio(k) * self.component_length(k - 1)
-
-    def to_obj(self) -> dict[str, Any]:
-        return {"family": "central", "ratios": self.ratios.to_obj()}
 
     def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
         return central_stage(self, n, budget=budget)
@@ -487,25 +462,12 @@ class PerturbedSpec:
     binary = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c1", as_rational(self.c1))
-        object.__setattr__(self, "shrink", as_rational(self.shrink))
-        object.__setattr__(
-            self, "interior_gap_fraction", as_rational(self.interior_gap_fraction)
-        )
         if not 0 < self.c1 < 1:
             raise InvalidSpecError("c1 out of (0,1)")
         if not 0 < self.shrink < 1:
             raise InvalidSpecError("shrink out of (0,1)")
         if not 0 < self.interior_gap_fraction <= 1:
             raise InvalidSpecError("interior_gap_fraction out of (0,1]")
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "family": "perturbed",
-            "c1": format_rational(self.c1),
-            "shrink": format_rational(self.shrink),
-            "interior_gap_fraction": format_rational(self.interior_gap_fraction),
-        }
 
     def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
         return perturbed_stage(self, n, budget=budget)
@@ -566,7 +528,7 @@ def perturbed_stage(
 # ---------------------------------------------------------------------
 # composite family: C = A | ((A + B + 1/2) & [1/2, 1])
 
-HalfSourceSpec = Union[CentralSpec, PerturbedSpec]
+HalfSourceSpec = CentralSpec | PerturbedSpec
 
 
 def half_scaled_components(spec: HalfSourceSpec, n: int) -> IntervalUnion:
@@ -584,13 +546,6 @@ class CompositeSpec:
     b_source: HalfSourceSpec
 
     binary = False
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "family": "tab",
-            "a": self.a_source.to_obj(),
-            "b": self.b_source.to_obj(),
-        }
 
     def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
         return composite_stage(self, n, budget=budget)
@@ -771,9 +726,6 @@ class GreedySpec:
 
     binary = False
 
-    def to_obj(self) -> dict[str, Any]:
-        return {"family": "greedy", "b": self.b_source.to_obj()}
-
     def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
         return greedy_stage(self, n, budget=budget)
 
@@ -785,12 +737,14 @@ class GreedySpec:
         )
 
 
-class AdmittedPoint(NamedTuple):
+@_record
+class AdmittedPoint:
     value: Fraction
     stage: int
 
 
-class DeferralEvent(NamedTuple):
+@_record
+class DeferralEvent:
     candidate: Fraction
     address: NodeAddress | None
     stage: int

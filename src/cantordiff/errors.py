@@ -10,13 +10,18 @@ class InvalidSpecError(CantorDiffError, ValueError):
 
 
 class BudgetExceededError(CantorDiffError):
-    """A requested stage would exceed the configured component budget."""
+    """A requested stage would exceed the configured component budget.
 
-    def __init__(self, requested: int, budget: int):
-        self.requested = requested
-        self.budget = budget
-        # Only a binary stage's 2^n is this long; str() stops at 4300 digits.
-        count = requested if requested < 10 ** 20 else f"2^{requested.bit_length() - 1}"
+    ``requested`` is the stage's component count.  A binary stage n is
+    refused with ``log2=n``, and its count 2^n is made only up to 20
+    digits (n <= 66): past that ``requested`` is None, as 2^n takes n/8 bytes.
+    """
+
+    def __init__(self, requested: int | None, budget: int, *, log2: int = 0):
+        if requested is None and log2 <= 66:
+            requested = 2 ** log2
+        self.requested, self.budget = requested, budget
+        count = f"2^{log2}" if requested is None else requested
         super().__init__(f"stage needs {count} components, budget allows {budget}")
 
 

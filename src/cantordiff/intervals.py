@@ -45,11 +45,9 @@ from fractions import Fraction
 from itertools import pairwise
 from math import gcd, lcm
 from operator import attrgetter, itemgetter
-from typing import Any, Iterable, Iterator, Sequence, Union
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
-    "RationalLike",
-    "format_rational",
     "Interval",
     "IntervalUnion",
     "normalize",
@@ -58,21 +56,6 @@ __all__ = [
     "UNIT",
     "BOX",
 ]
-
-RationalLike = Union[Fraction, int, str]
-
-
-def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints and "p/q" strings to Fraction; Fractions pass through."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical "p/q" text (q > 0, reduced) of the package's JSON dialect."""
-    return f"{q.numerator}/{q.denominator}"
-
 
 def _record(cls: type) -> type:
     """``cls`` as a frozen slots record, like ``dataclass(frozen=True,
@@ -154,16 +137,15 @@ class Interval:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def closed(cls, lo: RationalLike, hi: RationalLike) -> "Interval":
-        return cls(as_rational(lo), as_rational(hi), True, True)
+    def closed(cls, lo: Fraction | int, hi: Fraction | int) -> "Interval":
+        return cls(lo, hi, True, True)
 
     @classmethod
-    def open(cls, lo: RationalLike, hi: RationalLike) -> "Interval":
-        return cls(as_rational(lo), as_rational(hi), False, False)
+    def open(cls, lo: Fraction | int, hi: Fraction | int) -> "Interval":
+        return cls(lo, hi, False, False)
 
     @classmethod
-    def point(cls, x: RationalLike) -> "Interval":
-        x = as_rational(x)
+    def point(cls, x: Fraction | int) -> "Interval":
         return cls(x, x, True, True)
 
     # -- derived accessors -------------------------------------------
@@ -428,8 +410,7 @@ class IntervalUnion:
         keys = (k for s, e in self.ranges for k in ((s,) if s == e else (s, e + 1)))
         return tuple(Fraction(k // 3, self.grid) for k in keys)
 
-    def contains_point(self, x: RationalLike) -> bool:
-        x = as_rational(x)
+    def contains_point(self, x: Fraction | int) -> bool:
         g, r = divmod(x.numerator * self.grid, x.denominator)  # x*grid in [g, g + 1)
         key = 3 * g + (r > 0)  # off the grid: the interior key of x's open cell
         i = bisect_right(self.ranges, key, key=itemgetter(0))
@@ -521,14 +502,12 @@ class IntervalUnion:
         """The mirror image {-x : x in self}; flags swap ends."""
         return self._affine(-1, 0)
 
-    def translate(self, t: RationalLike) -> "IntervalUnion":
-        t = as_rational(t)
+    def translate(self, t: Fraction | int) -> "IntervalUnion":
         if t == 0:
             return self
         return self._affine(1, t)
 
-    def scale(self, k: RationalLike) -> "IntervalUnion":
-        k = as_rational(k)
+    def scale(self, k: Fraction | int) -> "IntervalUnion":
         if k == 0:
             raise ValueError("scale factor must be nonzero")
         return self._affine(k, 0)
@@ -574,7 +553,7 @@ def normalize(intervals: Iterable[Interval]) -> IntervalUnion:
     return _from_ranges(_merge(sorted(ranges)), grid)
 
 
-def points_union(values: Iterable[RationalLike]) -> IntervalUnion:
+def points_union(values: Iterable[Fraction | int]) -> IntervalUnion:
     """Union of degenerate point parts, one per distinct value."""
     return normalize(Interval.point(v) for v in values)
 

@@ -41,9 +41,10 @@ from .constructions import (
     RatioRule,
 )
 from .errors import InvalidSpecError, InvariantError
-from .intervals import Interval, IntervalUnion, format_rational
+from .intervals import Interval, IntervalUnion
 
 __all__ = [
+    "format_rational",
     "parse_rational",
     "decimal_str",
     "exact_to_obj",
@@ -62,6 +63,11 @@ __all__ = [
 ]
 
 FamilySpec = CentralSpec | PerturbedSpec | CompositeSpec | GreedySpec
+
+
+def format_rational(q: Fraction) -> str:
+    """Canonical "p/q" text (q > 0, reduced) of the package's JSON dialect."""
+    return f"{q.numerator}/{q.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -355,8 +361,30 @@ def _ratios_from_obj(obj: Any, path: str) -> RatioRule:
     raise InvalidSpecError(f"{path}: unknown ratio rule {kind!r}")
 
 
+def _ratios_to_obj(rule: RatioRule) -> dict[str, Any]:
+    if isinstance(rule, ConstantRatios):
+        return {"rule": "constant", "value": format_rational(rule.value)}
+    if isinstance(rule, ListRatios):
+        values = [format_rational(v) for v in rule.values]
+        return {"rule": "list", "values": values, "tail": format_rational(rule.tail)}
+    return {"rule": "geometric", "base": format_rational(rule.base)}
+
+
 def spec_to_obj(spec: FamilySpec) -> dict[str, Any]:
-    return spec.to_obj()
+    """The spec as ``spec_from_obj`` reads it, every perturbed field given."""
+    if isinstance(spec, CentralSpec):
+        return {"family": "central", "ratios": _ratios_to_obj(spec.ratios)}
+    if isinstance(spec, PerturbedSpec):
+        return {
+            "family": "perturbed",
+            "c1": format_rational(spec.c1),
+            "shrink": format_rational(spec.shrink),
+            "interior_gap_fraction": format_rational(spec.interior_gap_fraction),
+        }
+    if isinstance(spec, CompositeSpec):
+        a, b = spec.a_source, spec.b_source
+        return {"family": "tab", "a": spec_to_obj(a), "b": spec_to_obj(b)}
+    return {"family": "greedy", "b": spec_to_obj(spec.b_source)}
 
 
 def spec_from_obj(obj: Any, *, path: str = "spec") -> FamilySpec:

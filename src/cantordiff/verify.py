@@ -39,7 +39,6 @@ from .intervals import (
     Interval,
     IntervalUnion,
     _record,
-    format_rational,
     normalize,
     points_union,
 )
@@ -47,6 +46,7 @@ from .jsonio import (
     FamilySpec,
     decimal_str,
     exact_to_obj,
+    format_rational,
     interval_to_obj,
     spec_to_obj,
     union_to_obj,
@@ -345,13 +345,15 @@ def _suite_cspm(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertio
     _require(GreedySpec, spec, "cspm")
     if not isinstance(spec.b_source, CentralSpec):
         raise InvalidSpecError("suite 'cspm' needs a central B source")
-    tail = spec.b_source.ratios.tail_ratio_sum(max_stage)
-    if tail is None:
+    rule = spec.b_source.ratios
+    if rule.tail_ratio_sum(0) is None:
         raise InvalidSpecError(
             "suite 'cspm' needs a summable (geometric) removal schedule "
             "for the B source; constant tails thin B down to measure zero"
         )
+    # A stage past the budget is refused before base**(max_stage + 1) is made.
     c_stages, y_stages = _composite_parts(spec, max_stage, budget)
+    tail = rule.tail_ratio_sum(max_stage)
     result = shift_inclusion_check(c_stages, y_stages)
     b_measure = half_scaled_components(spec.b_source, max_stage).measure()
     lower = b_measure - Fraction(1, 2) * tail

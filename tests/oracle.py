@@ -39,10 +39,10 @@ from cantordiff.intervals import (
     UNIT,
     Interval,
     IntervalUnion,
-    format_rational,
     normalize,
     points_union,
 )
+from cantordiff.jsonio import format_rational
 
 
 def _common_scale(*unions):

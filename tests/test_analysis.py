@@ -377,6 +377,11 @@ class TestDominantGapCertificate:
         with pytest.raises(NotCertifiableError):
             dominant_gap_certificate(s2, small, F(1, 3), 1)
 
+    def test_rejects_window_ends_out_of_order(self):
+        s1 = central_stage(TERNARY, 1)
+        with pytest.raises(NotCertifiableError, match="^window ends out of order$"):
+            dominant_gap_certificate(s1, s1.gaps[0], F(1, 3), F(0))
+
 
 _shifts = st.fractions(min_value=-1, max_value=1, max_denominator=12)
 
@@ -434,6 +439,13 @@ class TestShiftInclusion:
         growing = [points_union([F(2, 3)]), points_union([F(2, 3), F(-2, 3)])]
         with pytest.raises(ValueError):
             shift_inclusion_check(stages, growing)
+
+    def test_requires_sequences_of_equal_length(self):
+        stages = [central_stage(TERNARY, n) for n in (1, 2)]
+        with pytest.raises(
+            ValueError, match="^need matching nonempty stage and Y sequences$"
+        ):
+            shift_inclusion_check(stages, [points_union([F(2, 3)])])
 
     def test_branch_ends_pass_even_for_shallow_ratios(self):
         # the lower-bound certificate needs no steepness assumption
@@ -495,6 +507,10 @@ class TestGapChain:
         chain = rightmost_gap_chain(TERNARY, 6)
         for k, link in enumerate(chain, start=1):
             assert link.gap.interval.hi == 1 - F(1, 3) ** k
+
+    def test_depth_zero_is_refused(self):
+        with pytest.raises(ValueError, match="^depth must be >= 1$"):
+            rightmost_gap_chain(TERNARY, 0)
 
     def test_halving_first_link(self):
         chain = rightmost_gap_chain(HALVING, 1)

@@ -569,6 +569,53 @@ def test_over_budget_max_stage_is_refused_before_any_bracket(
     assert not (tmp_path / "out").exists()
 
 
+def _address_space_cap():
+    # The child's own address space: a refusal that builds 2^n or
+    # base**n on the way fails with MemoryError instead of exit 2.
+    import resource
+
+    cap = 192 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize(
+    "args,spec_text,max_stage,needs",
+    [
+        # 2 ** 4_000_000_000 alone is half a gigabyte.
+        *(
+            pytest.param(
+                [command], TAB_SPEC, "4000000000", "2^4000000000", id=command
+            )
+            for command in ("diff-bounds", "measure-scan")
+        ),
+        # 4 ** 300_000_001, the cspm tail's denominator, takes 75 MB.
+        pytest.param(
+            ["verify", "cspm"], GREEDY_QUARTER_SPEC, "300000000", "32768", id="cspm"
+        ),
+    ],
+)
+def test_huge_max_stage_is_refused_without_building_its_count(
+    tmp_path, args, spec_text, max_stage, needs
+):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text, encoding="utf-8")
+    src = str(Path(cantordiff.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", *args, "--spec", str(spec),
+         "--max-stage", max_stage, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        encoding="utf-8",
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_address_space_cap,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == (
+        f"error: stage needs {needs} components, budget allows 16384\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["diff-bounds", "measure-scan"])
 def test_refused_stage_computes_no_bracket(tmp_path, capsys, monkeypatch, command):
     # Tab 1/2,1/2 fits the budget of 64 up to stage 4 and fails at stage 5.

@@ -12,6 +12,7 @@ from cantordiff.constructions import (
     CantorStage,
     CentralSpec,
     CompositeSpec,
+    DeferralEvent,
     GreedySpec,
     ListRatios,
     PerturbedSpec,
@@ -176,6 +177,15 @@ class TestCentral:
         with pytest.raises(InvalidSpecError, match="ratio out of"):
             CentralSpec.constant(1)
 
+    def test_negative_stage_index_is_refused(self):
+        with pytest.raises(ValueError, match="^stage index must be >= 0$"):
+            central_stage(TERNARY, -1)
+
+    def test_branch_gap_end_before_the_first_is_refused(self):
+        assert rightmost_branch_gap_end(TERNARY, 0) == F(2, 3)
+        with pytest.raises(ValueError, match="^k must be >= 0$"):
+            rightmost_branch_gap_end(TERNARY, -1)
+
     def test_nesting_and_cover(self):
         stages = stage_list(central_stage, TERNARY, 6)
         for prev, nxt in zip(stages, stages[1:]):
@@ -257,6 +267,12 @@ class TestPerturbed:
         assert stage3["11"].length == F(1, 20)
         assert stage3["01"].length == F(1, 40)
         assert stage3["10"].length == F(1, 40)
+
+    def test_interior_gap_fraction_above_one_is_refused(self):
+        with pytest.raises(
+            InvalidSpecError, match=r"^interior_gap_fraction out of \(0,1\]$"
+        ):
+            PerturbedSpec(F(1, 5), interior_gap_fraction=F(2))
 
 
 class TestComposite:
@@ -370,10 +386,10 @@ class TestGreedy:
         # component of A and wait.
         deferrals = greedy_certificate(FAT, 8).deferrals
         assert deferrals == (
-            (F(1, 4), "010000", 7),
-            (F(3, 4), "100000", 7),
-            (F(1, 4), "0100000", 8),
-            (F(3, 4), "1000000", 8),
+            DeferralEvent(F(1, 4), "010000", 7),
+            DeferralEvent(F(3, 4), "100000", 7),
+            DeferralEvent(F(1, 4), "0100000", 8),
+            DeferralEvent(F(3, 4), "1000000", 8),
         )
 
     @pytest.mark.parametrize("source", GREEDY_B_SOURCES.values(), ids=GREEDY_B_SOURCES)

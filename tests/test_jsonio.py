@@ -1,5 +1,6 @@
 """Round-trip tests for the shared JSON dialect."""
 
+import json
 import re
 import tempfile
 from fractions import Fraction as F
@@ -13,7 +14,9 @@ from cantordiff.constructions import (
     CantorStage,
     CentralSpec,
     CompositeSpec,
+    ConstantRatios,
     GapRecord,
+    GeometricRatios,
     GreedySpec,
     ListRatios,
     PerturbedSpec,
@@ -21,13 +24,14 @@ from cantordiff.constructions import (
     composite_stage,
 )
 from cantordiff.errors import InvalidSpecError, InvariantError
-from cantordiff.intervals import Interval, format_rational, normalize
+from cantordiff.intervals import Interval, normalize
 
 import oracle
 from cantordiff.jsonio import (
     _DECIMALS,
     decimal_str,
     dump_json,
+    format_rational,
     gap_table_rows,
     parse_rational,
     spec_from_obj,
@@ -295,6 +299,75 @@ def test_spec_round_trip(spec):
     assert spec_from_obj(spec_to_obj(spec)) == spec
 
 
+def _below(top):
+    """Fractions p/q in (0, 1), or (0, 1] with ``top``."""
+    return st.integers(2, 40).flatmap(
+        lambda q: st.integers(1, q if top else q - 1).map(lambda p: F(p, q))
+    )
+
+
+_RATIO, _AT_MOST_ONE = _below(False), _below(True)
+_RULES = st.one_of(
+    st.builds(ConstantRatios, _RATIO),
+    st.builds(ListRatios, st.lists(_RATIO, max_size=3).map(tuple), _RATIO),
+    st.builds(GeometricRatios, _RATIO),
+)
+_HALF_SOURCES = st.one_of(
+    st.builds(CentralSpec, _RULES),
+    st.builds(PerturbedSpec, _RATIO, _RATIO, _AT_MOST_ONE),
+)
+_SPECS = st.one_of(
+    _HALF_SOURCES,
+    st.builds(CompositeSpec, _HALF_SOURCES, _HALF_SOURCES),
+    st.builds(GreedySpec, _HALF_SOURCES),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SPECS)
+def test_spec_round_trip_on_random_specs(spec):
+    obj = spec_to_obj(spec)
+    assert spec_from_obj(obj) == spec
+    # the object is plain JSON, so a spec file holds it
+    assert json.loads(dump_json(obj)) == obj
+
+
+# Canonical spec objects, spelled out as a spec file writes them: each
+# rational as reduced "p/q" text and every perturbed field present.
+_TEXT = st.builds(format_rational, _RATIO)
+_RULE_OBJS = st.one_of(
+    st.fixed_dictionaries({"rule": st.just("constant"), "value": _TEXT}),
+    st.fixed_dictionaries(
+        {"rule": st.just("list"), "values": st.lists(_TEXT, max_size=3), "tail": _TEXT}
+    ),
+    st.fixed_dictionaries({"rule": st.just("geometric"), "base": _TEXT}),
+)
+_HALF_SOURCE_OBJS = st.one_of(
+    st.fixed_dictionaries({"family": st.just("central"), "ratios": _RULE_OBJS}),
+    st.fixed_dictionaries(
+        {
+            "family": st.just("perturbed"),
+            "c1": _TEXT,
+            "shrink": _TEXT,
+            "interior_gap_fraction": st.builds(format_rational, _AT_MOST_ONE),
+        }
+    ),
+)
+_SPEC_OBJS = st.one_of(
+    _HALF_SOURCE_OBJS,
+    st.fixed_dictionaries(
+        {"family": st.just("tab"), "a": _HALF_SOURCE_OBJS, "b": _HALF_SOURCE_OBJS}
+    ),
+    st.fixed_dictionaries({"family": st.just("greedy"), "b": _HALF_SOURCE_OBJS}),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SPEC_OBJS)
+def test_canonical_spec_objects_are_written_back_as_read(obj):
+    assert spec_to_obj(spec_from_obj(obj)) == obj
+
+
 def test_spec_shorthand_constant_ratio():
     spec = spec_from_obj({"family": "central", "ratios": "1/3"})
     assert spec == CentralSpec.constant(F(1, 3))
@@ -358,6 +431,11 @@ _CENTRAL = {"family": "central", "ratios": "1/2"}
         (
             {"family": "perturbed", "c1": "1/5", "shrink": "1"},
             r"^spec: shrink out of \(0,1\)$",
+        ),
+        (
+            {"family": "greedy",
+             "b": {"family": "tab", "a": _CENTRAL, "b": _CENTRAL}},
+            r"^spec: greedy source must be central or perturbed$",
         ),
     ],
 )

@@ -30,10 +30,12 @@ from cantordiff.analysis import (
     zone_measure_rows,
 )
 from cantordiff.constructions import (
+    AdmittedPoint,
     CantorStage,
     CentralSpec,
     CompositeSpec,
     ConstantRatios,
+    DeferralEvent,
     GapRecord,
     GeometricRatios,
     GreedyCertificate,
@@ -86,6 +88,11 @@ def _samples():
             CompositeSpec(ternary, PerturbedSpec(F(1, 5))),
         ],
         GreedySpec: [GreedySpec(ternary), GreedySpec(CentralSpec.geometric(F(1, 4)))],
+        AdmittedPoint: [AdmittedPoint(F(0), 1), AdmittedPoint(F(1, 2), 1)],
+        DeferralEvent: [
+            DeferralEvent(F(1, 4), "010000", 7),
+            DeferralEvent(F(1, 4), None, 7),
+        ],
         GreedyCertificate: [
             greedy_certificate(GreedySpec(CentralSpec.geometric(F(1, 4))), n)
             for n in (1, 2)
@@ -118,11 +125,9 @@ def test_every_record_class_is_sampled():
         cls
         for name in modules
         for cls in vars(importlib.import_module(f"cantordiff.{name}")).values()
-        if isinstance(cls, type)
-        and "__match_args__" in vars(cls)
-        and not issubclass(cls, tuple)  # the NamedTuples
+        if isinstance(cls, type) and "__match_args__" in vars(cls)
     }
-    assert records == set(SAMPLES) and len(records) == 19
+    assert records == set(SAMPLES) and len(records) == 21
 
 
 def _twin(cls):

@@ -8,6 +8,7 @@ from cantordiff.constructions import (
     CentralSpec,
     CompositeSpec,
     GreedySpec,
+    ListRatios,
     PerturbedSpec,
 )
 from cantordiff.errors import InvalidSpecError
@@ -47,6 +48,17 @@ def test_t13_passes_for_halving():
     assert ids["t13-bracket"] == "pass"
 
 
+def test_t13_reads_a_list_schedule():
+    steep = CentralSpec(ListRatios((F(1, 2), F(2, 5)), F(1, 3)))
+    assert run_suite("t13", steep, 4).passed
+    shallow = CentralSpec(ListRatios((F(1, 2),), F(1, 4)))
+    with pytest.raises(
+        InvalidSpecError,
+        match=r"^suite 't13' requires every removal ratio to be at least 1/3$",
+    ):
+        run_suite("t13", shallow, 4)
+
+
 def test_ts3_passes_at_stage8():
     report = run_suite("ts3", PERTURBED, 8)
     assert report.passed
@@ -65,6 +77,14 @@ def test_tab_passes_for_builtin_pair():
     assert report.passed
     details = report.assertions[0].details
     assert details["n_checked"] == 5
+
+
+def test_tab_needs_a_half_frame_source():
+    with pytest.raises(
+        InvalidSpecError,
+        match=r"^suite 'tab' needs a tab or greedy spec \(a half-frame B source\)$",
+    ):
+        run_suite("tab", TERNARY, 2)
 
 
 def test_tamc_reports_chain():
@@ -87,6 +107,23 @@ def test_cspm_rejects_constant_schedule():
     spec = FAT
     bad = type(spec)(CentralSpec.constant(F(1, 4)))
     with pytest.raises(InvalidSpecError, match="summable"):
+        run_suite("cspm", bad, 4)
+
+
+def test_cspm_needs_a_central_b_source():
+    with pytest.raises(
+        InvalidSpecError, match="^suite 'cspm' needs a central B source$"
+    ):
+        run_suite("cspm", GreedySpec(PERTURBED), 4)
+
+
+def test_cspm_rejects_list_schedule():
+    bad = GreedySpec(CentralSpec(ListRatios((F(1, 4),), F(1, 4))))
+    with pytest.raises(
+        InvalidSpecError,
+        match=r"^suite 'cspm' needs a summable \(geometric\) removal schedule "
+        "for the B source; constant tails thin B down to measure zero$",
+    ):
         run_suite("cspm", bad, 4)
 
 
