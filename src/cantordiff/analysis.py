@@ -65,7 +65,6 @@ __all__ = [
     "DiffBracket",
     "DominantGapCertificate",
     "ShiftInclusionResult",
-    "GapChainLink",
     "ZoneMeasureRow",
     "inner_difference",
     "outer_difference",
@@ -267,7 +266,6 @@ class ShiftInclusionResult:
 
     passed: bool
     n_checked: int
-    y_final: IntervalUnion
     violation_stage: int | None = None
     witness: Fraction | None = None
 
@@ -300,12 +298,11 @@ def shift_inclusion_check(
             return ShiftInclusionResult(
                 False,
                 index,
-                y_stages[-1],
                 violation_stage=stage.n,
                 witness=_witness_point(escaped),
             )
         last_index = index
-    return ShiftInclusionResult(True, last_index + 1, y_stages[-1])
+    return ShiftInclusionResult(True, last_index + 1)
 
 
 # ---------------------------------------------------------------------
@@ -332,12 +329,6 @@ def prediction_is_complete(spec: CentralSpec) -> bool:
 
 # ---------------------------------------------------------------------
 # rightmost-longest gap chain
-
-
-@_record
-class GapChainLink:
-    gap: GapRecord
-    certificate: DominantGapCertificate
 
 
 def _chain_step_indices(
@@ -382,9 +373,9 @@ def _chain_step_indices(
 
 def rightmost_gap_chain(
     spec: CentralSpec, depth: int, *, budget: int = DEFAULT_BUDGET
-) -> tuple[GapChainLink, ...]:
-    """The chain of rightmost longest gaps, each certified to cover the
-    interval between consecutive chain gaps' right ends.
+) -> tuple[DominantGapCertificate, ...]:
+    """The certificates of the chain of rightmost longest gaps, each
+    covering the interval between consecutive chain gaps' right ends.
 
     Link m uses the window [0, gap_m.lo - prev_right] (prev_right = 0
     for the first link), whose certified interval is exactly
@@ -395,7 +386,7 @@ def rightmost_gap_chain(
         raise ValueError("depth must be >= 1")
     steps, stage_n = _chain_step_indices(spec, depth, budget)
     stage = central_stage(spec, stage_n, budget=budget)
-    links: list[GapChainLink] = []
+    links: list[DominantGapCertificate] = []
     prev_right = Fraction(0)
     # The records by their numerators on their canonical grids.
     by_position = {(g.lo, g.hi, g.grid): g for g in stage.gaps}
@@ -411,7 +402,7 @@ def rightmost_gap_chain(
                 f"chain link at step {k} certifies {cert.certified}, not the "
                 f"interval ({prev_right}, {hi}) between consecutive right ends"
             )
-        links.append(GapChainLink(gap, cert))
+        links.append(cert)
         prev_right = hi
     return tuple(links)
 

@@ -37,8 +37,13 @@ _SUITE_NAMES = ("ccp", "cspm", "steinhaus", "t13", "tab", "tamc", "ts3")
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole; a failed write removes the file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    try:
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _csv_text(header: list[str], rows: Iterable[list[str]]) -> str:

@@ -55,7 +55,6 @@ from .intervals import (
     UNIT,
     Interval,
     IntervalUnion,
-    _encode,
     _from_ranges,
     _merge,
     _Range,
@@ -77,8 +76,6 @@ __all__ = [
     "PerturbedSpec",
     "CompositeSpec",
     "GreedySpec",
-    "AdmittedPoint",
-    "DeferralEvent",
     "GreedyCertificate",
     "central_stage",
     "rightmost_branch_gap_end",
@@ -119,9 +116,10 @@ class GapRecord:
     ``(lo/grid, hi/grid)``, held as its two end numerators on its
     canonical grid (``gcd(grid, lo, hi) == 1``), so the generated ``==``
     and ``hash`` are set equality and no ``Fraction`` is made until
-    ``interval`` decodes it.  The builders make records from key ranges
-    with ``_gap``; ``GapRecord(address, interval, stage_created)`` takes
-    an open ``Interval``.
+    ``interval`` decodes it.  A record is made from its gap's key range
+    ``[s, e]`` on ``grid`` (see ``cantordiff.intervals``), which must be
+    open at both ends: then ``s <= e`` is the ``lo < hi`` that
+    ``Interval`` checks.
     """
 
     address: NodeAddress | None
@@ -131,10 +129,25 @@ class GapRecord:
     stage_created: int
 
     def __new__(
-        cls, address: NodeAddress | None, interval: Interval, stage_created: int
+        cls, address: NodeAddress | None, s: int, e: int, grid: int, stage_created: int
     ) -> "GapRecord":
-        ((s, e),), grid = _encode((interval,))
-        return _gap(address, s, e, grid, stage_created)
+        if address is not None:
+            _check_address(address)
+        if s % 3 != 1 or e % 3 != 2:
+            raise ValueError("gap intervals are open at both ends")
+        if s > e:
+            raise ValueError(f"gap key range [{s}, {e}] is empty")
+        lo, hi = s // 3, (e + 1) // 3
+        g = gcd(grid, lo, hi)
+        if g > 1:
+            lo, hi, grid = lo // g, hi // g, grid // g
+        record = object.__new__(cls)
+        _set_address(record, address)
+        _set_lo(record, lo)
+        _set_hi(record, hi)
+        _set_grid(record, grid)
+        _set_stage(record, stage_created)
+        return record
 
     @property
     def interval(self) -> Interval:
@@ -150,31 +163,6 @@ _set_address, _set_lo, _set_hi, _set_grid, _set_stage = (
     getattr(GapRecord, name).__set__
     for name in ("address", "lo", "hi", "grid", "stage_created")
 )
-
-
-def _gap(
-    address: NodeAddress | None, s: int, e: int, grid: int, stage_created: int
-) -> GapRecord:
-    """The record of the gap of the key range ``[s, e]`` on ``grid`` (see
-    ``cantordiff.intervals``), which must be open at both ends: then
-    ``s <= e`` is the ``lo < hi`` that ``Interval`` checks."""
-    if address is not None:
-        _check_address(address)
-    if s % 3 != 1 or e % 3 != 2:
-        raise ValueError("gap intervals are open at both ends")
-    if s > e:
-        raise ValueError(f"gap key range [{s}, {e}] is empty")
-    lo, hi = s // 3, (e + 1) // 3
-    g = gcd(grid, lo, hi)
-    if g > 1:
-        lo, hi, grid = lo // g, hi // g, grid // g
-    record = object.__new__(GapRecord)
-    _set_address(record, address)
-    _set_lo(record, lo)
-    _set_hi(record, hi)
-    _set_grid(record, grid)
-    _set_stage(record, stage_created)
-    return record
 
 
 @_record
@@ -351,7 +339,7 @@ def _split(
     ``grid``; ``gaps`` accumulates every step's records."""
     kept: list[_Range] = []
     for idx, ((s, e), (x, y)) in enumerate(zip(ranges, cuts)):
-        gaps.append(_gap(_address(n - 1, idx), x + 1, y - 1, grid, n))
+        gaps.append(GapRecord(_address(n - 1, idx), x + 1, y - 1, grid, n))
         kept += ((s, x), (y, e))
     return _from_ranges(kept, grid)
 
@@ -672,7 +660,7 @@ def _composite_steps(
         grid = lcm(prev_gaps.grid, gaps.grid)
         old = dict(zip(prev_gaps._on(grid), prev_records))
         records = [
-            old.get(r) or _gap(None, *r, grid, m)
+            old.get(r) or GapRecord(None, *r, grid, m)
             for r in gaps._on(grid)
         ]
         prev_gaps, prev_records = gaps, records
@@ -738,25 +726,13 @@ class GreedySpec:
 
 
 @_record
-class AdmittedPoint:
-    value: Fraction
-    stage: int
-
-
-@_record
-class DeferralEvent:
-    candidate: Fraction
-    address: NodeAddress | None
-    stage: int
-
-
-@_record
 class GreedyCertificate:
-    """Per-stage avoidance evidence: no admitted point lies in A + B."""
+    """Per-stage avoidance evidence: no admitted point lies in A + B.
+    ``points[m - 1]`` is the point admitted at stage m, and ``deferrals``
+    counts the candidates that waited on the way."""
 
-    n: int
-    points: tuple[AdmittedPoint, ...]
-    deferrals: tuple[DeferralEvent, ...]
+    points: tuple[Fraction, ...]
+    deferrals: int
     verified: bool
 
 
@@ -772,20 +748,19 @@ def _padded_reflection(b: IntervalUnion, delta: Fraction) -> IntervalUnion:
     return _from_ranges(_merge(widened), grid)
 
 
-def _greedy_points(
-    spec: GreedySpec, n: int
-) -> tuple[tuple[AdmittedPoint, ...], tuple[DeferralEvent, ...]]:
-    """The points admitted at stages 1..n and the deferrals on the way.
+def _greedy_points(spec: GreedySpec, n: int) -> tuple[tuple[Fraction, ...], int]:
+    """The points admitted at stages 1..n and the number of deferrals on
+    the way.
 
     A candidate is admitted at stage m only when the padded -B, moved by
-    it, leaves A_{m-1} whole; one that cuts a component waits, recorded
-    at that component's address.  A point admitted at stage m' < m needs
-    no new check: stages are nested and the margin shrinks, so its padded
-    translate, which missed A_{m'-1}, misses A_{m-1} too.
+    it, leaves A_{m-1} whole; one that cuts a component waits.  A point
+    admitted at stage m' < m needs no new check: stages are nested and
+    the margin shrinks, so its padded translate, which missed A_{m'-1},
+    misses A_{m-1} too.
     """
-    admitted: list[AdmittedPoint] = []
+    admitted: list[Fraction] = []
     deferred: list[Fraction] = []
-    events: list[DeferralEvent] = []
+    deferrals = 0
     stream = dyadic_candidates()
     for m in range(1, n + 1):
         a = half_scaled_components(_CENTRAL_HALF, m - 1)
@@ -804,16 +779,13 @@ def _greedy_points(
             allowed = a.minus_translates(padded, points_union([candidate]))
             whole = allowed == a
             if not whole:
-                grid = lcm(a.grid, allowed.grid)
-                kept = set(allowed._on(grid))
-                index = next(i for i, r in enumerate(a._on(grid)) if r not in kept)
-                events.append(DeferralEvent(candidate, _address(m - 1, index), m))
+                deferrals += 1
                 deferred.append(candidate)
         deferred = retries + deferred
         if not whole:
             raise AvoidanceExhaustedError(m, attempts)
-        admitted.append(AdmittedPoint(candidate, m))
-    return tuple(admitted), tuple(events)
+        admitted.append(candidate)
+    return tuple(admitted), deferrals
 
 
 def greedy_stage(
@@ -830,5 +802,5 @@ def greedy_certificate(
     a = _stage(_CENTRAL_HALF, n, budget).components.scale(Fraction(1, 2))
     points, deferrals = _greedy_points(spec, n)
     b = half_scaled_components(spec.b_source, n)
-    unreached = a.minus_translates(b.reflect(), points_union(p.value for p in points))
-    return GreedyCertificate(n, points, deferrals, unreached == a)
+    unreached = a.minus_translates(b.reflect(), points_union(points))
+    return GreedyCertificate(points, deferrals, unreached == a)

@@ -125,10 +125,15 @@ class Interval:
     hi_closed: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.lo, Fraction):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "hi", Fraction(self.hi))
+        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
+            for name in ("lo", "hi"):
+                end = getattr(self, name)
+                if type(end) is int:
+                    object.__setattr__(self, name, Fraction(end))
+                elif not isinstance(end, Fraction):
+                    raise TypeError(
+                        f"interval ends are Fraction or int, not {type(end).__name__}"
+                    )
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
@@ -382,9 +387,6 @@ class IntervalUnion:
 
     def __len__(self) -> int:
         return len(self.ranges)
-
-    def __str__(self) -> str:
-        return " | ".join(map(str, self.parts)) or "{}"
 
     def measure(self) -> Fraction:
         """Total length; openness never affects measure."""

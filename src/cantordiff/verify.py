@@ -116,11 +116,10 @@ def _certificate_obj(cert) -> dict[str, Any]:
     }
 
 
-def _require(kind: type, spec: FamilySpec, suite: str, extra: str = "") -> None:
+def _require(kind: type, spec: FamilySpec, suite: str) -> None:
     if not isinstance(spec, kind):
         raise InvalidSpecError(
-            f"suite {suite!r} needs a {kind.__name__}{extra}; "
-            f"got {type(spec).__name__}"
+            f"suite {suite!r} needs a {kind.__name__}; got {type(spec).__name__}"
         )
 
 
@@ -293,7 +292,7 @@ def _suite_tab(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertion
     result = shift_inclusion_check(c_stages, y_stages)
     details: dict[str, Any] = {
         "n_checked": result.n_checked,
-        "y_final": union_to_obj(result.y_final),
+        "y_final": union_to_obj(y_stages[-1]),
     }
     if not result.passed:
         details["violation_stage"] = result.violation_stage
@@ -313,7 +312,7 @@ def _suite_tamc(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertio
     _require(CentralSpec, spec, "tamc")
     depth = min(max_stage, 6) if max_stage >= 1 else 1
     chain = rightmost_gap_chain(spec, depth, budget=budget)
-    ends = [Fraction(link.gap.hi, link.gap.grid) for link in chain]
+    ends = [Fraction(cert.gap.hi, cert.gap.grid) for cert in chain]
     assertions = [
         _check(
             all(a < b for a, b in zip(ends, ends[1:])),
@@ -328,14 +327,14 @@ def _suite_tamc(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertio
             last_end=format_rational(ends[-1]),
         ),
     ]
-    for idx, link in enumerate(chain, start=1):
+    for idx, cert in enumerate(chain, start=1):
         assertions.append(
             _check(
                 True,
                 f"tamc-link-{idx}",
                 "dominance certificate for this chain link "
-                f"({len(link.certificate.exceptions)} exceptions)",
-                certificate=_certificate_obj(link.certificate),
+                f"({len(cert.exceptions)} exceptions)",
+                certificate=_certificate_obj(cert),
             )
         )
     return tuple(assertions)
@@ -399,10 +398,10 @@ def _suite_cspm(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertio
             "cspm-avoidance",
             "no admitted avoidance point is reachable as a stage sum",
             points=[
-                {"value": format_rational(p.value), "stage": p.stage}
-                for p in cert.points
+                {"value": format_rational(p), "stage": m}
+                for m, p in enumerate(cert.points, start=1)
             ],
-            deferrals=len(cert.deferrals),
+            deferrals=cert.deferrals,
         )
     )
     return tuple(assertions)

@@ -24,11 +24,9 @@ from math import lcm
 from cantordiff import constructions
 from cantordiff.analysis import ShiftInclusionResult
 from cantordiff.constructions import (
-    AdmittedPoint,
     CantorStage,
     CentralSpec,
     CompositeSpec,
-    DeferralEvent,
     GapRecord,
     PerturbedSpec,
     dyadic_candidates,
@@ -39,6 +37,7 @@ from cantordiff.intervals import (
     UNIT,
     Interval,
     IntervalUnion,
+    _encode,
     normalize,
     points_union,
 )
@@ -301,9 +300,9 @@ def minkowski_shift_inclusion(c_stages, y_stages):
             else:
                 witness = part.midpoint
             return ShiftInclusionResult(
-                False, index, y_stages[-1], violation_stage=stage.n, witness=witness
+                False, index, violation_stage=stage.n, witness=witness
             )
-    return ShiftInclusionResult(True, len(c_stages), y_stages[-1])
+    return ShiftInclusionResult(True, len(c_stages))
 
 
 def minkowski_composite_components(a, b):
@@ -439,12 +438,18 @@ def fractions_made(monkeypatch, call):
 _QUARTER = Fraction(1, 4)
 
 
+def gap_record(address, interval, stage):
+    """The ``GapRecord`` of the open ``interval``, made from its key range."""
+    ((s, e),), grid = _encode((interval,))
+    return GapRecord(address, s, e, grid, stage)
+
+
 def _split(n, parts, cuts, gaps):
     """Stage-n parts: the open gap ``cuts[i]`` is removed from part i."""
     comps = []
     for idx, (part, (gl, gr)) in enumerate(zip(parts, cuts)):
         address = format(idx, f"0{n - 1}b") if n > 1 else ""
-        gaps.append(GapRecord(address, Interval.open(gl, gr), n))
+        gaps.append(gap_record(address, Interval.open(gl, gr), n))
         comps.append(Interval(part.lo, gl, True, True))
         comps.append(Interval(gr, part.hi, True, True))
     return tuple(comps)
@@ -522,7 +527,7 @@ def oracle_composite_stages(a_components, b_components, family):
         gaps = []
         for part in components.complement_within(UNIT).parts:
             created = gap_created.setdefault((part.lo, part.hi), m)
-            gaps.append(GapRecord(None, part, created))
+            gaps.append(gap_record(None, part, created))
         ordered = tuple(sorted(gaps, key=lambda g: g.stage_created))
         yield CantorStage(m, components, ordered, family, notes=notes)
 
@@ -578,7 +583,8 @@ def oracle_padded_reflection(b, delta):
 
 def oracle_greedy_a_stages(spec):
     """The greedy A half on [0, 1/2], cut where the admitted points allow;
-    yields ``(components, points, deferrals)`` from stage 0 on."""
+    yields ``(components, points, deferrals)`` from stage 0 on, each
+    deferral a ``(candidate, address, stage)`` triple."""
     b_half = _half(spec.b_source)
     parts = (Interval.closed(0, Fraction(1, 2)),)
     admitted = []
@@ -590,7 +596,6 @@ def oracle_greedy_a_stages(spec):
             b = b_half(m)
             b_forbidden = b.union(b.translate(Fraction(1, 2)))
             padded = oracle_padded_reflection(b, quartic_margin(m))
-            points = [p.value for p in admitted]
             retries, deferred = deferred, []
             cuts = None
             attempts = 0
@@ -601,18 +606,19 @@ def oracle_greedy_a_stages(spec):
                     break
                 if b_forbidden.contains_point(candidate):
                     continue
-                allowed = a.minus_translates(padded, points_union([*points, candidate]))
+                shifts = points_union([*admitted, candidate])
+                allowed = a.minus_translates(padded, shifts)
                 try:
                     cuts = _avoiding_cuts(parts, allowed)
                 except _ComponentEmptied as emptied:
                     address = format(emptied.index, f"0{m - 1}b") if m > 1 else ""
-                    events.append(DeferralEvent(candidate, address, m))
+                    events.append((candidate, address, m))
                     deferred.append(candidate)
             deferred = retries + deferred
             if cuts is None:
                 raise AvoidanceExhaustedError(m, attempts)
             parts = _split(m, parts, cuts, [])
-            admitted.append(AdmittedPoint(candidate, m))
+            admitted.append(candidate)
         a = IntervalUnion(parts)
         yield a, tuple(admitted), tuple(events)
 
@@ -620,7 +626,9 @@ def oracle_greedy_a_stages(spec):
 def oracle_greedy_points(spec, n):
     """``(points, deferrals)`` of greedy stage n, from the loop that
     filters each candidate together with every point admitted before it;
-    the library filters by the candidate alone."""
+    the library filters by the candidate alone.  Each deferral is a
+    ``(candidate, address, stage)`` triple, the address that of the
+    first component of A_{m-1} that the candidate cuts."""
     admitted = []
     deferred = []
     events = []
@@ -630,7 +638,6 @@ def oracle_greedy_points(spec, n):
         b = constructions.half_scaled_components(spec.b_source, m)
         b_forbidden = b.union(b.translate(Fraction(1, 2)))
         padded = constructions._padded_reflection(b, quartic_margin(m))
-        points = [p.value for p in admitted]
         retries, deferred = deferred, []
         whole, attempts = False, 0
         while not whole and attempts < 64:
@@ -638,19 +645,19 @@ def oracle_greedy_points(spec, n):
             candidate = retries.pop(0) if retries else next(stream)
             if b_forbidden.contains_point(candidate):
                 continue
-            allowed = a.minus_translates(padded, points_union([*points, candidate]))
+            allowed = a.minus_translates(padded, points_union([*admitted, candidate]))
             whole = allowed == a
             if not whole:
                 grid = lcm(a.grid, allowed.grid)
                 kept = set(allowed._on(grid))
                 index = next(i for i, r in enumerate(a._on(grid)) if r not in kept)
                 address = constructions._address(m - 1, index)
-                events.append(DeferralEvent(candidate, address, m))
+                events.append((candidate, address, m))
                 deferred.append(candidate)
         deferred = retries + deferred
         if not whole:
             raise AvoidanceExhaustedError(m, attempts)
-        admitted.append(AdmittedPoint(candidate, m))
+        admitted.append(candidate)
     return tuple(admitted), tuple(events)
 
 

@@ -243,10 +243,10 @@ def test_c6_tamc_chain():
     with _Criterion("C6", "rightmost-gap chains certify countability", 30):
         for spec in (TERNARY, HALVING):
             chain = rightmost_gap_chain(spec, 6)
-            ends = [link.gap.interval.hi for link in chain]
+            ends = [cert.gap.interval.hi for cert in chain]
             assert all(a < b for a, b in zip(ends, ends[1:]))
             assert ends[-1] > F(99, 100)
-            exception_counts = [len(l.certificate.exceptions) for l in chain]
+            exception_counts = [len(cert.exceptions) for cert in chain]
             assert all(count >= 0 for count in exception_counts)
             print(
                 f"[acceptance]   chain exceptions for ratio "

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import cantordiff
 from cantordiff.analysis import (
+    DiffBracket,
     difference_bracket,
     dominant_gap_certificate,
     inner_difference,
@@ -38,6 +39,7 @@ from cantordiff.constructions import (
 )
 from cantordiff.errors import InvariantError, NotCertifiableError
 from cantordiff.intervals import (
+    BOX,
     Interval,
     IntervalUnion,
     normalize,
@@ -315,6 +317,31 @@ class TestBracket:
         assert result.returncode == 0, result.stderr
         assert "refused: stage 0: expected the inner bracket" in result.stdout
 
+    @pytest.mark.parametrize(
+        "fields,invariant",
+        [
+            ({"inner": IntervalUnion((BOX,))}, "inner bracket inside the outer one"),
+            (
+                {"missing_inner": IntervalUnion((BOX,))},
+                "inner missing bracket inside the outer one",
+            ),
+            (
+                {"missing_outer": points_union([-1, 1])},
+                "-1, 0 and 1 in the outer missing bracket",
+            ),
+        ],
+        ids=["inner", "missing-inner", "missing-outer"],
+    )
+    def test_each_broken_invariant_is_refused(self, fields, invariant):
+        # One field of a sound stage-1 bracket replaced: the missing
+        # brackets of the ternary stage are {-1, 1} inside [-1, 1] less
+        # the inner one.
+        bracket = difference_bracket(central_stage(TERNARY, 1))
+        values = {name: getattr(bracket, name) for name in bracket.__match_args__}
+        message = f"^stage 1: expected the {invariant}$"
+        with pytest.raises(InvariantError, match=message):
+            DiffBracket(**{**values, **fields})
+
 
 def _certified_union(cert):
     """The certified interval of ``cert`` less its exceptions."""
@@ -500,13 +527,13 @@ class TestGapChain:
         chain = rightmost_gap_chain(TERNARY, 2)
         assert chain[0].gap.interval == Interval.open(F(1, 3), F(2, 3))
         assert chain[1].gap.interval == Interval.open(F(7, 9), F(8, 9))
-        assert chain[0].certificate.certified == Interval.open(0, F(2, 3))
-        assert chain[1].certificate.certified == Interval.open(F(2, 3), F(8, 9))
+        assert chain[0].certified == Interval.open(0, F(2, 3))
+        assert chain[1].certified == Interval.open(F(2, 3), F(8, 9))
 
     def test_right_ends_geometric(self):
         chain = rightmost_gap_chain(TERNARY, 6)
-        for k, link in enumerate(chain, start=1):
-            assert link.gap.interval.hi == 1 - F(1, 3) ** k
+        for k, cert in enumerate(chain, start=1):
+            assert cert.gap.interval.hi == 1 - F(1, 3) ** k
 
     def test_depth_zero_is_refused(self):
         with pytest.raises(ValueError, match="^depth must be >= 1$"):
@@ -519,9 +546,9 @@ class TestGapChain:
     def test_consecutive_certificates_tile(self):
         chain = rightmost_gap_chain(HALVING, 5)
         prev_hi = F(0)
-        for link in chain:
-            assert link.certificate.certified.lo == prev_hi
-            prev_hi = link.certificate.certified.hi
+        for cert in chain:
+            assert cert.certified.lo == prev_hi
+            prev_hi = cert.certified.hi
 
     def test_chain_beyond_budget_is_refused(self):
         # the depth-6 ternary chain needs stage 6; a budget of 16 holds 4

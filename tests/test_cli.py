@@ -616,6 +616,43 @@ def test_huge_max_stage_is_refused_without_building_its_count(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "args,spec_text,name,cap",
+    [
+        pytest.param(["verify", "tab"], TAB_SPEC, "verify_tab.json", 1_000,
+                     id="verify"),
+        pytest.param(["diff-bounds"], TERNARY_SPEC, "diff_bounds.json", 4_000,
+                     id="diff-bounds"),
+        pytest.param(["measure-scan", "--format", "csv"], TERNARY_SPEC,
+                     "measure_scan.csv", 300, id="measure-scan"),
+    ],
+)
+def test_a_report_cut_short_is_removed(tmp_path, args, spec_text, name, cap):
+    # A child that may write no file past ``cap`` bytes, as on a full
+    # disk: the report is longer, so its write fails with EFBIG.
+    def file_size_cap():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_FSIZE, (cap, cap))
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text, encoding="utf-8")
+    out = tmp_path / "out"
+    src = str(Path(cantordiff.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", *args, "--spec", str(spec),
+         "--out", str(out)],
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=file_size_cap,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "error: [Errno 27] File too large\n"
+    assert out.is_dir() and not (out / name).exists()
+
+
 @pytest.mark.parametrize("command", ["diff-bounds", "measure-scan"])
 def test_refused_stage_computes_no_bracket(tmp_path, capsys, monkeypatch, command):
     # Tab 1/2,1/2 fits the budget of 64 up to stage 4 and fails at stage 5.

@@ -12,7 +12,7 @@ from cantordiff.constructions import (
     CantorStage,
     CentralSpec,
     CompositeSpec,
-    DeferralEvent,
+    GapRecord,
     GreedySpec,
     ListRatios,
     PerturbedSpec,
@@ -75,11 +75,9 @@ class TestGapRecord:
     def test_one_gap_on_any_grid_is_one_record(self, grid, lo, width, k):
         # (lo/grid, (lo + width)/grid) as open key ranges on grid and k*grid
         hi = lo + width
-        on_grid = constructions._gap("01", 3 * lo + 1, 3 * hi - 1, grid, 2)
-        on_multiple = constructions._gap(
-            "01", 3 * k * lo + 1, 3 * k * hi - 1, k * grid, 2
-        )
-        from_interval = constructions.GapRecord(
+        on_grid = GapRecord("01", 3 * lo + 1, 3 * hi - 1, grid, 2)
+        on_multiple = GapRecord("01", 3 * k * lo + 1, 3 * k * hi - 1, k * grid, 2)
+        from_interval = oracle.gap_record(
             "01", Interval.open(F(lo, grid), F(hi, grid)), 2
         )
         assert on_grid == on_multiple == from_interval
@@ -97,22 +95,16 @@ class TestGapRecord:
     )
     def test_a_gap_that_is_not_open_is_refused(self, interval):
         with pytest.raises(ValueError, match="open at both ends"):
-            constructions.GapRecord(None, interval, 1)
-        ((s, e),), grid = constructions._encode((interval,))
-        with pytest.raises(ValueError, match="open at both ends"):
-            constructions._gap(None, s, e, grid, 1)
+            oracle.gap_record(None, interval, 1)
 
     def test_an_empty_gap_is_refused(self):
-        with pytest.raises(ValueError):
-            constructions.GapRecord(None, Interval.open(F(1, 3), F(1, 3)), 1)
         with pytest.raises(ValueError, match="empty"):  # the open cell (1/3, 1/3)
-            constructions._gap(None, 4, 2, 3, 1)
+            GapRecord(None, 4, 2, 3, 1)
 
     def test_a_bad_address_is_refused(self):
-        with pytest.raises(ValueError, match="binary string"):
-            constructions.GapRecord("012", Interval.open(0, 1), 1)
-        with pytest.raises(ValueError, match="binary string"):
-            constructions._gap("0 1", 1, 2, 1, 1)
+        for address in ("012", "0 1"):
+            with pytest.raises(ValueError, match="binary string"):
+                GapRecord(address, 1, 2, 1, 1)
 
 
 class TestCentral:
@@ -378,19 +370,19 @@ class TestGreedy:
         # A candidate is filtered alone; the oracle filters it together
         # with every earlier point.
         spec = GreedySpec(source)
-        expected = oracle.oracle_greedy_points(spec, 9)
-        assert constructions._greedy_points(spec, 9) == expected
+        points, deferrals = oracle.oracle_greedy_points(spec, 9)
+        assert constructions._greedy_points(spec, 9) == (points, len(deferrals))
 
     def test_deferrals_are_pinned(self):
         # At stages 7 and 8 the candidates 1/4 and 3/4 each empty one
         # component of A and wait.
-        deferrals = greedy_certificate(FAT, 8).deferrals
-        assert deferrals == (
-            DeferralEvent(F(1, 4), "010000", 7),
-            DeferralEvent(F(3, 4), "100000", 7),
-            DeferralEvent(F(1, 4), "0100000", 8),
-            DeferralEvent(F(3, 4), "1000000", 8),
+        assert oracle.oracle_greedy_points(FAT, 8)[1] == (
+            (F(1, 4), "010000", 7),
+            (F(3, 4), "100000", 7),
+            (F(1, 4), "0100000", 8),
+            (F(3, 4), "1000000", 8),
         )
+        assert greedy_certificate(FAT, 8).deferrals == 4
 
     @pytest.mark.parametrize("source", GREEDY_B_SOURCES.values(), ids=GREEDY_B_SOURCES)
     def test_margin_is_quartic(self, monkeypatch, source):
@@ -418,15 +410,13 @@ class TestGreedy:
         cert = greedy_certificate(g, 6)
         assert cert.verified
         assert len(cert.points) == 6
-        stages = {p.stage for p in cert.points}
-        assert stages == set(range(1, 7))
         # The Minkowski form of the same verdict.
         for n in range(7):
             cert = greedy_certificate(g, n)
             a = half_scaled_components(HALVING, n)
             reachable = a.minkowski_sum(half_scaled_components(g.b_source, n))
             assert cert.verified
-            assert not any(reachable.contains_point(p.value) for p in cert.points)
+            assert not any(reachable.contains_point(p) for p in cert.points)
 
     def test_certificate_flags_a_reachable_point(self, monkeypatch):
         # 0 is in A_n and in B_n, so an admitted 0 = 0 + 0 is reachable.
@@ -434,11 +424,11 @@ class TestGreedy:
 
         def with_zero(spec, n):
             points, deferrals = real_points(spec, n)
-            return points + (constructions.AdmittedPoint(F(0), n),), deferrals
+            return points + (F(0),), deferrals
 
         monkeypatch.setattr(constructions, "_greedy_points", with_zero)
         cert = greedy_certificate(FAT, 4)
-        assert cert.points[-1].value == 0
+        assert cert.points[-1] == 0
         assert not cert.verified
 
     def test_b_measure_schedule(self):
@@ -695,7 +685,8 @@ class TestKeyBuildersMatchTheFractionOracle:
                 a, points, deferrals = next(expected)
                 assert a == half_scaled_components(HALVING, n), (name, n)
                 cert = greedy_certificate(spec, n)
-                assert (cert.points, cert.deferrals) == (points, deferrals), (name, n)
+                assert cert.points == points, (name, n)
+                assert cert.deferrals == len(deferrals), (name, n)
 
     def test_composite_dates_grown_gaps_as_new(self):
         # With B = {0} the composite is A | ((A + 1/2) & [1/2, 1]); its

@@ -45,6 +45,21 @@ class TestInterval:
         assert p.midpoint == F(1, 2)
         assert not IntervalUnion((p,)).contains_point(F(1, 3))
         assert IntervalUnion((p,)).contains_point(F(1, 2))
+        assert str(p) == "(1/3, 2/3)"
+        assert str(Interval.point(F(1, 3))) == "{1/3}"
+
+    @pytest.mark.parametrize(
+        "end", ["1/3", 0.5, True, None], ids=["text", "float", "bool", "none"]
+    )
+    def test_ends_other_than_fraction_or_int_are_refused(self, end):
+        for args in ((end, 1), (0, end)):
+            with pytest.raises(TypeError, match="^interval ends are Fraction or int"):
+                Interval(*args)
+
+    def test_int_ends_become_fractions(self):
+        p = Interval(0, 1)
+        assert type(p.lo) is F and type(p.hi) is F
+        assert p == Interval(F(0), F(1))
 
 
 class TestNormalize:
@@ -211,6 +226,7 @@ class TestMeasures:
         assert u.max_component_length() == F(1, 3)
         assert EMPTY.measure() == 0
         assert EMPTY.max_component_length() == 0
+        assert EMPTY.hull() is None
 
     def test_openness_never_affects_measure(self):
         closed = normalize([iv(0, 1)])

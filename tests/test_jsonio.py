@@ -15,7 +15,6 @@ from cantordiff.constructions import (
     CentralSpec,
     CompositeSpec,
     ConstantRatios,
-    GapRecord,
     GeometricRatios,
     GreedySpec,
     ListRatios,
@@ -259,9 +258,8 @@ def test_stage_writer_formats_each_end_once(tmp_path, monkeypatch):
 def _unit_thirds_stage(gap):
     """Stage 1 of the ternary set with its one gap record replaced."""
     stage = central_stage(TERNARY, 1)
-    return CantorStage(
-        stage.n, stage.components, (GapRecord("", gap, 1),), stage.family, stage.notes
-    )
+    gaps = (oracle.gap_record("", gap, 1),)
+    return CantorStage(stage.n, stage.components, gaps, stage.family, stage.notes)
 
 
 @pytest.mark.parametrize(
@@ -436,6 +434,13 @@ _CENTRAL = {"family": "central", "ratios": "1/2"}
             {"family": "greedy",
              "b": {"family": "tab", "a": _CENTRAL, "b": _CENTRAL}},
             r"^spec: greedy source must be central or perturbed$",
+        ),
+        *(
+            (
+                {"family": "central", "ratios": ratios},
+                r"^spec\.ratios: ratios must be a 'p/q' string or a rule object$",
+            )
+            for ratios in (5, ["1/3"], {"value": "1/3"})
         ),
     ],
 )

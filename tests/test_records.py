@@ -21,21 +21,17 @@ from cantordiff import constructions
 from cantordiff.analysis import (
     DiffBracket,
     DominantGapCertificate,
-    GapChainLink,
     ShiftInclusionResult,
     ZoneMeasureRow,
     difference_bracket,
     dominant_gap_certificate,
-    rightmost_gap_chain,
     zone_measure_rows,
 )
 from cantordiff.constructions import (
-    AdmittedPoint,
     CantorStage,
     CentralSpec,
     CompositeSpec,
     ConstantRatios,
-    DeferralEvent,
     GapRecord,
     GeometricRatios,
     GreedyCertificate,
@@ -45,7 +41,7 @@ from cantordiff.constructions import (
     central_stage,
     greedy_certificate,
 )
-from cantordiff.intervals import EMPTY, UNIT, Interval, IntervalUnion
+from cantordiff.intervals import UNIT, Interval, IntervalUnion
 from cantordiff.verify import Assertion, SuiteReport
 
 # The field defaults as the class bodies write them.
@@ -65,7 +61,6 @@ def _samples():
     stages = [central_stage(ternary, n) for n in (1, 2)]
     brackets = [difference_bracket(s) for s in stages]
     gap = next(g for g in stages[1].gaps if g.stage_created == 1)
-    chain = rightmost_gap_chain(ternary, 2)
     assertion = Assertion("a", "an assertion", "pass", {"n": 1})
     return {
         Interval: [Interval.closed(0, 1), Interval.open(0, 1)],
@@ -73,10 +68,8 @@ def _samples():
             IntervalUnion((UNIT,)),
             IntervalUnion((Interval.open(0, F(1, 2)),)),
         ],
-        GapRecord: [
-            GapRecord("", Interval.open(F(1, 3), F(2, 3)), 1),
-            GapRecord(None, Interval.open(F(1, 3), F(2, 3)), 1),
-        ],
+        # the gap (1/3, 2/3): open keys 3 + 1 and 6 - 1 on the grid 3
+        GapRecord: [GapRecord("", 4, 5, 3, 1), GapRecord(None, 4, 5, 3, 1)],
         CantorStage: stages,
         ConstantRatios: [ConstantRatios(F(1, 3)), ConstantRatios(F(1, 2))],
         ListRatios: [ListRatios((F(1, 3),), F(1, 2)), ListRatios((), F(1, 2))],
@@ -88,11 +81,6 @@ def _samples():
             CompositeSpec(ternary, PerturbedSpec(F(1, 5))),
         ],
         GreedySpec: [GreedySpec(ternary), GreedySpec(CentralSpec.geometric(F(1, 4)))],
-        AdmittedPoint: [AdmittedPoint(F(0), 1), AdmittedPoint(F(1, 2), 1)],
-        DeferralEvent: [
-            DeferralEvent(F(1, 4), "010000", 7),
-            DeferralEvent(F(1, 4), None, 7),
-        ],
         GreedyCertificate: [
             greedy_certificate(GreedySpec(CentralSpec.geometric(F(1, 4))), n)
             for n in (1, 2)
@@ -103,10 +91,9 @@ def _samples():
             dominant_gap_certificate(stages[1], gap, 0, F(1, 9)),
         ],
         ShiftInclusionResult: [
-            ShiftInclusionResult(True, 3, EMPTY),
-            ShiftInclusionResult(False, 2, IntervalUnion((UNIT,)), 1, F(1, 2)),
+            ShiftInclusionResult(True, 3),
+            ShiftInclusionResult(False, 2, 1, F(1, 2)),
         ],
-        GapChainLink: list(chain),
         ZoneMeasureRow: zone_measure_rows(brackets),
         Assertion: [assertion, Assertion("b", "another", "flag", {})],
         SuiteReport: [
@@ -127,7 +114,7 @@ def test_every_record_class_is_sampled():
         for cls in vars(importlib.import_module(f"cantordiff.{name}")).values()
         if isinstance(cls, type) and "__match_args__" in vars(cls)
     }
-    assert records == set(SAMPLES) and len(records) == 21
+    assert records == set(SAMPLES) and len(records) == 18
 
 
 def _twin(cls):
@@ -209,8 +196,8 @@ class TestAgainstDataclass:
         assert _values(record) == _values(SAMPLES[cls][0])
 
     def test_copies_and_pickles_are_equal_records(self, cls):
-        # made past __init__ and __new__: GapRecord's __new__ takes an
-        # interval, which its fields do not hold
+        # made past __init__ and __new__: GapRecord's __new__ takes a key
+        # range, which its fields do not hold
         for record in SAMPLES[cls]:
             for made in (
                 copy.copy(record),

@@ -1,17 +1,23 @@
 """Suite-level tests for the verification layer."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from cantordiff import verify
+from cantordiff.analysis import ShiftInclusionResult
+from cantordiff.cli import main
 from cantordiff.constructions import (
     CentralSpec,
     CompositeSpec,
     GreedySpec,
     ListRatios,
     PerturbedSpec,
+    half_scaled_components,
 )
 from cantordiff.errors import InvalidSpecError
+from cantordiff.jsonio import spec_to_obj, union_to_obj
 from cantordiff.verify import run_suite
 
 TERNARY = CentralSpec.constant(F(1, 3))
@@ -77,6 +83,29 @@ def test_tab_passes_for_builtin_pair():
     assert report.passed
     details = report.assertions[0].details
     assert details["n_checked"] == 5
+
+
+def test_tab_reports_a_failed_inclusion(tmp_path, monkeypatch):
+    # No spec fails the check (C + B + 1/2 lies in C by construction), so
+    # the suite is handed a failed result.
+    failed = ShiftInclusionResult(False, 2, violation_stage=2, witness=F(3, 4))
+    monkeypatch.setattr(verify, "shift_inclusion_check", lambda c, y: failed)
+    spec = tmp_path / "tab.json"
+    spec.write_text(json.dumps(spec_to_obj(TAB)), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["verify", "tab", "--spec", str(spec), "--max-stage", "3",
+                 "--out", str(out)])
+    assert code == 1
+    report = json.loads((out / "verify_tab.json").read_text(encoding="utf-8"))
+    (assertion,) = report["assertions"]
+    assert assertion["status"] == "fail"
+    y_final = half_scaled_components(HALVING, 3).translate(F(1, 2))
+    assert assertion["details"] == {
+        "n_checked": 2,
+        "y_final": union_to_obj(y_final),
+        "violation_stage": 2,
+        "witness": "3/4",
+    }
 
 
 def test_tab_needs_a_half_frame_source():
