@@ -65,7 +65,6 @@ __all__ = [
     "DiffBracket",
     "DominantGapCertificate",
     "ShiftInclusionResult",
-    "ZoneMeasureRow",
     "inner_difference",
     "outer_difference",
     "difference_bracket",
@@ -410,27 +409,7 @@ def rightmost_gap_chain(
 # ---------------------------------------------------------------------
 # zone measure monitoring
 
-
-@_record
-class ZoneMeasureRow:
-    """Per-stage measures of the missing-set bracket across the fixed
-    zones: the middle band and the four outer quarters."""
-
-    n: int
-    middle: Fraction  # missing_outer within [-1/2, 1/2]
-    far_negative: Fraction  # [-1, -3/4]
-    near_negative: Fraction  # [-3/4, -1/2]
-    near_positive: Fraction  # [1/2, 3/4]
-    far_positive: Fraction  # [3/4, 1]
-    missing_total: Fraction
-    outer_total: Fraction
-    missing_point_parts: int
-    missing_interval_parts: int
-
-    def as_dict(self) -> dict[str, int | Fraction]:
-        return {name: getattr(self, name) for name in self.__match_args__}
-
-
+# In the order of the row keys, which measure-scan's columns follow.
 _ZONES = {
     "middle": IntervalUnion((Interval.closed(Fraction(-1, 2), Fraction(1, 2)),)),
     "far_negative": IntervalUnion((Interval.closed(-1, Fraction(-3, 4)),)),
@@ -440,23 +419,24 @@ _ZONES = {
 }
 
 
-def zone_measure_rows(brackets: Sequence[DiffBracket]) -> list[ZoneMeasureRow]:
+def zone_measure_rows(
+    brackets: Sequence[DiffBracket],
+) -> list[dict[str, int | Fraction]]:
+    """Per-stage measures of the missing-set bracket across the fixed
+    zones (the middle band and the four outer quarters), with its total
+    measure, the outer bracket's, and its point and interval part counts."""
     rows = []
     for bracket in brackets:
         missing = bracket.missing_outer
         points = len(missing.point_parts())
         rows.append(
-            ZoneMeasureRow(
-                bracket.n,
-                missing.intersect(_ZONES["middle"]).measure(),
-                missing.intersect(_ZONES["far_negative"]).measure(),
-                missing.intersect(_ZONES["near_negative"]).measure(),
-                missing.intersect(_ZONES["near_positive"]).measure(),
-                missing.intersect(_ZONES["far_positive"]).measure(),
-                missing.measure(),
-                bracket.outer.measure(),
-                points,
-                len(missing) - points,
-            )
+            {
+                "n": bracket.n,
+                **{z: missing.intersect(u).measure() for z, u in _ZONES.items()},
+                "missing_total": missing.measure(),
+                "outer_total": bracket.outer.measure(),
+                "missing_point_parts": points,
+                "missing_interval_parts": len(missing) - points,
+            }
         )
     return rows

@@ -172,7 +172,7 @@ def _cmd_measure_scan(args: argparse.Namespace) -> int:
     from .analysis import zone_measure_rows
 
     rows = [
-        {_scan_column(f, v): v for f, v in r.as_dict().items()}
+        {_scan_column(f, v): v for f, v in r.items()}
         for r in zone_measure_rows(_stage_brackets(args))
     ]
     _write_rows(
@@ -187,14 +187,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
     max_stage = _clamped_max_stage(spec, args.max_stage, args.budget)
     report = run_suite(args.suite, spec, max_stage, budget=args.budget)
-    payload = dump_json(report.to_obj())
+    payload = dump_json(report)
     if args.out:
         out = Path(args.out)
         _write_text(out / f"verify_{args.suite}.json", payload)
         if args.format == "csv":
             rows = [
-                [a.id, a.status, a.description]
-                for a in report.assertions
+                [a["id"], a["status"], a["description"]]
+                for a in report["assertions"]
             ]
             _write_text(
                 out / f"verify_{args.suite}.csv",
@@ -202,9 +202,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
     else:
         sys.stdout.write(payload)
-    for a in report.assertions:
-        print(f"[{a.status.upper():4s}] {args.suite}: {a.id}", file=sys.stderr)
-    return 0 if report.passed else 1
+    for a in report["assertions"]:
+        print(f"[{a['status'].upper():4s}] {args.suite}: {a['id']}", file=sys.stderr)
+    return 0 if report["passed"] else 1
 
 
 def main(argv: list[str] | None = None) -> int:

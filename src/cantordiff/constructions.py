@@ -215,9 +215,6 @@ class ConstantRatios:
     def all_at_least(self, bound: Fraction) -> bool:
         return self.value >= bound
 
-    def tail_ratio_sum(self, after: int) -> Fraction | None:
-        return None  # constant tails are not summable
-
 
 @_record
 class ListRatios:
@@ -239,9 +236,6 @@ class ListRatios:
 
     def all_at_least(self, bound: Fraction) -> bool:
         return all(v >= bound for v in self.values) and self.tail >= bound
-
-    def tail_ratio_sum(self, after: int) -> Fraction | None:
-        return None
 
 
 @_record

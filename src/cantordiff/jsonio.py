@@ -422,15 +422,28 @@ def spec_from_obj(obj: Any, *, path: str = "spec") -> FamilySpec:
     )
 
 
+# Every spec is a few hundred bytes; a longer file (/dev/zero, say) is
+# refused after this many, not read until memory runs out.
+_SPEC_MAX_BYTES = 1 << 20
+
+
 def load_spec_file(path: str | Path) -> FamilySpec:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, "rb") as fh:
+            data = fh.read(_SPEC_MAX_BYTES + 1)
+        if len(data) > _SPEC_MAX_BYTES:
+            raise ValueError(f"longer than {_SPEC_MAX_BYTES} bytes")
+        # Decoded here, since json.loads would also take UTF-16 and UTF-32
+        # bytes, with the line ends a text-mode read gives error positions.
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidSpecError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    # A missing file, bytes that are not UTF-8, an integer past Python's
-    # digit limit (ValueError) and nesting past the recursion limit.
+    # A missing file, a file past the cap, bytes that are not UTF-8, an
+    # integer past Python's digit limit (ValueError) and nesting past the
+    # recursion limit.
     except (OSError, ValueError, RecursionError) as exc:
         raise InvalidSpecError(f"{path}: cannot read spec: {exc}") from exc
     return spec_from_obj(obj)

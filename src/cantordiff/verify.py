@@ -26,6 +26,7 @@ from .constructions import (
     CantorStage,
     CentralSpec,
     CompositeSpec,
+    GeometricRatios,
     GreedySpec,
     PerturbedSpec,
     central_stage,
@@ -38,7 +39,6 @@ from .errors import InvalidSpecError
 from .intervals import (
     Interval,
     IntervalUnion,
-    _record,
     normalize,
     points_union,
 )
@@ -52,44 +52,7 @@ from .jsonio import (
     union_to_obj,
 )
 
-__all__ = ["Assertion", "SuiteReport", "run_suite", "family_stage", "SUITES"]
-
-
-@_record
-class Assertion:
-    id: str
-    description: str
-    status: str  # "pass" | "fail" | "flag"
-    details: dict[str, Any]
-
-
-@_record
-class SuiteReport:
-    suite: str
-    spec: dict[str, Any]
-    max_stage: int
-    assertions: tuple[Assertion, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(a.status != "fail" for a in self.assertions)
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "suite": self.suite,
-            "spec": self.spec,
-            "max_stage": self.max_stage,
-            "passed": self.passed,
-            "assertions": [
-                {
-                    "id": a.id,
-                    "description": a.description,
-                    "status": a.status,
-                    "details": a.details,
-                }
-                for a in self.assertions
-            ],
-        }
+__all__ = ["run_suite", "family_stage", "SUITES"]
 
 
 def family_stage(
@@ -99,8 +62,11 @@ def family_stage(
     return spec.stage(n, budget=budget)
 
 
-def _check(condition: bool, aid: str, description: str, **details: Any) -> Assertion:
-    return Assertion(aid, description, "pass" if condition else "fail", details)
+def _check(
+    condition: bool, aid: str, description: str, **details: Any
+) -> dict[str, Any]:
+    status = "pass" if condition else "fail"
+    return {"id": aid, "description": description, "status": status, "details": details}
 
 
 def _certificate_obj(cert) -> dict[str, Any]:
@@ -127,7 +93,7 @@ def _require(kind: type, spec: FamilySpec, suite: str) -> None:
 # suites
 
 
-def _suite_ccp(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertion, ...]:
+def _suite_ccp(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, Any]]:
     _require(CentralSpec, spec, "ccp")
     if spec != CentralSpec.constant(Fraction(1, 3)):
         raise InvalidSpecError(
@@ -152,10 +118,10 @@ def _suite_ccp(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertion
                 expected_measure=format_rational(expected),
             )
         )
-    return tuple(assertions)
+    return assertions
 
 
-def _suite_t13(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertion, ...]:
+def _suite_t13(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, Any]]:
     _require(CentralSpec, spec, "t13")
     if not prediction_is_complete(spec):
         raise InvalidSpecError(
@@ -213,7 +179,7 @@ def _suite_t13(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertion
             window=interval_to_obj(Interval.closed(-r_last, r_last)),
         )
     )
-    return tuple(assertions)
+    return assertions
 
 
 def _right_branch_gap_ends(stage: CantorStage) -> dict[int, Fraction]:
@@ -224,7 +190,7 @@ def _right_branch_gap_ends(stage: CantorStage) -> dict[int, Fraction]:
     return ends
 
 
-def _suite_ts3(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertion, ...]:
+def _suite_ts3(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, Any]]:
     _require(PerturbedSpec, spec, "ts3")
     assertions = []
     widths: list[Fraction] = []
@@ -269,7 +235,7 @@ def _suite_ts3(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertion
                 core=union_to_obj(core),
             )
         )
-    return tuple(assertions)
+    return assertions
 
 
 def _composite_parts(
@@ -283,7 +249,7 @@ def _composite_parts(
     return c_stages, y_stages
 
 
-def _suite_tab(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertion, ...]:
+def _suite_tab(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, Any]]:
     if not isinstance(spec, (CompositeSpec, GreedySpec)):
         raise InvalidSpecError(
             "suite 'tab' needs a tab or greedy spec (a half-frame B source)"
@@ -297,18 +263,18 @@ def _suite_tab(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertion
     if not result.passed:
         details["violation_stage"] = result.violation_stage
         details["witness"] = format_rational(result.witness)
-    return (
+    return [
         _check(
             result.passed,
             "tab-shift-inclusion",
             "translating any stage by the shifted B stage keeps it inside "
             "itself within the unit frame",
             **details,
-        ),
-    )
+        )
+    ]
 
 
-def _suite_tamc(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertion, ...]:
+def _suite_tamc(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, Any]]:
     _require(CentralSpec, spec, "tamc")
     depth = min(max_stage, 6) if max_stage >= 1 else 1
     chain = rightmost_gap_chain(spec, depth, budget=budget)
@@ -337,15 +303,15 @@ def _suite_tamc(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertio
                 certificate=_certificate_obj(cert),
             )
         )
-    return tuple(assertions)
+    return assertions
 
 
-def _suite_cspm(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertion, ...]:
+def _suite_cspm(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, Any]]:
     _require(GreedySpec, spec, "cspm")
     if not isinstance(spec.b_source, CentralSpec):
         raise InvalidSpecError("suite 'cspm' needs a central B source")
     rule = spec.b_source.ratios
-    if rule.tail_ratio_sum(0) is None:
+    if not isinstance(rule, GeometricRatios):
         raise InvalidSpecError(
             "suite 'cspm' needs a summable (geometric) removal schedule "
             "for the B source; constant tails thin B down to measure zero"
@@ -404,12 +370,15 @@ def _suite_cspm(spec: FamilySpec, max_stage: int, budget: int) -> tuple[Assertio
             deferrals=cert.deferrals,
         )
     )
-    return tuple(assertions)
+    return assertions
 
 
 def _suite_steinhaus(
     spec: FamilySpec, max_stage: int, budget: int
-) -> tuple[Assertion, ...]:
+) -> list[dict[str, Any]]:
+    # Build up to the deepest stage first, so a refused stage is refused
+    # before any bracket is computed; the stages stay cached for these.
+    family_stage(spec, max_stage, budget=budget)
     brackets = [
         difference_bracket(family_stage(spec, n, budget=budget))
         for n in range(max_stage + 1)
@@ -417,46 +386,45 @@ def _suite_steinhaus(
     rows = zone_measure_rows(brackets)
     assertions = [
         _check(
-            all(a.middle >= b.middle for a, b in zip(rows, rows[1:])),
+            all(a["middle"] >= b["middle"] for a, b in zip(rows, rows[1:])),
             "steinhaus-middle-monotone",
             "the middle-band missing measure never increases",
-            rows=[exact_to_obj(r.as_dict()) for r in rows],
+            rows=[exact_to_obj(r) for r in rows],
         ),
         # Holds by construction, like cspm-outer-floor.
         _check(
-            all(r.outer_total > Fraction(3, 2) for r in rows),
+            all(r["outer_total"] > Fraction(3, 2) for r in rows),
             "steinhaus-outer-floor",
             "every stage's outer bracket keeps measure above 3/2",
         ),
     ]
-    final = rows[-1]
+    middle = rows[-1]["middle"]
     # Binary families (2^n components) must empty the middle band;
     # composite families are held to an empirical threshold.
     if spec.binary:
         assertions.append(
             _check(
-                final.middle == 0,
-                f"steinhaus-middle-zero-{final.n}",
+                middle == 0,
+                f"steinhaus-middle-zero-{max_stage}",
                 "the middle band retains point parts only",
-                middle=format_rational(final.middle),
+                middle=format_rational(middle),
             )
         )
     else:
         # Empirical threshold for composite families: flagged, not failed.
-        below = final.middle < Fraction(1, 100)
         assertions.append(
-            Assertion(
-                f"steinhaus-middle-small-{final.n}",
-                "middle-band missing measure falls below 1/100 "
+            {
+                "id": f"steinhaus-middle-small-{max_stage}",
+                "description": "middle-band missing measure falls below 1/100 "
                 "(empirical threshold, flagged when missed)",
-                "pass" if below else "flag",
-                {"middle": format_rational(final.middle)},
-            )
+                "status": "pass" if middle < Fraction(1, 100) else "flag",
+                "details": {"middle": format_rational(middle)},
+            }
         )
-    return tuple(assertions)
+    return assertions
 
 
-SUITES: dict[str, Callable[[FamilySpec, int, int], tuple[Assertion, ...]]] = {
+SUITES: dict[str, Callable[[FamilySpec, int, int], list[dict[str, Any]]]] = {
     "ccp": _suite_ccp,
     "t13": _suite_t13,
     "ts3": _suite_ts3,
@@ -473,10 +441,17 @@ def run_suite(
     max_stage: int,
     *,
     budget: int = DEFAULT_BUDGET,
-) -> SuiteReport:
+) -> dict[str, Any]:
+    """The suite's report as it is written: a JSON-native dict."""
     if suite not in SUITES:
         raise InvalidSpecError(
             f"unknown suite {suite!r}; choose from {sorted(SUITES)}"
         )
     assertions = SUITES[suite](spec, max_stage, budget)
-    return SuiteReport(suite, spec_to_obj(spec), max_stage, assertions)
+    return {
+        "suite": suite,
+        "spec": spec_to_obj(spec),
+        "max_stage": max_stage,
+        "passed": all(a["status"] != "fail" for a in assertions),
+        "assertions": assertions,
+    }

@@ -566,13 +566,25 @@ class TestZoneRows:
     def test_ternary_middle_empties(self):
         brackets = [difference_bracket(central_stage(TERNARY, n)) for n in range(5)]
         rows = zone_measure_rows(brackets)
-        assert rows[4].middle == 0
-        assert all(a.middle >= b.middle for a, b in zip(rows, rows[1:]))
-        assert all(r.outer_total > F(3, 2) for r in rows)
+        assert rows[4]["middle"] == 0
+        assert all(a["middle"] >= b["middle"] for a, b in zip(rows, rows[1:]))
+        assert all(r["outer_total"] > F(3, 2) for r in rows)
+
+    def test_rows_keep_their_column_order(self):
+        # measure-scan's CSV header and .dat columns follow this order
+        brackets = [difference_bracket(central_stage(TERNARY, n)) for n in range(3)]
+        zones = ["middle", "far_negative", "near_negative", "near_positive",
+                 "far_positive"]
+        for n, row in enumerate(zone_measure_rows(brackets)):
+            assert list(row) == ["n", *zones, "missing_total", "outer_total",
+                                 "missing_point_parts", "missing_interval_parts"]
+            assert row["n"] == n
+            # the zones meet only at points, so their measures add up
+            assert sum(row[z] for z in zones) == row["missing_total"]
 
     def test_fat_composite_keeps_upper_band(self):
         spec = FAT
         stage = greedy_stage(spec, 4)
         row = zone_measure_rows([difference_bracket(stage)])[0]
         b4 = half_scaled_components(spec.b_source, 4)
-        assert row.near_positive + row.far_positive >= b4.measure()
+        assert row["near_positive"] + row["far_positive"] >= b4.measure()

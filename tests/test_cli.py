@@ -90,12 +90,12 @@ def test_out_of_range_source_ratio_names_its_path(tmp_path, capsys):
 
 def test_malformed_json_reports_line(tmp_path, capsys):
     spec = tmp_path / "broken.json"
-    spec.write_text('{"family":\n "central",,}', encoding="utf-8")
-    code = main(
-        ["construct", "--spec", str(spec), "--max-stage", "1", "--out", str(tmp_path)]
-    )
-    assert code == 2
-    assert "line 2" in capsys.readouterr().err
+    # a bare CR ends a line too, as in a text-mode read
+    for end in (b"\n", b"\r\n", b"\r"):
+        spec.write_bytes(b'{"family":' + end + b' "central",,}')
+        code = main(["construct", "--spec", str(spec), "--out", str(tmp_path)])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
 
 
 def test_exponent_notation_is_refused_at_once(tmp_path):
@@ -361,6 +361,24 @@ def test_unreadable_spec_is_config_error(tmp_path, capsys, name):
     )
     assert code == 2
     assert f"error: {spec}: " in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_spec_file_is_refused(tmp_path):
+    src = str(Path(cantordiff.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", "construct", "--spec", "/dev/zero",
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 2
+    assert result.stderr == (
+        "error: /dev/zero: cannot read spec: longer than 1048576 bytes\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -653,7 +671,11 @@ def test_a_report_cut_short_is_removed(tmp_path, args, spec_text, name, cap):
     assert out.is_dir() and not (out / name).exists()
 
 
-@pytest.mark.parametrize("command", ["diff-bounds", "measure-scan"])
+@pytest.mark.parametrize(
+    "command",
+    [("diff-bounds",), ("measure-scan",), ("verify", "steinhaus")],
+    ids="-".join,
+)
 def test_refused_stage_computes_no_bracket(tmp_path, capsys, monkeypatch, command):
     # Tab 1/2,1/2 fits the budget of 64 up to stage 4 and fails at stage 5.
     # Every inner bracket filters with minus_translates; no stage does.
@@ -666,7 +688,7 @@ def test_refused_stage_computes_no_bracket(tmp_path, capsys, monkeypatch, comman
     spec = tmp_path / "tab.json"
     spec.write_text(TAB_SPEC, encoding="utf-8")
     code = main(
-        [command, "--spec", str(spec), "--max-stage", "5", "--budget", "64",
+        [*command, "--spec", str(spec), "--max-stage", "5", "--budget", "64",
          "--out", str(tmp_path / "out")]
     )
     assert code == 2
