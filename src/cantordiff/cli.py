@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
-from .constructions import DEFAULT_BUDGET, max_binary_stage
+from .constructions import DEFAULT_BUDGET, CantorStage, max_binary_stage, stages_through
 from .errors import CantorDiffError
 from .jsonio import (
     bracket_to_obj,
@@ -85,27 +85,21 @@ def _budget(text: str) -> int:
     return _at_least(text, 1)
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _stages(args: argparse.Namespace) -> list[CantorStage]:
     spec = load_spec_file(args.spec)
     max_stage = _clamped_max_stage(spec, args.max_stage, args.budget)
-    # Build every stage before writing, so a refused stage leaves no files.
-    stages = [spec.stage(n, budget=args.budget) for n in range(max_stage + 1)]
-    write_stage_files(stages, Path(args.out))
+    return stages_through(spec, max_stage, budget=args.budget)
+
+
+def _cmd_construct(args: argparse.Namespace) -> int:
+    write_stage_files(_stages(args), Path(args.out))
     return 0
 
 
 def _stage_brackets(args: argparse.Namespace) -> list[DiffBracket]:
     from .analysis import difference_bracket
 
-    spec = load_spec_file(args.spec)
-    max_stage = _clamped_max_stage(spec, args.max_stage, args.budget)
-    # Build up to the deepest stage first, so a refused stage is refused
-    # before any bracket is computed; the stages stay cached for these.
-    spec.stage(max_stage, budget=args.budget)
-    return [
-        difference_bracket(spec.stage(n, budget=args.budget))
-        for n in range(max_stage + 1)
-    ]
+    return [difference_bracket(stage) for stage in _stages(args)]
 
 
 def _write_rows(

@@ -83,6 +83,7 @@ __all__ = [
     "composite_stage",
     "greedy_stage",
     "greedy_certificate",
+    "stages_through",
     "half_scaled_components",
     "dyadic_candidates",
     "quartic_margin",
@@ -314,6 +315,16 @@ def _stage(spec, n: int, budget: int):
     if n > max_binary_stage(budget):
         raise BudgetExceededError(None, budget, log2=n)
     return _sequence(spec).get(n, None if spec.binary else budget)
+
+
+def stages_through(
+    spec, max_stage: int, *, budget: int = DEFAULT_BUDGET
+) -> list[CantorStage]:
+    """Stages 0..max_stage of ``spec``.  The deepest stage is requested
+    first, so a refused request builds no later stage, and the rest
+    come from the cache."""
+    spec.stage(max_stage, budget=budget)
+    return [spec.stage(n, budget=budget) for n in range(max_stage + 1)]
 
 
 def _address(n: int, i: int) -> NodeAddress:

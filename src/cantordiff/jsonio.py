@@ -181,20 +181,22 @@ def write_stage_files(stages: Iterable[CantorStage], out: Path) -> None:
     a CSV of ``GAP_TABLE_HEADER`` and ``gap_table_rows(stage)``.
 
     Both files of a stage are written in one pass, piece by piece; if
-    that pass fails, the stage's two files are removed, so none is left
-    half written.
+    any stage fails, every file of the call is removed, so no stage is
+    left behind, whole or half written.
     """
     out.mkdir(parents=True, exist_ok=True)
-    for stage in stages:
-        paths = (out / f"stage_{stage.n:03d}.json", out / f"gaps_{stage.n:03d}.csv")
-        try:
+    written: list[Path] = []
+    try:
+        for stage in stages:
+            paths = (out / f"stage_{stage.n:03d}.json", out / f"gaps_{stage.n:03d}.csv")
+            written += paths
             with open(paths[0], "w", encoding="utf-8", newline="\n") as stage_file, \
                     open(paths[1], "w", encoding="utf-8", newline="\n") as gap_file:
                 _write_stage(stage, stage_file.write, gap_file.write)
-        except BaseException:
-            for path in paths:
-                path.unlink(missing_ok=True)
-            raise
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _write_stage(

@@ -29,13 +29,13 @@ from .constructions import (
     GeometricRatios,
     GreedySpec,
     PerturbedSpec,
-    central_stage,
     greedy_certificate,
     half_scaled_components,
-    perturbed_stage,
+    max_binary_stage,
     rightmost_branch_gap_end,
+    stages_through,
 )
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, NotCertifiableError
 from .intervals import (
     Interval,
     IntervalUnion,
@@ -101,8 +101,8 @@ def _suite_ccp(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, 
             "the spec must be central with constant ratio 1/3"
         )
     assertions = []
-    for n in range(max_stage + 1):
-        bracket = difference_bracket(central_stage(spec, n, budget=budget))
+    for n, stage in enumerate(stages_through(spec, max_stage, budget=budget)):
+        bracket = difference_bracket(stage)
         predicted = predicted_missing_points(spec, n)
         contained = predicted.is_subset(bracket.missing_outer)
         expected = 2 * Fraction(1, 3) ** n
@@ -127,8 +127,13 @@ def _suite_t13(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, 
         raise InvalidSpecError(
             "suite 't13' requires every removal ratio to be at least 1/3"
         )
-    k_max = 6
-    stages = [central_stage(spec, n, budget=budget) for n in range(max_stage + 1)]
+    k_max, deepest = 6, max_binary_stage(budget)
+    if k_max + 2 > deepest:
+        raise NotCertifiableError(
+            f"suite 't13' certifies its covers on stage {k_max + 2}, beyond "
+            f"{deepest}, the deepest the component budget {budget} holds"
+        )
+    stages = stages_through(spec, max_stage, budget=budget)
     assertions = []
     for k in range(k_max + 1):
         r = rightmost_branch_gap_end(spec, k)
@@ -145,7 +150,7 @@ def _suite_t13(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, 
         )
     assembled = predicted_missing_points(spec, k_max)
     for k in range(k_max + 1):
-        stage = central_stage(spec, k + 2, budget=budget)
+        stage = family_stage(spec, k + 2, budget=budget)
         gap = next(
             g
             for g in stage.gaps
@@ -195,8 +200,7 @@ def _suite_ts3(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, 
     assertions = []
     widths: list[Fraction] = []
     final_core = None
-    for n in range(max_stage + 1):
-        stage = perturbed_stage(spec, n, budget=budget)
+    for n, stage in enumerate(stages_through(spec, max_stage, budget=budget)):
         bracket = difference_bracket(stage)
         anchored = all(bracket.missing_outer.contains_point(x) for x in (-1, 0, 1))
         assertions.append(
@@ -241,10 +245,10 @@ def _suite_ts3(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, 
 def _composite_parts(
     spec: CompositeSpec | GreedySpec, max_stage: int, budget: int
 ) -> tuple[list[CantorStage], list[IntervalUnion]]:
-    c_stages = [family_stage(spec, n, budget=budget) for n in range(max_stage + 1)]
+    c_stages = stages_through(spec, max_stage, budget=budget)
     y_stages = [
-        half_scaled_components(spec.b_source, n).translate(Fraction(1, 2))
-        for n in range(max_stage + 1)
+        half_scaled_components(spec.b_source, c.n).translate(Fraction(1, 2))
+        for c in c_stages
     ]
     return c_stages, y_stages
 
@@ -320,7 +324,7 @@ def _suite_cspm(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str,
     c_stages, y_stages = _composite_parts(spec, max_stage, budget)
     tail = rule.tail_ratio_sum(max_stage)
     result = shift_inclusion_check(c_stages, y_stages)
-    b_measure = half_scaled_components(spec.b_source, max_stage).measure()
+    b_measure = y_stages[-1].measure()
     lower = b_measure - Fraction(1, 2) * tail
     certified_upper = 2 - lower
     outer_measures = [outer_difference(s).measure() for s in c_stages]
@@ -376,14 +380,9 @@ def _suite_cspm(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str,
 def _suite_steinhaus(
     spec: FamilySpec, max_stage: int, budget: int
 ) -> list[dict[str, Any]]:
-    # Build up to the deepest stage first, so a refused stage is refused
-    # before any bracket is computed; the stages stay cached for these.
-    family_stage(spec, max_stage, budget=budget)
-    brackets = [
-        difference_bracket(family_stage(spec, n, budget=budget))
-        for n in range(max_stage + 1)
-    ]
-    rows = zone_measure_rows(brackets)
+    rows = zone_measure_rows(
+        [difference_bracket(s) for s in stages_through(spec, max_stage, budget=budget)]
+    )
     assertions = [
         _check(
             all(a["middle"] >= b["middle"] for a, b in zip(rows, rows[1:])),

@@ -163,6 +163,29 @@ def test_tamc_chain_beyond_budget_is_refused_at_once(tmp_path):
     assert "needs a stage beyond 14" in result.stderr
 
 
+def test_t13_beyond_budget_names_its_cover_stage(
+    tmp_path, ternary_spec, capsys, monkeypatch
+):
+    # The covers certify on stage 8 whatever --max-stage is; the refusal
+    # comes before any stage is requested.
+    from cantordiff import constructions
+
+    def stage(*args):
+        raise AssertionError("a stage was requested before the refusal")
+
+    monkeypatch.setattr(constructions, "_stage", stage)
+    code = main(
+        ["verify", "t13", "--spec", str(ternary_spec), "--max-stage", "0",
+         "--budget", "16", "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: suite 't13' certifies its covers on stage 8, beyond 4, "
+        "the deepest the component budget 16 holds\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_tab_stage8_diff_bounds_finishes(tmp_path):
     # Tab 1/2,1/2 stage 8 has 3,535 gaps and 7,072 endpoints; a bracket
     # that sums every gap with every endpoint takes about 20 s on 2 vCPUs.
@@ -550,30 +573,40 @@ GREEDY_QUARTER_SPEC = (
 
 
 @pytest.mark.parametrize(
-    "command,spec_text,max_stage,needs",
+    "args,spec_text,max_stage,needs",
     [
         # Bracketing stages 0-14 of greedy 1/4 first took 3 to 60 s
         # before stage 15 was refused; requesting the deepest stage
         # first takes well under a second.
         *(
-            pytest.param(command, GREEDY_QUARTER_SPEC, 15, "32768", id=command)
+            pytest.param([command], GREEDY_QUARTER_SPEC, 15, "32768", id=command)
             for command in ("diff-bounds", "measure-scan")
         ),
         # 2**100000 has too many digits for str() to print.
         *(
-            pytest.param(command, TAB_SPEC, 100000, "2^100000", id=f"{command}-tab")
+            pytest.param([command], TAB_SPEC, 100000, "2^100000", id=f"{command}-tab")
             for command in ("diff-bounds", "measure-scan")
+        ),
+        # Every command and suite requests its deepest stage first, so
+        # none builds a stage before the refusal.
+        *(
+            pytest.param(args, TAB_SPEC, 100000, "2^100000", id="-".join(args))
+            for args in (["construct"], ["verify", "tab"], ["verify", "steinhaus"])
+        ),
+        pytest.param(
+            ["verify", "cspm"], GREEDY_QUARTER_SPEC, 100000, "2^100000",
+            id="verify-cspm",
         ),
     ],
 )
 def test_over_budget_max_stage_is_refused_before_any_bracket(
-    tmp_path, command, spec_text, max_stage, needs
+    tmp_path, args, spec_text, max_stage, needs
 ):
     spec = tmp_path / "spec.json"
     spec.write_text(spec_text, encoding="utf-8")
     src = str(Path(cantordiff.__file__).parents[1])
     result = subprocess.run(
-        [sys.executable, "-m", "cantordiff.cli", command, "--spec", str(spec),
+        [sys.executable, "-m", "cantordiff.cli", *args, "--spec", str(spec),
          "--max-stage", str(max_stage), "--out", str(tmp_path / "out")],
         capture_output=True,
         encoding="utf-8",
@@ -608,7 +641,8 @@ def _address_space_cap():
         ),
         # 4 ** 300_000_001, the cspm tail's denominator, takes 75 MB.
         pytest.param(
-            ["verify", "cspm"], GREEDY_QUARTER_SPEC, "300000000", "32768", id="cspm"
+            ["verify", "cspm"], GREEDY_QUARTER_SPEC, "300000000", "2^300000000",
+            id="cspm",
         ),
     ],
 )
@@ -643,6 +677,10 @@ def test_huge_max_stage_is_refused_without_building_its_count(
                      id="diff-bounds"),
         pytest.param(["measure-scan", "--format", "csv"], TERNARY_SPEC,
                      "measure_scan.csv", 300, id="measure-scan"),
+        # Stages 0-8 fit under the cap and stage 9 does not: every stage
+        # file of the run is removed, not only stage 9's.
+        pytest.param(["construct", "--max-stage", "9"], TERNARY_SPEC,
+                     "stage_000.json", 100_000, id="construct"),
     ],
 )
 def test_a_report_cut_short_is_removed(tmp_path, args, spec_text, name, cap):

@@ -5,7 +5,10 @@ stages and compares the exit code, the standard error text and the
 SHA-256 digest of every file it wrote with ``golden_digests.json``.
 Re-record the digests (only when an output change is intended) with:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+Named cases are re-recorded and every other digest is kept; with no
+name, every case is.
 """
 
 import contextlib
@@ -142,8 +145,14 @@ def test_output_bytes_match_recorded_digests(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}")
+    digests = json.loads(DIGESTS.read_text(encoding="utf-8")) if sys.argv[1:] else {}
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: run_case(name, Path(tmp)) for name in sorted(CASES)}
+        digests.update({name: run_case(name, Path(tmp)) for name in names})
     text = json.dumps(digests, indent=2, sort_keys=True) + "\n"
     DIGESTS.write_text(text, encoding="utf-8")
-    print(f"wrote {len(digests)} cases to {DIGESTS}", file=sys.stderr)
+    print(f"recorded {len(names)} of {len(digests)} cases in {DIGESTS}",
+          file=sys.stderr)
