@@ -8,6 +8,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import sys
 from fractions import Fraction
@@ -251,7 +252,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    # Finalization closes every file, flushes stdout and runs atexit
+    # handlers on a frozen heap too; the full collections it would run
+    # over every tracked object reclaim only memory the OS takes back at
+    # exit (about 10 ms a command).  main does not freeze, so a process
+    # that calls it and goes on running keeps a collector that collects.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """End-to-end CLI tests."""
 
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -877,3 +878,137 @@ def test_suite_choices_are_the_verify_suites():
     from cantordiff.verify import SUITES
 
     assert cli._SUITE_NAMES == tuple(sorted(SUITES))
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+_EXIT_PATH_COMMANDS = {
+    "construct": (TERNARY_SPEC, ["construct", "--max-stage", "2", "--out", "out"]),
+    "diff-bounds-csv": (
+        TERNARY_SPEC,
+        ["diff-bounds", "--format", "csv", "--plot-data", "--max-stage", "2",
+         "--out", "out"],
+    ),
+    "measure-scan": (TERNARY_SPEC, ["measure-scan", "--max-stage", "2", "--out", "out"]),
+    "verify-tab": (TAB_SPEC, ["verify", "tab", "--max-stage", "3", "--out", "out"]),
+    "verify-ccp-stdout": (TERNARY_SPEC, ["verify", "ccp", "--max-stage", "3"]),
+}
+
+
+@pytest.mark.parametrize(
+    "spec_text, args", _EXIT_PATH_COMMANDS.values(), ids=_EXIT_PATH_COMMANDS
+)
+def test_process_exit_keeps_every_byte(
+    tmp_path, monkeypatch, capfdbinary, spec_text, args
+):
+    # The process exits through entrypoint, which freezes the heap after
+    # main has returned; in-process callers run main alone.  Both must
+    # give the same exit code, streams and files.  Each run gets its own
+    # working directory, so the arguments (a relative --out) are the same.
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text, encoding="utf-8")
+    argv = [*args, "--spec", str(spec)]
+    child_dir, own_dir = tmp_path / "child", tmp_path / "in-process"
+    child_dir.mkdir()
+    own_dir.mkdir()
+    # Without PYTHONUNBUFFERED the child's stdout, a pipe, is block
+    # buffered, so its report reaches the pipe only by the exit flush.
+    env = {**os.environ, "PYTHONPATH": str(Path(cantordiff.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    child = subprocess.run(
+        [sys.executable, "-m", "cantordiff.cli", *argv],
+        capture_output=True,
+        cwd=child_dir,
+        timeout=60,
+        env=env,
+    )
+    monkeypatch.chdir(own_dir)
+    code = main(argv)
+    captured = capfdbinary.readouterr()
+    assert child.returncode == code == 0, child.stderr
+    assert child.stderr.decode("utf-8") == captured.err.decode("utf-8")
+    assert child.stdout == captured.out
+    files = _tree_bytes(child_dir)
+    assert files == _tree_bytes(own_dir)
+    # Each command writes its report either to files or to stdout.
+    assert bool(files) != bool(child.stdout)
+
+
+def test_only_the_process_exit_freezes_the_heap(tmp_path, ternary_spec):
+    assert main(
+        ["construct", "--spec", str(ternary_spec), "--max-stage", "1",
+         "--out", str(tmp_path / "in-process")]
+    ) == 0
+    assert gc.get_freeze_count() == 0
+    # atexit handlers still run after entrypoint, and see a frozen heap.
+    argv = ["cantordiff", "construct", "--spec", str(ternary_spec),
+            "--max-stage", "1", "--out", str(tmp_path / "child")]
+    code = (
+        "import atexit, gc, sys\n"
+        "from cantordiff.cli import entrypoint\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        f"sys.argv = {argv!r}\n"
+        "entrypoint()\n"
+    )
+    assert _run_python(code) == "True\n"
+    assert _tree_bytes(tmp_path / "child") == _tree_bytes(tmp_path / "in-process")
+
+
+def test_refused_spec_through_entrypoint_exits_2(tmp_path):
+    spec = tmp_path / "bad.json"
+    spec.write_text('{"family": "central", "ratios": "1/1"}', encoding="utf-8")
+    argv = ["cantordiff", "construct", "--spec", str(spec), "--max-stage", "1",
+            "--out", str(tmp_path / "out")]
+    src = str(Path(cantordiff.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys\nfrom cantordiff.cli import entrypoint\n"
+         f"sys.argv = {argv!r}\nentrypoint()\n"],
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ") and "ratio out of (0,1)" in line
+
+
+@pytest.mark.skipif(os.name != "posix", reason="EPIPE on a closed pipe is POSIX")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_report_to_a_closed_pipe_is_one_error_line(tmp_path, unbuffered):
+    # The tab 1/2, 1/2 report at stage 9 is 79,512 B, more than a pipe
+    # or stdout buffer holds, so the write inside main fails; the exit
+    # path then has nothing left to flush.  Block-buffered stdout (the
+    # default for a pipe) and PYTHONUNBUFFERED both give the same end.
+    spec = tmp_path / "tab.json"
+    spec.write_text(TAB_SPEC, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(cantordiff.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "cantordiff.cli", "verify", "tab", "--spec",
+             str(spec), "--max-stage", "9"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            encoding="utf-8",
+            timeout=60,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2, result.stderr
+    assert "error: [Errno 32] Broken pipe" in result.stderr.splitlines()
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
