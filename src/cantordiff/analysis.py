@@ -39,7 +39,6 @@ which is the soundness argument this module rests on.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import InvariantError, NotCertifiableError
@@ -71,7 +70,6 @@ __all__ = [
     "dominant_gap_certificate",
     "shift_inclusion_check",
     "predicted_missing_points",
-    "prediction_is_complete",
     "rightmost_gap_chain",
     "zone_measure_rows",
 ]
@@ -319,13 +317,6 @@ def predicted_missing_points(spec: CentralSpec, k_max: int) -> IntervalUnion:
     return points_union(values)
 
 
-def prediction_is_complete(spec: CentralSpec) -> bool:
-    """Whether the predicted points are the whole missing set (true when
-    every removal ratio is at least 1/3); otherwise they are only a
-    certified lower bound."""
-    return spec.ratios.all_at_least(Fraction(1, 3))
-
-
 # ---------------------------------------------------------------------
 # rightmost-longest gap chain
 
@@ -387,21 +378,18 @@ def rightmost_gap_chain(
     stage = central_stage(spec, stage_n, budget=budget)
     links: list[DominantGapCertificate] = []
     prev_right = Fraction(0)
-    # The records by their numerators on their canonical grids.
-    by_position = {(g.lo, g.hi, g.grid): g for g in stage.gaps}
+    gaps = stage.rightmost_gaps()
     for k in steps:
-        # Rightmost gap created at step k lies in the all-ones branch.
-        lo = 1 - spec.component_length(k - 1) * (1 + spec.ratio(k)) / 2
-        hi = 1 - spec.component_length(k)
-        grid = lcm(lo.denominator, hi.denominator)  # canonical for (lo, hi)
-        gap = by_position[(lo * grid, hi * grid, grid)]  # whole: they hash as ints
-        cert = dominant_gap_certificate(stage, gap, Fraction(0), lo - prev_right)
-        if cert.certified != Interval.open(prev_right, hi):
+        # The rightmost gap created at step k lies on the all-ones branch.
+        gap = gaps[k]
+        lo, hi = gap.interval.lo, gap.interval.hi
+        closed_lo = 1 - spec.component_length(k - 1) * (1 + spec.ratio(k)) / 2
+        if (lo, hi) != (closed_lo, 1 - spec.component_length(k)):
             raise InvariantError(
-                f"chain link at step {k} certifies {cert.certified}, not the "
-                f"interval ({prev_right}, {hi}) between consecutive right ends"
+                f"chain link at step {k}: the all-ones gap ({lo}, {hi}) is not "
+                "(1 - c_(k-1) (1 + r_k) / 2, 1 - c_k) in closed form"
             )
-        links.append(cert)
+        links.append(dominant_gap_certificate(stage, gap, Fraction(0), lo - prev_right))
         prev_right = hi
     return tuple(links)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import io
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -196,7 +197,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 _csv_text(["id", "status", "description"], rows),
             )
     else:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader has gone: what stdout still buffers goes to the
+            # null device, or the flush at exit would fail on it again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
     for a in report["assertions"]:
         print(f"[{a['status'].upper():4s}] {args.suite}: {a['id']}", file=sys.stderr)
     return 0 if report["passed"] else 1

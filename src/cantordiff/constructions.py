@@ -195,6 +195,15 @@ class CantorStage:
         """The frame minus the components."""
         return self.components.complement_within(self.frame)
 
+    def rightmost_gaps(self) -> dict[int, GapRecord]:
+        """The gap each step k cut on the all-ones branch, by step: its
+        ``_address`` is k - 1 ones.  Empty for a composite stage."""
+        return {
+            g.stage_created: g
+            for g in self.gaps
+            if g.address == "1" * (g.stage_created - 1)
+        }
+
 
 # ---------------------------------------------------------------------
 # ratio rules
@@ -310,11 +319,12 @@ def _stage(spec, n: int, budget: int):
     if n < 0:
         raise ValueError("stage index must be >= 0")
     # Stage n of every family is built from binary stages of 2^n
-    # components (its own or its sources'); a count not known in
-    # advance is checked on each built stage up to n as well.
+    # components (its own or its sources'), and each built stage up to
+    # n is counted as well: for a binary family that count cannot
+    # exceed what this first check allowed.
     if n > max_binary_stage(budget):
         raise BudgetExceededError(None, budget, log2=n)
-    return _sequence(spec).get(n, None if spec.binary else budget)
+    return _sequence(spec).get(n, budget)
 
 
 def stages_through(
@@ -353,7 +363,7 @@ def _split(
 # central family
 #
 # Every family spec answers one protocol: binary (True when stage n has
-# exactly 2^n components, so a budget is checked before it is built;
+# exactly 2^n components, so the CLI clamps its stage to the budget;
 # False when a stage must be built to count them), stage(n, budget=...)
 # for its unit-frame stage through the family's public function, and
 # _steps(), the generator of its stage sequence.  The binary builders

@@ -16,7 +16,6 @@ from .analysis import (
     dominant_gap_certificate,
     outer_difference,
     predicted_missing_points,
-    prediction_is_complete,
     rightmost_gap_chain,
     shift_inclusion_check,
     zone_measure_rows,
@@ -123,7 +122,9 @@ def _suite_ccp(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, 
 
 def _suite_t13(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, Any]]:
     _require(CentralSpec, spec, "t13")
-    if not prediction_is_complete(spec):
+    # Below 1/3 the predicted points are only a certified lower bound of
+    # the missing set, not the whole of it.
+    if not spec.ratios.all_at_least(Fraction(1, 3)):
         raise InvalidSpecError(
             "suite 't13' requires every removal ratio to be at least 1/3"
         )
@@ -151,11 +152,7 @@ def _suite_t13(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, 
     assembled = predicted_missing_points(spec, k_max)
     for k in range(k_max + 1):
         stage = family_stage(spec, k + 2, budget=budget)
-        gap = next(
-            g
-            for g in stage.gaps
-            if g.stage_created == k + 1 and g.address == "1" * k
-        )
+        gap = stage.rightmost_gaps()[k + 1]
         cert = dominant_gap_certificate(
             stage, gap, Fraction(0), spec.component_length(k + 1)
         )
@@ -187,19 +184,9 @@ def _suite_t13(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, 
     return assertions
 
 
-def _right_branch_gap_ends(stage: CantorStage) -> dict[int, Fraction]:
-    ends: dict[int, Fraction] = {}
-    for g in stage.gaps:
-        if g.address is not None and g.address == "1" * (g.stage_created - 1):
-            ends[g.stage_created] = Fraction(g.hi, g.grid)
-    return ends
-
-
 def _suite_ts3(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, Any]]:
     _require(PerturbedSpec, spec, "ts3")
     assertions = []
-    widths: list[Fraction] = []
-    final_core = None
     for n, stage in enumerate(stages_through(spec, max_stage, budget=budget)):
         bracket = difference_bracket(stage)
         anchored = all(bracket.missing_outer.contains_point(x) for x in (-1, 0, 1))
@@ -210,15 +197,10 @@ def _suite_ts3(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, 
                 "0 and the two frame corners stay in the missing bracket",
             )
         )
-        if n >= 3:
-            ends = _right_branch_gap_ends(stage)
-            width = 1 - ends[n - 2]
-            widths.append(width)
-            if n == max_stage:
-                strips = normalize(
-                    [Interval.closed(-1, -1 + width), Interval.closed(1 - width, 1)]
-                )
-                final_core = (bracket.missing_outer.difference(strips), width)
+    # The edge strip of stage n >= 3 reaches in to the right end of the
+    # all-ones gap cut at step n - 2; the core is the last stage's.
+    gaps = stage.rightmost_gaps()
+    widths = [1 - gaps[k].interval.hi for k in range(1, max_stage - 1)]
     assertions.append(
         _check(
             all(a > b for a, b in zip(widths, widths[1:])),
@@ -227,8 +209,12 @@ def _suite_ts3(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, 
             widths=[format_rational(w) for w in widths],
         )
     )
-    if final_core is not None:
-        core, width = final_core
+    if widths:
+        width = widths[-1]
+        strips = normalize(
+            [Interval.closed(-1, -1 + width), Interval.closed(1 - width, 1)]
+        )
+        core = bracket.missing_outer.difference(strips)
         assertions.append(
             _check(
                 core == points_union([0]),

@@ -18,7 +18,6 @@ from cantordiff.analysis import (
     inner_difference,
     outer_difference,
     predicted_missing_points,
-    prediction_is_complete,
     rightmost_gap_chain,
     shift_inclusion_check,
     zone_measure_rows,
@@ -505,10 +504,10 @@ class TestPredictedPoints:
         assert pts.reflect() == pts
 
     def test_completeness_flag(self):
-        assert prediction_is_complete(TERNARY)
-        assert prediction_is_complete(HALVING)
-        assert not prediction_is_complete(CentralSpec.constant(F(1, 4)))
-        assert not prediction_is_complete(CentralSpec.geometric(F(1, 4)))
+        assert TERNARY.ratios.all_at_least(F(1, 3))
+        assert HALVING.ratios.all_at_least(F(1, 3))
+        assert not CentralSpec.constant(F(1, 4)).ratios.all_at_least(F(1, 3))
+        assert not CentralSpec.geometric(F(1, 4)).ratios.all_at_least(F(1, 3))
 
     def test_predictions_never_certified_reachable(self):
         # cross-validation for steep specs: predicted points stay in the
@@ -554,6 +553,32 @@ class TestGapChain:
         # the depth-6 ternary chain needs stage 6; a budget of 16 holds 4
         with pytest.raises(NotCertifiableError, match="beyond 4"):
             rightmost_gap_chain(TERNARY, 6, budget=16)
+
+    @pytest.mark.parametrize("moved", ["lo", "hi", "neighbour"])
+    def test_link_off_its_closed_form_is_an_invariant_error(self, monkeypatch, moved):
+        # The ternary depth-2 chain takes the all-ones gap (7/9, 8/9) of
+        # step 2; a reader that hands out another gap there is caught
+        # before any certificate is made from it.
+        read = CantorStage.rightmost_gaps
+
+        def misread(stage):
+            gaps = read(stage)
+            if moved == "neighbour":
+                gaps[2] = next(
+                    g for g in stage.gaps if g.stage_created == 2 and g.address == "0"
+                )
+            else:
+                gap = gaps[2]
+                lo, hi = gap.interval.lo, gap.interval.hi
+                lo, hi = (lo - F(1, 81), hi) if moved == "lo" else (lo, hi + F(1, 81))
+                gaps[2] = oracle.gap_record(gap.address, Interval.open(lo, hi), 2)
+            return gaps
+
+        monkeypatch.setattr(CantorStage, "rightmost_gaps", misread)
+        with pytest.raises(
+            InvariantError, match=r"^chain link at step 2: the all-ones gap \(.* is not "
+        ):
+            rightmost_gap_chain(TERNARY, 2)
 
     def test_varying_ratios_pick_longest(self):
         # tiny first removal, huge second: the chain starts at step 2

@@ -981,15 +981,45 @@ def test_refused_spec_through_entrypoint_exits_2(tmp_path):
     assert line.startswith("error: ") and "ratio out of (0,1)" in line
 
 
+@pytest.mark.parametrize("max_stage", range(5))
+def test_ts3_strips_start_at_stage_3(tmp_path, capsys, max_stage):
+    # The strip of stage n >= 3 is read off the all-ones gap of step n - 2.
+    spec = tmp_path / "perturbed.json"
+    spec.write_text(PERTURBED_SPEC, encoding="utf-8")
+    main(["verify", "ts3", "--spec", str(spec), "--max-stage", str(max_stage)])
+    assertions = json.loads(capsys.readouterr().out)["assertions"]
+    ids = [a["id"] for a in assertions]
+    anchors = [f"ts3-anchor-{n}" for n in range(max_stage + 1)]
+    core = [f"ts3-core-{max_stage}"] if max_stage >= 3 else []
+    assert ids == [*anchors, "ts3-strip-widths", *core]
+    widths = assertions[max_stage + 1]["details"]["widths"]
+    assert len(widths) == max(0, max_stage - 2)
+
+
 @pytest.mark.skipif(os.name != "posix", reason="EPIPE on a closed pipe is POSIX")
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-def test_report_to_a_closed_pipe_is_one_error_line(tmp_path, unbuffered):
-    # The tab 1/2, 1/2 report at stage 9 is 79,512 B, more than a pipe
-    # or stdout buffer holds, so the write inside main fails; the exit
-    # path then has nothing left to flush.  Block-buffered stdout (the
-    # default for a pipe) and PYTHONUNBUFFERED both give the same end.
-    spec = tmp_path / "tab.json"
-    spec.write_text(TAB_SPEC, encoding="utf-8")
+@pytest.mark.parametrize(
+    "suite, spec_text, max_stage, size, unbuffered",
+    [
+        pytest.param("tab", TAB_SPEC, "9", 79_512, "", id="buffered"),
+        pytest.param("tab", TAB_SPEC, "9", 79_512, "1", id="unbuffered"),
+        pytest.param("ccp", TERNARY_SPEC, "1", 2_446, "", id="small-buffered"),
+        pytest.param("ccp", TERNARY_SPEC, "1", 2_446, "1", id="small-unbuffered"),
+    ],
+)
+def test_report_to_a_closed_pipe_is_one_error_line(
+    tmp_path, capsys, suite, spec_text, max_stage, size, unbuffered
+):
+    # The tab 1/2, 1/2 report at stage 9 is more than a pipe or stdout
+    # buffer holds, so its write inside main fails.  The ccp report fits
+    # the stdout buffer, so only the flush inside main can fail; stdout
+    # then goes to the null device, and the exit path has nothing left
+    # to fail on.  Block-buffered stdout (the default for a pipe) and
+    # PYTHONUNBUFFERED both give the same end.
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text, encoding="utf-8")
+    argv = ["verify", suite, "--spec", str(spec), "--max-stage", max_stage]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.encode("utf-8")) == size
     env = {**os.environ, "PYTHONPATH": str(Path(cantordiff.__file__).parents[1])}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -998,8 +1028,7 @@ def test_report_to_a_closed_pipe_is_one_error_line(tmp_path, unbuffered):
     os.close(read_end)
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "cantordiff.cli", "verify", "tab", "--spec",
-             str(spec), "--max-stage", "9"],
+            [sys.executable, "-m", "cantordiff.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             encoding="utf-8",
@@ -1009,6 +1038,4 @@ def test_report_to_a_closed_pipe_is_one_error_line(tmp_path, unbuffered):
     finally:
         os.close(write_end)
     assert result.returncode == 2, result.stderr
-    assert "error: [Errno 32] Broken pipe" in result.stderr.splitlines()
-    assert "Traceback" not in result.stderr
-    assert "Exception ignored" not in result.stderr
+    assert result.stderr.splitlines() == ["error: [Errno 32] Broken pipe"]

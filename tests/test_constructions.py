@@ -712,6 +712,38 @@ class TestKeyBuildersMatchTheFractionOracle:
             assert next(built) == next(expected), m
 
 
+class TestRightmostGaps:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(central_specs(), st.integers(min_value=1, max_value=8))
+    def test_central_ends_are_the_closed_forms(self, spec, n):
+        gaps = central_stage(spec, n).rightmost_gaps()
+        assert list(gaps) == list(range(1, n + 1))
+        for k, gap in gaps.items():
+            lo = 1 - spec.component_length(k - 1) * (1 + spec.ratio(k)) / 2
+            assert gap.interval == Interval.open(lo, 1 - spec.component_length(k))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [PERTURBED, PerturbedSpec(F(1, 7)), PerturbedSpec(F(1, 5), F(1, 3), F(1, 2))],
+        ids=["c1-1_5", "c1-1_7", "c1-1_5-shrink-1_3"],
+    )
+    def test_perturbed_records_are_the_oracles(self, spec):
+        for n, expected in zip(range(9), oracle.oracle_perturbed_stages(spec)):
+            # the records run by step, then left to right, so the last
+            # record of a step is the one cut on the all-ones branch
+            rightmost = {g.stage_created: g for g in expected.gaps}
+            assert perturbed_stage(spec, n).rightmost_gaps() == rightmost, n
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda n: composite_stage(TAB, n), lambda n: greedy_stage(FAT, n)],
+        ids=["tab", "greedy"],
+    )
+    def test_composite_stages_have_none(self, build):
+        for n in range(7):
+            assert build(n).rightmost_gaps() == {}, n
+
+
 class TestBuildersWorkOnTheKeys:
     @pytest.mark.parametrize(
         "spec, n, per_step",
