@@ -2,12 +2,13 @@
 verification suites, and emit deterministic JSON/CSV reports.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 usage or
-configuration error.
+configuration error, or an output stream whose reader has gone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import io
 import os
@@ -197,16 +198,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 _csv_text(["id", "status", "description"], rows),
             )
     else:
-        try:
-            sys.stdout.write(payload)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader has gone: what stdout still buffers goes to the
-            # null device, or the flush at exit would fail on it again.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise
+        print(payload, end="", flush=True)
     for a in report["assertions"]:
         print(f"[{a['status'].upper():4s}] {args.suite}: {a['id']}", file=sys.stderr)
     return 0 if report["passed"] else 1
@@ -249,16 +241,29 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--plot-data", action="store_true")
         p.set_defaults(func=func)
 
-    args = parser.parse_args(argv)
-    # The CSV table goes next to the report, so without --out it has no place.
-    if args.out is None and getattr(args, "format", None) == "csv":
-        parsers[args.command].error("--format csv needs --out")
+    code = 2
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+        # The CSV table goes next to the report, so without --out it has no place.
+        if args.out is None and getattr(args, "format", None) == "csv":
+            parsers[args.command].error("--format csv needs --out")
+        code = args.func(args)
     # Spec files are read through InvalidSpecError: an OSError is an output.
     except (CantorDiffError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        with contextlib.suppress(BrokenPipeError):  # stderr's reader has gone
+            print(f"error: {exc}", file=sys.stderr)
+    finally:
+        # A stream whose reader has gone goes to the null device, so the
+        # flush at exit has nothing left to fail on, and the exit is 2.
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
+                code = 2
+    return code
 
 
 def entrypoint() -> None:

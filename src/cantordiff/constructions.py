@@ -8,12 +8,15 @@ Component endpoints are preserved by every refinement step in every
 family, so each stage endpoint belongs to the limit set; the certified
 analysis in :mod:`cantordiff.analysis` depends on exactly that.
 
-Stages are built on the integer keys of :mod:`cantordiff.intervals`: a
+Stages are built on the integer keys of :mod:`cantordiff.intervals`.
+Each family's step generator yields only its stage-m component union; a
 binary step computes its cuts as whole closed keys on a step grid and
-cuts every key range at once, and a composite step dates its gaps by
-looking up the complement's key ranges among the previous stage's.
-Each gap record holds its ends as numerators on its canonical grid, made
-from the key range of the gap, so no ``Fraction`` is made per gap.
+cuts every key range at once.  One assembler (``_assembled``) turns the
+unions of every family into stages: it reads the gaps as the key ranges
+between consecutive components, and a gap of stage m is new iff it is no
+gap of stage m - 1.  Each gap record holds its ends as numerators on its
+canonical grid, made from the key range of the gap, so no ``Fraction``
+is made per gap.
 
 A composite stage's sum ``(A_m + B_m + 1/2) & [1/2, 1]`` is built from
 the previous stage where the sources allow it.  With both sources
@@ -28,9 +31,9 @@ pair never reaches [1/2, 1] after the shift by 1/2.  Every other step
 takes the windowed Minkowski sum.
 
 Every spec has one stage sequence, built one step at a time by its
-family's step generator and kept in one bounded cache keyed by the spec
-alone.  A component budget limits each request, not what is cached, and
-a sequence whose step raises is discarded.
+family's step generator and the assembler, and kept in one bounded cache
+keyed by the spec alone.  A component budget limits each request, not
+what is cached, and a sequence whose step raises is discarded.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ import threading
 import warnings
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import eq, ne, sub
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AvoidanceExhaustedError,
@@ -51,7 +54,6 @@ from .errors import (
     InvariantError,
 )
 from .intervals import (
-    EMPTY,
     UNIT,
     Interval,
     IntervalUnion,
@@ -111,16 +113,15 @@ def _check_address(address: str) -> None:
 class GapRecord:
     """An open interval removed during construction.
 
-    ``address`` names the component the gap was cut from (None for gaps
-    derived from a complement rather than an explicit binary split);
-    ``stage_created`` is the 1-based step that removed it.  The gap is
-    ``(lo/grid, hi/grid)``, held as its two end numerators on its
-    canonical grid (``gcd(grid, lo, hi) == 1``), so the generated ``==``
-    and ``hash`` are set equality and no ``Fraction`` is made until
-    ``interval`` decodes it.  A record is made from its gap's key range
-    ``[s, e]`` on ``grid`` (see ``cantordiff.intervals``), which must be
-    open at both ends: then ``s <= e`` is the ``lo < hi`` that
-    ``Interval`` checks.
+    ``address`` names the component the gap was cut from (None for a
+    family that is not binary); ``stage_created`` is the first stage
+    whose gaps hold it.  The gap is ``(lo/grid, hi/grid)``, held as its
+    two end numerators on its canonical grid (``gcd(grid, lo, hi) ==
+    1``), so the generated ``==`` and ``hash`` are set equality and no
+    ``Fraction`` is made until ``interval`` decodes it.  A record is made
+    from its gap's key range ``[s, e]`` on ``grid`` (see
+    ``cantordiff.intervals``), which must be open at both ends: then
+    ``s <= e`` is the ``lo < hi`` that ``Interval`` checks.
     """
 
     address: NodeAddress | None
@@ -197,7 +198,7 @@ class CantorStage:
 
     def rightmost_gaps(self) -> dict[int, GapRecord]:
         """The gap each step k cut on the all-ones branch, by step: its
-        ``_address`` is k - 1 ones.  Empty for a composite stage."""
+        address is k - 1 ones.  Empty for a composite stage."""
         return {
             g.stage_created: g
             for g in self.gaps
@@ -280,11 +281,11 @@ _MAX_CACHED_SPECS = 32
 
 class _StageSequence:
     """Stages 0..k of one spec, already built, extended one step at a time
-    by the spec's step generator under one lock."""
+    by the spec's step generator and the assembler under one lock."""
 
     def __init__(self, spec) -> None:
-        self._spec = spec
-        self._steps = spec._steps()
+        self._start = lambda: _assembled(spec._steps(), spec.family, spec.binary)
+        self._steps = self._start()
         self._built: list = []
         self._lock = threading.Lock()
 
@@ -301,7 +302,7 @@ class _StageSequence:
                         # The step generator is finished once it raises:
                         # discard everything so the next request starts fresh.
                         self._built.clear()
-                        self._steps = self._spec._steps()
+                        self._steps = self._start()
                         raise
                 if budget is not None and len(self._built[m].components) > budget:
                     raise BudgetExceededError(len(self._built[m].components), budget)
@@ -337,24 +338,71 @@ def stages_through(
     return [spec.stage(n, budget=budget) for n in range(max_stage + 1)]
 
 
-def _address(n: int, i: int) -> NodeAddress:
-    """The address of stage-n component i of a binary family."""
-    return format(i, f"0{n}b") if n else ""
+def _assembled(
+    unions: Iterable[IntervalUnion], family: str, binary: bool
+) -> Iterator[CantorStage]:
+    """The stages of a family from its stage-m component unions, m = 0, 1, ...
+
+    Every family has this one rule for its gap records.  The gaps are
+    read off the key ranges between consecutive components, whose hull
+    must be [0, 1].  Components only shrink, so gaps only grow: a gap of
+    stage m is new iff it is no gap of stage m - 1, and a gap that
+    disappears never comes back.  When ``binary``, each step must add
+    one new gap inside each component and keep every old gap, and the
+    gap cut from component i of stage m - 1 is named by i as an
+    (m - 1)-digit binary string; other new gaps are unnamed.  Records
+    are ordered by (stage_created, position): the old ones that are
+    still gaps, then the new ones.  A stage whose longest component is
+    no shorter than the previous stage's gets a note.
+    """
+    grid, ordered, old, longest = 1, (), {}, None  # old: ordered's gaps, left: right
+    for m, union in enumerate(unions):
+        common = lcm(grid, union.grid)
+        k, grid = common // grid, common
+        old = dict(zip(map(k.__mul__, old), map(k.__mul__, old.values())))
+        keys = list(itertools.chain.from_iterable(union._on(grid)))
+        if not keys or keys[0] != 0 or keys[-1] != 3 * grid:
+            raise InvariantError(f"{family} stage {m} does not span [0, 1]")
+        lefts, rights = keys[1:-1:2], keys[2::2]  # the gaps, by position
+        is_new = list(map(ne, map(old.get, lefts), rights))
+        # One new gap in each component: new and old gaps alternate.
+        if binary and m and is_new != [True, False] * len(old) + [True]:
+            raise InvariantError(
+                f"{family} stage {m} does not cut each component once, keeping its gaps"
+            )
+        if is_new.count(False) < len(old):  # some old gaps grew into new ones
+            kept = list(map(eq, map(dict(zip(lefts, rights)).get, old), old.values()))
+            ordered = tuple(itertools.compress(ordered, kept))
+            old = dict(itertools.compress(old.items(), kept))
+        lefts = list(itertools.compress(lefts, is_new))
+        rights = list(itertools.compress(rights, is_new))
+        names = itertools.repeat(None)
+        if binary and m:
+            names = map("".join, itertools.product("01", repeat=m - 1))
+        new = zip(lefts, rights, names)
+        ordered += tuple([GapRecord(a, e + 1, s - 1, grid, m) for e, s, a in new])
+        old.update(zip(lefts, rights))
+        notes: tuple[str, ...] = ()
+        previous = longest
+        longest = Fraction(max(map(sub, keys[1::2], keys[::2])), 3 * grid)
+        if previous is not None and longest >= previous:
+            message = (
+                f"max component length did not decrease at stage {m} "
+                f"({longest} >= {previous}); the source pair may not "
+                f"produce a Cantor set"
+            )
+            warnings.warn(message, stacklevel=2)
+            notes = (message,)
+        yield CantorStage(m, union, ordered, family, notes=notes)
 
 
 def _split(
-    n: int,
-    grid: int,
-    ranges: Sequence[_Range],
-    cuts: Iterable[tuple[int, int]],
-    gaps: list[GapRecord],
+    grid: int, ranges: Sequence[_Range], cuts: Iterable[_Range]
 ) -> IntervalUnion:
-    """Stage-n union of a binary family: the open gap between the closed
-    keys ``cuts[i]`` is removed from the stage-(n-1) key range i, all on
-    ``grid``; ``gaps`` accumulates every step's records."""
+    """The next union of a binary family: the open gap between the closed
+    keys ``cuts[i]`` is removed from key range i, all on ``grid``."""
     kept: list[_Range] = []
-    for idx, ((s, e), (x, y)) in enumerate(zip(ranges, cuts)):
-        gaps.append(GapRecord(_address(n - 1, idx), x + 1, y - 1, grid, n))
+    for (s, e), (x, y) in zip(ranges, cuts):
         kept += ((s, x), (y, e))
     return _from_ranges(kept, grid)
 
@@ -362,16 +410,18 @@ def _split(
 # ---------------------------------------------------------------------
 # central family
 #
-# Every family spec answers one protocol: binary (True when stage n has
-# exactly 2^n components, so the CLI clamps its stage to the budget;
-# False when a stage must be built to count them), stage(n, budget=...)
-# for its unit-frame stage through the family's public function, and
-# _steps(), the generator of its stage sequence.  The binary builders
-# (central and perturbed) hold their stage as its union, whose key
-# ranges are the parts (see ``cantordiff.intervals``).  Each step lifts
-# them to a step grid on which every cut is a whole closed key, chooses
-# one gap (x, y) per part and cuts them all with ``_split``, which names
-# each gap record by ``_address``.
+# Every family spec answers one protocol: family, the family name of its
+# stages; binary (True when stage n has exactly 2^n components, so the
+# CLI clamps its stage to the budget and the assembler names each new
+# gap by the component it was cut from; False when a stage must be
+# built to count them); stage(n, budget=...) for its unit-frame stage
+# through the family's public function; and _steps(), the generator of
+# its stage-m component unions, which ``_assembled`` turns into stages.
+# The binary builders (central and perturbed) hold their stage as its
+# union, whose key ranges are the parts (see ``cantordiff.intervals``).
+# Each step lifts them to a step grid on which every cut is a whole
+# closed key, chooses one gap (x, y) per part and cuts them all with
+# ``_split``.
 
 
 @_record
@@ -381,6 +431,7 @@ class CentralSpec:
 
     ratios: RatioRule
 
+    family = "central"
     binary = True
 
     @classmethod
@@ -408,10 +459,9 @@ class CentralSpec:
     def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
         return central_stage(self, n, budget=budget)
 
-    def _steps(self) -> Iterator[CantorStage]:
+    def _steps(self) -> Iterator[IntervalUnion]:
         union = IntervalUnion((UNIT,))
-        gaps: list[GapRecord] = []
-        yield CantorStage(0, union, (), "central")
+        yield union
         for n in itertools.count(1):
             # The parts all have one length, so their children have one too.
             s, e = union.ranges[0]
@@ -419,9 +469,8 @@ class CentralSpec:
             grid = lcm(union.grid, child.denominator)
             key = 3 * child.numerator * (grid // child.denominator)
             ranges = union._on(grid)
-            cuts = [(s + key, e - key) for s, e in ranges]
-            union = _split(n, grid, ranges, cuts, gaps)
-            yield CantorStage(n, union, tuple(gaps), "central")
+            union = _split(grid, ranges, [(s + key, e - key) for s, e in ranges])
+            yield union
 
 
 def central_stage(
@@ -462,6 +511,7 @@ class PerturbedSpec:
     shrink: Fraction = Fraction(1, 2)
     interior_gap_fraction: Fraction = Fraction(1)
 
+    family = "perturbed"
     binary = True
 
     def __post_init__(self) -> None:
@@ -475,11 +525,10 @@ class PerturbedSpec:
     def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
         return perturbed_stage(self, n, budget=budget)
 
-    def _steps(self) -> Iterator[CantorStage]:
+    def _steps(self) -> Iterator[IntervalUnion]:
         union = IntervalUnion((UNIT,))
-        gaps: list[GapRecord] = []
         c = self.c1  # length of the aligned gaps cut at the current step
-        yield CantorStage(0, union, (), "perturbed")
+        yield union
         for n in itertools.count(1):
             if n > 1:
                 s, e = union.ranges[0]
@@ -511,7 +560,7 @@ class PerturbedSpec:
                 else:
                     g = min(interior_key, (e - s) // 4)
                     cuts.append((mid - g, mid + g))
-            union = _split(n, grid, ranges, cuts, gaps)
+            union = _split(grid, ranges, cuts)
             (s, x), (y, e) = union.ranges[0], union.ranges[-1]
             if x - s != e - y:
                 left, right = (Fraction(k, 3 * union.grid) for k in (x - s, e - y))
@@ -519,7 +568,7 @@ class PerturbedSpec:
                     f"perturbed stage {n}: the extreme branches must stay equal "
                     f"in length, got {left} and {right}"
                 )
-            yield CantorStage(n, union, tuple(gaps), "perturbed")
+            yield union
 
 
 def perturbed_stage(
@@ -548,17 +597,14 @@ class CompositeSpec:
     a_source: HalfSourceSpec
     b_source: HalfSourceSpec
 
+    family = "tab"
     binary = False
 
     def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
         return composite_stage(self, n, budget=budget)
 
-    def _steps(self) -> Iterator[CantorStage]:
-        return _composite_steps(
-            functools.partial(half_scaled_components, self.a_source),
-            _source_sums(self.a_source, self.b_source),
-            "tab",
-        )
+    def _steps(self) -> Iterator[IntervalUnion]:
+        return _composite_steps(self.a_source, self.b_source)
 
 
 _HALF_TO_ONE = Interval.closed(Fraction(1, 2), 1)
@@ -597,92 +643,43 @@ def _offset_sum(offsets: Sequence[int], grid: int, width: Fraction) -> IntervalU
     return _from_ranges(ranges, grid)
 
 
-def _source_sums(
+def _composite_steps(
     a_source: HalfSourceSpec, b_source: HalfSourceSpec
-) -> Iterator[IntervalUnion | None]:
-    """``(A_m + B_m + 1/2) & [1/2, 1]`` for m = 0, 1, ..., with A_m and B_m
-    the stage-m components of the sources on [0, 1/2]; None for a sum
-    that is the previous stage's.
+) -> Iterator[IntervalUnion]:
+    """The composite unions ``A_m | ((A_m + B_m + 1/2) & [1/2, 1])`` for
+    m = 0, 1, ..., with A_m and B_m the stage-m components of the sources
+    on [0, 1/2].
 
     With both sources central, a step whose children cover every pair
-    (the test in the module docstring) yields None.  A central source
-    summed with itself is the union of ``[s, s + 2l]`` over the distinct
-    sums ``s`` of two left ends (``_grown_offsets``).  Every other step
-    takes the windowed Minkowski sum of the two stages.
+    (the test in the module docstring) keeps the previous sum, read off
+    the previous union: A lies in [0, 1/2] and both sources hold 0, so the
+    sum holds 1/2 and is the part of the union in [1/2, 1].  A central
+    source summed with itself is the union of ``[s, s + 2l]`` over the
+    distinct sums ``s`` of two left ends (``_grown_offsets``).  Every
+    other step takes the windowed Minkowski sum of the two stages.
     """
     central = isinstance(a_source, CentralSpec) and isinstance(b_source, CentralSpec)
     same = central and a_source == b_source
     la = lb = Fraction(1, 2)  # the component lengths on [0, 1/2]
     offsets, grid, deltas = [0], 1, []  # deltas: the shifts not yet in offsets
     for m in itertools.count():
+        a = half_scaled_components(a_source, m)
         if m and central:
             da, db = la * (1 + a_source.ratio(m)) / 2, lb * (1 + b_source.ratio(m)) / 2
             la, lb = la - da, lb - db
             if same:
                 deltas.append(da)
             if min(da, db) <= la + lb and abs(da - db) <= la + lb:
-                yield None
+                union = a.union(union.intersect(_UPPER_HALF))
+                yield union
                 continue
         if same:
             offsets, grid = _grown_offsets(offsets, grid, deltas)
             deltas = []
-            yield _offset_sum(offsets, grid, 2 * la)
+            union = a.union(_offset_sum(offsets, grid, 2 * la))
         else:
-            yield _windowed_sum(
-                half_scaled_components(a_source, m), half_scaled_components(b_source, m)
-            )
-
-
-def _composite_steps(
-    a_components: Callable[[int], IntervalUnion],
-    sums: Iterator[IntervalUnion | None],
-    family: str,
-) -> Iterator[CantorStage]:
-    """Composite stages from the stage-m unions of A on [0, 1/2] and the
-    stage-m sums ``(A_m + B_m + 1/2) & [1/2, 1]``, tracking when each
-    maximal gap of the complement first appeared.
-
-    A sum given as None is the previous stage's, read off its components:
-    A lies in [0, 1/2] and both sources hold 0, so the sum holds 1/2 and
-    is the part of the composite in [1/2, 1].
-
-    The sources shrink from stage to stage, so the composite does too
-    and a gap only grows: a gap of stage m that is no gap of stage m-1
-    was never one before.  The complement's key ranges are looked up
-    among the previous stage's, lifted to their common grid; an
-    unchanged gap keeps its record, and a new one is made from its keys.
-    """
-    prev_gaps, prev_records = EMPTY, []  # the records in position order
-    prev_max: Fraction | None = None
-    for m in itertools.count():
-        total = next(sums)
-        if total is None:
-            total = components.intersect(_UPPER_HALF)
-        components = a_components(m).union(total)
-        del total  # held by the stage alone, not across steps
-        cur_max = components.max_component_length()
-        notes: tuple[str, ...] = ()
-        if prev_max is not None and cur_max >= prev_max:
-            message = (
-                f"max component length did not decrease at stage {m} "
-                f"({cur_max} >= {prev_max}); the source pair may not "
-                f"produce a Cantor set"
-            )
-            warnings.warn(message, stacklevel=2)
-            notes = (message,)
-        prev_max = cur_max
-        gaps = components.complement_within(UNIT)
-        grid = lcm(prev_gaps.grid, gaps.grid)
-        old = dict(zip(prev_gaps._on(grid), prev_records))
-        records = [
-            old.get(r) or GapRecord(None, *r, grid, m)
-            for r in gaps._on(grid)
-        ]
-        prev_gaps, prev_records = gaps, records
-        # Each step lists its gaps by position: a stable sort on the step
-        # orders them by (stage_created, position).
-        ordered = tuple(sorted(records, key=attrgetter("stage_created")))
-        yield CantorStage(m, components, ordered, family, notes=notes)
+            union = a.union(_windowed_sum(a, half_scaled_components(b_source, m)))
+        yield union
 
 
 def composite_stage(
@@ -727,17 +724,14 @@ class GreedySpec:
 
     b_source: HalfSourceSpec
 
+    family = "greedy"
     binary = False
 
     def stage(self, n: int, *, budget: int = DEFAULT_BUDGET) -> CantorStage:
         return greedy_stage(self, n, budget=budget)
 
-    def _steps(self) -> Iterator[CantorStage]:
-        return _composite_steps(
-            functools.partial(half_scaled_components, _CENTRAL_HALF),
-            _source_sums(_CENTRAL_HALF, self.b_source),
-            "greedy",
-        )
+    def _steps(self) -> Iterator[IntervalUnion]:
+        return _composite_steps(_CENTRAL_HALF, self.b_source)
 
 
 @_record

@@ -651,7 +651,7 @@ def oracle_greedy_points(spec, n):
                 grid = lcm(a.grid, allowed.grid)
                 kept = set(allowed._on(grid))
                 index = next(i for i, r in enumerate(a._on(grid)) if r not in kept)
-                address = constructions._address(m - 1, index)
+                address = format(index, f"0{m - 1}b") if m > 1 else ""
                 events.append((candidate, address, m))
                 deferred.append(candidate)
         deferred = retries + deferred

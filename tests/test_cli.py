@@ -1039,3 +1039,44 @@ def test_report_to_a_closed_pipe_is_one_error_line(
         os.close(write_end)
     assert result.returncode == 2, result.stderr
     assert result.stderr.splitlines() == ["error: [Errno 32] Broken pipe"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="EPIPE on a closed pipe is POSIX")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "args, written",
+    [
+        pytest.param(["verify", "ccp", "--max-stage", "1", "--out"], True, id="verify"),
+        pytest.param(["verify", "ccp", "--max-stage", "1"], False, id="no-spec"),
+    ],
+)
+def test_closed_stderr_exits_2(tmp_path, args, written, unbuffered):
+    # The assertion lines of a passing report, or argparse's usage error
+    # for a missing --spec, go to a pipe whose read end is closed: the
+    # report is still written whole, and the exit is 2 with no traceback
+    # left for the flush at exit to fail on (which would exit 120).
+    spec = tmp_path / "ternary.json"
+    spec.write_text(TERNARY_SPEC, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [*args, str(out), "--spec", str(spec)] if written else args
+    env = {**os.environ, "PYTHONPATH": str(Path(cantordiff.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "cantordiff.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=write_end,
+            encoding="utf-8",
+            timeout=60,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stdout) == (2, "")
+    if written:
+        report = json.loads((out / "verify_ccp.json").read_text(encoding="utf-8"))
+        assert report["passed"] is True

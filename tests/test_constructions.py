@@ -28,6 +28,7 @@ from cantordiff.constructions import (
 from cantordiff.errors import (
     BudgetExceededError,
     InvalidSpecError,
+    InvariantError,
 )
 from cantordiff.intervals import UNIT, Interval, IntervalUnion, normalize
 
@@ -324,12 +325,12 @@ class TestComposite:
 
     def test_max_component_warning_path(self):
         # a source that never refines cannot shrink the components;
-        # the composite step must report it instead of silently accepting
-        from cantordiff.constructions import _composite_steps, _windowed_sum
+        # the assembler must report it instead of silently accepting
+        from cantordiff.constructions import _assembled, _windowed_sum
 
         frozen = normalize([Interval.closed(0, F(1, 2))])
-        sums = itertools.repeat(_windowed_sum(frozen, frozen))
-        steps = _composite_steps(lambda n: frozen, sums, "tab")
+        unions = itertools.repeat(frozen.union(_windowed_sum(frozen, frozen)))
+        steps = _assembled(unions, "tab", False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             next(steps)
@@ -673,6 +674,18 @@ class TestKeyBuildersMatchTheFractionOracle:
     def test_composite_on_central_sources(self, spec):
         assert_stages_match_the_oracle(spec, lambda s, n: s.stage(n), 7)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [TERNARY, HALVING, GREEDY_B_SOURCES["geometric-1_4"], PERTURBED,
+         PerturbedSpec(F(1, 7)), PerturbedSpec(F(1, 5), F(1, 3), F(1, 2))],
+        ids=["central-1_3", "central-1_2", "geometric-1_4", "perturbed-1_5",
+             "perturbed-1_7", "perturbed-1_5-shrink-1_3"],
+    )
+    def test_binary_stages_have_no_notes(self, spec):
+        # Every component is cut at every step, so the longest one shrinks.
+        for n in range(11):
+            assert spec.stage(n).notes == (), n
+
     def test_greedy_a_half(self):
         # The oracle cuts A itself, with the Fraction cut rule that may cut
         # between several allowed pieces of one component (no source
@@ -703,13 +716,56 @@ class TestKeyBuildersMatchTheFractionOracle:
             ),
         ]
         zero = normalize([Interval.point(0)])
-        sums = (constructions._windowed_sum(a, zero) for a in a_stages)
-        built = constructions._composite_steps(a_stages.__getitem__, sums, "tab")
+        unions = (a.union(constructions._windowed_sum(a, zero)) for a in a_stages)
+        built = constructions._assembled(unions, "tab", False)
         expected = oracle.oracle_composite_stages(
             a_stages.__getitem__, lambda m: zero, "tab"
         )
         for m in range(4):
             assert next(built) == next(expected), m
+
+
+def unions_of(*stages):
+    """The unions of closed parts given as (lo, hi) pairs, one per stage."""
+    return [normalize(Interval.closed(lo, hi) for lo, hi in parts) for parts in stages]
+
+
+class TestAssembler:
+    @pytest.mark.parametrize(
+        "step",
+        [
+            [(0, F(1, 9)), (F(2, 9), F(1, 3)), (F(2, 3), 1)],
+            [(0, F(1, 27)), (F(2, 27), F(1, 9)), (F(2, 9), F(1, 3)), (F(2, 3), 1)],
+            [(0, F(1, 9)), (F(2, 9), F(1, 4)), (F(3, 4), F(7, 9)), (F(8, 9), 1)],
+            [(0, F(1, 3)), (F(2, 3), 1)],
+        ],
+        ids=["one-uncut", "two-in-one", "old-gap-grown", "no-new-gap"],
+    )
+    @pytest.mark.filterwarnings("ignore:max component length did not decrease")
+    def test_a_binary_step_cuts_each_component_once(self, step):
+        # Stage 2 must keep the gap (1/3, 2/3) and cut one new gap inside
+        # each of [0, 1/3] and [2/3, 1].
+        unions = unions_of([(0, 1)], [(0, F(1, 3)), (F(2, 3), 1)], step)
+        stages = constructions._assembled(unions, "central", True)
+        assert [s.n for s in itertools.islice(stages, 2)] == [0, 1]
+        with pytest.raises(InvariantError, match="stage 2 does not cut each component"):
+            next(stages)
+        # a family that is not binary dates the same gaps without a check
+        stages = list(constructions._assembled(unions, "tab", False))
+        assert {g.address for s in stages for g in s.gaps} == {None}
+
+    @pytest.mark.parametrize(
+        "parts",
+        [[(0, F(1, 2))], [(F(1, 4), 1)], [(0, F(1, 3)), (F(2, 3), F(3, 4))], []],
+        ids=["short-right", "short-left", "gap-at-the-end", "empty"],
+    )
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "composite"])
+    def test_a_union_must_span_the_unit_interval(self, parts, binary):
+        unions = unions_of([(0, 1)], parts)
+        stages = constructions._assembled(unions, "tab", binary)
+        next(stages)
+        with pytest.raises(InvariantError, match=r"stage 1 does not span \[0, 1\]"):
+            next(stages)
 
 
 class TestRightmostGaps:
@@ -754,7 +810,7 @@ class TestBuildersWorkOnTheKeys:
         self, spec, n, per_step, monkeypatch, fresh_sequences
     ):
         # Gap records hold numerators, so the only Fractions are a few
-        # per step for the lengths and ratios: 48 and 148 when written.
+        # per step for the lengths and ratios: 61 and 158 when written.
         stage, made = oracle.fractions_made(monkeypatch, lambda: spec.stage(n))
         assert len(made) <= per_step * n < len(stage.gaps), len(made)
 

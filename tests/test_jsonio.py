@@ -219,8 +219,8 @@ def test_stage_writer_reads_regrown_gaps(tmp_path):
         normalize([Interval.closed(0, F(1, 16)), Interval.closed(F(7, 16), F(1, 2))]),
     ]
     zero = normalize([Interval.point(0)])
-    sums = (constructions._windowed_sum(a, zero) for a in a_stages)
-    built = constructions._composite_steps(a_stages.__getitem__, sums, "tab")
+    unions = (a.union(constructions._windowed_sum(a, zero)) for a in a_stages)
+    built = constructions._assembled(unions, "tab", False)
     stages = [next(built) for _ in a_stages]
     assert [[g.stage_created for g in s.gaps] for s in stages] == [
         [], [1, 1], [2, 2], [3, 3]
