@@ -12,8 +12,10 @@ brackets:
   Both sets are read off the components, not off the gap records.
   It is computed as [-1,1] minus the outer missing bracket, which the
   kernel operation ``IntervalUnion.minus_translates`` filters down from
-  [-1,1] one endpoint at a time instead of summing every gap with every
-  endpoint.  Its shifts are the reflected components, whose part ends
+  [-1,1] instead of summing every gap with every endpoint: first the
+  longest gaps, each with all its endpoint translates at once, while
+  few pieces of [-1,1] are left, then one endpoint at a time over the
+  short gaps.  Its shifts are the reflected components, whose part ends
   are exactly the negated endpoints, so they stay on the integer keys.
 
 * outer:  C is always inside the stage components and the complement is
@@ -88,6 +90,12 @@ def inner_difference(stage: CantorStage) -> IntervalUnion:
     on the components alone.  The translates all lie inside
     (-1, 1), so their union is [-1,1] minus what ``minus_translates``
     leaves of [-1,1], which never forms the gap x endpoint product.
+    The long gaps go first, each cutting all its translates out of the
+    few pieces its hull reaches; once more than the square root of the
+    endpoint count are left, the endpoints take turns.  The long gaps'
+    translates overlap and take most of [-1,1] while the pieces are
+    few, and each endpoint then visits only the pieces inside the hull
+    of its translates.
     """
     # The part ends of the reflected components are the negated endpoints.
     gaps, shifts = stage.gap_union(), stage.components.reflect()

@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import pairwise
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -447,12 +447,32 @@ class IntervalUnion:
         """self minus the union of ``other + t`` over the ends ``t`` of
         the parts of ``shifts`` (the points of a ``points_union``).
 
-        The translates are never united: each distinct shift cuts its
-        translate out of the pieces of self still left, with ``bisect``
-        over the end keys of ``other``, so the work is the live pieces
-        summed over the shifts, plus the cuts.  The shifts go from the
-        middle of their sorted list outward, which brings the fine cuts
-        of either end last and keeps the piece count low meanwhile.
+        The translates are never united.  They are cut out of the pieces
+        of self still left in two phases, with ``k`` the number of
+        distinct shifts:
+
+        1. While at most ``isqrt(k)`` pieces are left, the parts of
+           ``other`` go longest first, each cut with all its translates
+           at once out of the pieces that its hull ``[start + min t,
+           end + max t]`` reaches (a slice found with two ``bisect``
+           calls).  Each piece of the slice finds the first translate
+           that reaches it with one ``bisect`` over the shifts.  The
+           long parts' translates overlap, so they take most of self
+           while few pieces are left, and each costs only the pieces
+           it reaches.
+        2. From then on, one shift at a time from the middle of the
+           sorted shifts outward, the translate of all of ``other`` is
+           cut out of the pieces inside its hull, with ``bisect`` over
+           the end keys of ``other``.  The middle-out order brings the
+           fine cuts of either end last.  Parts that phase 1 has cut
+           find nothing left to cut.
+
+        Phase 1 pays up to ``k`` translates for every part, phase 2
+        every piece in reach for every shift: the first is cheap while
+        the pieces are few, the second once they are many.  The switch
+        point follows from the inputs alone.  Where self has more than
+        ``isqrt(k)`` pieces from the start, as for a single shift, the
+        parts are never sorted and phase 2 runs alone.
         """
         if self.is_empty or other.is_empty or shifts.is_empty:
             return self
@@ -461,13 +481,39 @@ class IntervalUnion:
         keys = sorted(
             {k for s, e in shifts._on(grid) for k in (s - s % 3, e + e % 3 // 2)}
         )
-        starts, ends = map(list, zip(*other._on(grid)))
+        parts = other._on(grid)
+        pieces = list(self._on(grid))
+        shift_count = len(keys)
+        limit = isqrt(shift_count)
+        if len(pieces) <= limit:
+            low, high = keys[0], keys[-1]
+            for ps, pe in sorted(parts, key=lambda r: r[0] - r[1]):
+                i = bisect_left(pieces, ps + low, key=itemgetter(1))
+                j = bisect_right(pieces, pe + high, key=itemgetter(0))
+                kept = []
+                for s, e in pieces[i:j]:
+                    m = bisect_left(keys, s - pe)
+                    while m < shift_count and ps + keys[m] <= e:
+                        if ps + keys[m] > s:
+                            kept.append((s, ps + keys[m] - 1))
+                        s = pe + keys[m] + 1
+                        m += 1
+                    if s <= e:
+                        kept.append((s, e))
+                pieces[i:j] = kept
+                if len(pieces) > limit:
+                    break
+            else:
+                return _from_ranges(pieces, grid)
+        starts, ends = map(list, zip(*parts))
         count = len(starts)
-        pieces = self._on(grid)
-        for i in sorted(range(len(keys)), key=lambda i: abs(2 * i + 1 - len(keys))):
+        first, last = starts[0], ends[-1]
+        for i in sorted(range(shift_count), key=lambda i: abs(2 * i + 1 - shift_count)):
             d = keys[i]
+            lo = bisect_left(pieces, first + d, key=itemgetter(1))
+            hi = bisect_right(pieces, last + d, key=itemgetter(0))
             kept = []
-            for s, e in pieces:
+            for s, e in pieces[lo:hi]:
                 j = bisect_left(ends, s - d)
                 while j < count and starts[j] + d <= e:
                     if starts[j] + d > s:
@@ -476,7 +522,7 @@ class IntervalUnion:
                     j += 1
                 if s <= e:
                     kept.append((s, e))
-            pieces = kept
+            pieces[lo:hi] = kept
         return _from_ranges(pieces, grid)
 
     def complement_within(self, frame: Interval) -> "IntervalUnion":

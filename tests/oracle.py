@@ -10,6 +10,9 @@ sums), and reassembles the expected union from the flagged pieces.
 ``fractions_made`` counts the ``Fraction`` values a call makes, for
 the tests that keep set operations on the integer keys.
 
+``oracle_minus_translates`` is the one-phase, shift-by-shift filter
+that the two phases of ``IntervalUnion.minus_translates`` replaced.
+
 ``oracle_stages`` builds a spec's stages with the per-part ``Fraction``
 builders that the key builders of ``cantordiff.constructions`` replaced.
 """
@@ -17,6 +20,7 @@ builders that the key builders of ``cantordiff.constructions`` replaced.
 import csv
 import io
 import itertools
+from bisect import bisect_left
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
@@ -38,6 +42,7 @@ from cantordiff.intervals import (
     Interval,
     IntervalUnion,
     _encode,
+    _from_ranges,
     normalize,
     points_union,
 )
@@ -309,6 +314,40 @@ def minkowski_composite_components(a, b):
     """``A | ((A + B + 1/2) & [1/2, 1])`` with the sum built in full."""
     upper = IntervalUnion((Interval.closed(Fraction(1, 2), 1),))
     return a.union(a.minkowski_sum(b.translate(Fraction(1, 2))).intersect(upper))
+
+
+# ---------------------------------------------------------------------
+# the one-phase filter that the two phases of minus_translates replaced
+
+
+def oracle_minus_translates(a, other, shifts):
+    """``a.minus_translates(other, shifts)`` one shift at a time: from the
+    middle of the sorted shift keys outward, each shift cuts its translate
+    of ``other`` out of every piece of ``a`` still left, with a bisection
+    over the end keys of ``other``."""
+    if a.is_empty or other.is_empty or shifts.is_empty:
+        return a
+    grid = lcm(a.grid, other.grid, shifts.grid)
+    keys = sorted(
+        {k for s, e in shifts._on(grid) for k in (s - s % 3, e + e % 3 // 2)}
+    )
+    starts, ends = map(list, zip(*other._on(grid)))
+    count = len(starts)
+    pieces = a._on(grid)
+    for i in sorted(range(len(keys)), key=lambda i: abs(2 * i + 1 - len(keys))):
+        d = keys[i]
+        kept = []
+        for s, e in pieces:
+            j = bisect_left(ends, s - d)
+            while j < count and starts[j] + d <= e:
+                if starts[j] + d > s:
+                    kept.append((s, starts[j] + d - 1))
+                s = ends[j] + d + 1
+                j += 1
+            if s <= e:
+                kept.append((s, e))
+        pieces = kept
+    return _from_ranges(pieces, grid)
 
 
 # ---------------------------------------------------------------------

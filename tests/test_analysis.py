@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cantordiff
+from cantordiff import intervals
 from cantordiff.analysis import (
     DiffBracket,
     difference_bracket,
@@ -53,6 +55,7 @@ HALVING = CentralSpec.constant(F(1, 2))
 PERTURBED = PerturbedSpec(F(1, 5))
 TAB = CompositeSpec(HALVING, HALVING)
 FAT = GreedySpec(CentralSpec.geometric(F(1, 4)))
+_BOX_UNION = IntervalUnion((BOX,))
 
 BUILTIN_FAMILIES = {
     "ternary": lambda n: central_stage(TERNARY, n),
@@ -249,6 +252,96 @@ class TestBracketOracles:
         )
         with pytest.raises(InvariantError, match="spanning"):
             outer_difference(stage)
+
+
+# The inner brackets that the two phases of ``minus_translates`` must
+# cut as the one-phase filter did, at stages 0..8: thin and fat central
+# sets, perturbed sets, composites whose gaps come in many lengths, and
+# greedy sets whose fat B leaves few pieces between long gaps.
+ORACLE_SPECS = {
+    "central-1_3": TERNARY,
+    "central-2_5": CentralSpec.constant(F(2, 5)),
+    "geometric-1_4": CentralSpec.geometric(F(1, 4)),
+    "perturbed-1_5": PERTURBED,
+    "perturbed-1_7": PerturbedSpec(F(1, 7)),
+    "tab-1_2-1_2": TAB,
+    "tab-1_2-3_4": CompositeSpec(HALVING, CentralSpec.constant(F(3, 4))),
+    "greedy-1_4": FAT,
+    "greedy-1_256": GreedySpec(CentralSpec.geometric(F(1, 256))),
+}
+THOUSANDTH = PerturbedSpec(F(1, 1000), F(1, 1000))
+
+
+def assert_inner_matches_the_one_phase_filter(stage):
+    gaps, shifts = stage.gap_union(), stage.components.reflect()
+    left = oracle.oracle_minus_translates(_BOX_UNION, gaps, shifts)
+    assert _BOX_UNION.minus_translates(gaps, shifts) == left, stage.n
+    assert inner_difference(stage) == _BOX_UNION.difference(left), stage.n
+
+
+@st.composite
+def central_or_perturbed_stages(draw):
+    """Stage n <= 6 of a central spec with a random constant or geometric
+    ratio, or of a random perturbed spec."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        rule = draw(st.sampled_from((CentralSpec.constant, CentralSpec.geometric)))
+        return central_stage(rule(draw(_ratios)), n)
+    # a shrink below 1/2 keeps every aligned gap below half its component
+    shrink = st.fractions(min_value=F(1, 10), max_value=F(2, 5), max_denominator=10)
+    spec = PerturbedSpec(
+        draw(_ratios), draw(shrink), draw(st.sampled_from((F(1, 2), F(3, 4), F(1))))
+    )
+    return perturbed_stage(spec, n)
+
+
+class TestTwoPhaseFilter:
+    """``minus_translates`` cuts the longest gaps first while few pieces
+    are left, then shift by shift: the same inner brackets as the
+    one-phase filter in ``tests/oracle.py``, with far fewer probes."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS)
+    def test_builtin_specs_match_the_one_phase_filter(self, spec):
+        for n in range(9):
+            assert_inner_matches_the_one_phase_filter(spec.stage(n))
+
+    def test_thousandth_perturbed_matches_the_one_phase_filter(self):
+        for n in range(8):
+            assert_inner_matches_the_one_phase_filter(THOUSANDTH.stage(n))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(central_or_perturbed_stages())
+    def test_random_stages_match_the_one_phase_filter(self, stage):
+        assert_inner_matches_the_one_phase_filter(stage)
+
+    @pytest.mark.parametrize(
+        "spec, n, bound",
+        [
+            # one-phase filter: 751,892; two phases: 125,498
+            (THOUSANDTH, 7, 150_000),
+            # 463,928 and 127,080
+            (TAB, 8, 150_000),
+            # 91,614 and 4,072
+            (TERNARY, 10, 5_000),
+            # 81,376 and 8,999
+            (FAT, 10, 11_000),
+        ],
+        ids=["perturbed-1_1000-7", "tab-1_2-1_2-8", "central-1_3-10", "greedy-1_4-10"],
+    )
+    def test_probes_per_piece_stay_bounded(self, monkeypatch, spec, n, bound):
+        # Every piece that a shift or a gap reaches costs one bisect_left
+        # probe, and so does every slice of pieces: a count, not a time.
+        stage = spec.stage(n)
+        probes = 0
+
+        def counted(*args, **kwargs):
+            nonlocal probes
+            probes += 1
+            return bisect_left(*args, **kwargs)
+
+        monkeypatch.setattr(intervals, "bisect_left", counted)
+        inner_difference(stage)
+        assert 0 < probes <= bound
 
 
 class TestBracket:

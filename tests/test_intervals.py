@@ -439,26 +439,33 @@ def test_windowed_rows_are_the_sums_that_reach_the_frame():
 
 
 def check_minus_translates(a, b, rng):
-    """``minus_translates`` against the Minkowski form and the oracle.
+    """``minus_translates`` against the Minkowski form, the oracle and the
+    one-phase filter it replaced.
 
     Up to five shifts, some lists empty, one shift sometimes twice;
-    denominators up to 40 reach off the operands' grid (up to 16).
-    Paired up as interval parts, the shifts translate by the parts' ends.
+    denominators up to 40 reach off the operands' grid (up to 16).  One
+    round in four draws up to 60 shifts, so that phase 1 cuts several
+    parts of ``b`` before it hands over.  Paired up as interval parts,
+    the shifts translate by the parts' ends.
     """
+    many = rng.random() < 0.25
     shifts = [
         F(rng.randint(-3 * d, 3 * d), d)
-        for d in (rng.randint(1, 40) for _ in range(rng.randrange(6)))
+        for d in (rng.randint(1, 40) for _ in range(rng.randrange(61 if many else 6)))
     ]
     shifts += shifts[: rng.randrange(2)]
     points = points_union(shifts)
     cut = a.minus_translates(b, points)
     assert cut == a.difference(b.minkowski_sum(points))
+    assert cut == oracle.oracle_minus_translates(a, b, points)
     assert cut == oracle.oracle_difference(a, oracle.oracle_minkowski(b, points))
     spans = normalize(
         Interval.closed(*sorted(pair)) for pair in zip(shifts[::2], shifts[1::2])
     )
     ends = points_union(p for part in spans.parts for p in (part.lo, part.hi))
-    assert a.minus_translates(b, spans) == a.difference(b.minkowski_sum(ends))
+    cut = a.minus_translates(b, spans)
+    assert cut == a.difference(b.minkowski_sum(ends))
+    assert cut == oracle.oracle_minus_translates(a, b, spans)
 
 
 def test_minus_translates_cases():
@@ -482,6 +489,25 @@ def test_minus_translates_cases():
     # openness, and by nothing in between.
     span = normalize([Interval(F(-1, 2), F(1, 7), False, True)])
     assert a.minus_translates(other, span) == expected
+    # Closed pieces that touch closed translates at a single end point,
+    # at the ends of the hull that each phase cuts within.  Three pieces
+    # and one shift: phase 2 alone, whose hull for the shift 0 is
+    # [-1, 5].
+    pieces = normalize([iv(-2, -1), iv(1, 2), iv(5, 7)])
+    other = normalize([iv(-1, F(-1, 2)), iv(4, 5)])
+    expected = normalize(
+        [Interval(-2, -1, True, False), iv(1, 2), Interval(5, 7, False, True)]
+    )
+    assert pieces.minus_translates(other, points_union([0])) == expected
+    # Three pieces and nine shifts 0, 10, ..., 80: phase 1 alone, whose
+    # hull for the part [-1, 0] is [-1, 80]; the piece [30, 31] starts
+    # where the translate by 30 ends.
+    pieces = normalize([iv(-2, -1), iv(30, 31), iv(80, 81)])
+    expected = normalize(
+        Interval(lo, lo + 1, lo < 0, lo > 0) for lo in (-2, 30, 80)
+    )
+    shifts = points_union(range(0, 90, 10))
+    assert pieces.minus_translates(normalize([iv(-1, 0)]), shifts) == expected
 
 
 def test_openness_soundness_spot_check():
