@@ -149,12 +149,11 @@ def _cmd_diff_bounds(args: argparse.Namespace) -> int:
         }
         for b in brackets
     ]
+    extra = None
+    if args.format == "json":  # CSV rows carry no bracket
+        extra = [{"bracket": bracket_to_obj(b)} for b in brackets]
     _write_rows(
-        args,
-        "diff_bounds",
-        rows,
-        ("m_inner", "m_outer", "m_missing_outer"),
-        extra=[{"bracket": bracket_to_obj(b)} for b in brackets],
+        args, "diff_bounds", rows, ("m_inner", "m_outer", "m_missing_outer"), extra
     )
     return 0
 

@@ -20,12 +20,15 @@ so nothing is lost.  With ``A = a*grid`` and ``B = b*grid``:
 Two ranges in start order merge iff ``next_start <= prev_end + 1``,
 which merges closed touches and keeps open/open punctures apart; a
 union is normalized iff its keys strictly increase with at least one
-key between consecutive ranges.  Union is a merge, intersection and
-difference are two-pointer walks, and a Minkowski sum adds keys, taking
-one unit back at an end where both summands are open.  One affine map
-of the keys (``_moved``) lifts operands to a common grid, reduces each
-result to its own, and reflects, translates and scales.  ``Fraction``
-values are made only where parts, points or measures are read.
+key between consecutive ranges.  Union is a merge, intersection a
+two-pointer walk, and difference a cut (``_cut``, which also cuts the
+translates of ``minus_translates``): each piece in the hull of the cut
+ranges finds the first range that reaches it with one ``bisect``.  A
+Minkowski sum adds keys, taking one unit back at an end where both
+summands are open.  One affine map of the keys (``_moved``) lifts
+operands to a common grid, reduces each result to its own, and
+reflects, translates and scales.  ``Fraction`` values are made only
+where parts, points or measures are read.
 
 A Minkowski sum has one path for every size (``_sum_rows``): rows of
 translates, each merged, are combined pairwise like a binary counter.
@@ -256,23 +259,33 @@ def _meet(a: Iterable[_Range], b: Iterable[_Range]) -> list[_Range]:
         return out
 
 
-def _minus(a: Iterable[_Range], b: Iterable[_Range]) -> list[_Range]:
-    """The keys of normalized ``a`` that no range of normalized ``b`` holds."""
-    b = iter(b)
-    out: list[_Range] = []
-    cut = next(b, None)
-    for s, e in a:
-        while cut is not None and cut[0] <= e:
-            bs, be = cut
-            if s < bs:
-                out.append((s, bs - 1))
-            s = max(s, be + 1)
-            if be > e:  # the cut reaches into the next range of a
-                break
-            cut = next(b, None)
+def _cut(
+    pieces: list[_Range], starts: Sequence[int], ends: Sequence[int], a: int, b: int
+) -> None:
+    """Remove every key range ``[starts[j] + a, ends[j] + b]`` from the
+    normalized ``pieces``, in place.
+
+    Both key lists increase; the ranges may overlap.  Only the pieces in
+    the hull ``[starts[0] + a, ends[-1] + b]`` are visited, a slice found
+    with two ``bisect`` calls, and each starts from the first range that
+    reaches it, found with one more.
+    """
+    if not starts:
+        return
+    lo = bisect_left(pieces, starts[0] + a, key=itemgetter(1))
+    hi = bisect_right(pieces, ends[-1] + b, key=itemgetter(0))
+    count = len(starts)
+    kept = []
+    for s, e in pieces[lo:hi]:
+        j = bisect_left(ends, s - b)
+        while j < count and starts[j] + a <= e:
+            if starts[j] + a > s:
+                kept.append((s, starts[j] + a - 1))
+            s = ends[j] + b + 1
+            j += 1
         if s <= e:
-            out.append((s, e))
-    return out
+            kept.append((s, e))
+    pieces[lo:hi] = kept
 
 
 def _row_sums(
@@ -439,7 +452,9 @@ class IntervalUnion:
         if self.is_empty or other.is_empty:
             return self
         grid = lcm(self.grid, other.grid)
-        return _from_ranges(_minus(self._on(grid), other._on(grid)), grid)
+        pieces, cuts = list(self._on(grid)), other._on(grid)
+        _cut(pieces, [s for s, _ in cuts], [e for _, e in cuts], 0, 0)
+        return _from_ranges(pieces, grid)
 
     def minus_translates(
         self, other: "IntervalUnion", shifts: "IntervalUnion"
@@ -448,24 +463,20 @@ class IntervalUnion:
         the parts of ``shifts`` (the points of a ``points_union``).
 
         The translates are never united.  They are cut out of the pieces
-        of self still left in two phases, with ``k`` the number of
-        distinct shifts:
+        of self still left in two phases, each one ``_cut`` per part or
+        per shift, with ``k`` the number of distinct shifts:
 
         1. While at most ``isqrt(k)`` pieces are left, the parts of
-           ``other`` go longest first, each cut with all its translates
-           at once out of the pieces that its hull ``[start + min t,
-           end + max t]`` reaches (a slice found with two ``bisect``
-           calls).  Each piece of the slice finds the first translate
-           that reaches it with one ``bisect`` over the shifts.  The
-           long parts' translates overlap, so they take most of self
-           while few pieces are left, and each costs only the pieces
-           it reaches.
+           ``other`` go longest first, each one ``_cut`` of all its
+           translates, ``[start + t, end + t]`` over the shift keys, out
+           of the pieces that their hull reaches.  The long parts'
+           translates overlap, so they take most of self while few
+           pieces are left, and each costs only the pieces it reaches.
         2. From then on, one shift at a time from the middle of the
-           sorted shifts outward, the translate of all of ``other`` is
-           cut out of the pieces inside its hull, with ``bisect`` over
-           the end keys of ``other``.  The middle-out order brings the
-           fine cuts of either end last.  Parts that phase 1 has cut
-           find nothing left to cut.
+           sorted shifts outward, one ``_cut`` of the translate of all
+           of ``other``.  The middle-out order brings the fine cuts of
+           either end last.  Parts that phase 1 has cut find nothing
+           left to cut.
 
         Phase 1 pays up to ``k`` translates for every part, phase 2
         every piece in reach for every shift: the first is cheap while
@@ -486,43 +497,15 @@ class IntervalUnion:
         shift_count = len(keys)
         limit = isqrt(shift_count)
         if len(pieces) <= limit:
-            low, high = keys[0], keys[-1]
             for ps, pe in sorted(parts, key=lambda r: r[0] - r[1]):
-                i = bisect_left(pieces, ps + low, key=itemgetter(1))
-                j = bisect_right(pieces, pe + high, key=itemgetter(0))
-                kept = []
-                for s, e in pieces[i:j]:
-                    m = bisect_left(keys, s - pe)
-                    while m < shift_count and ps + keys[m] <= e:
-                        if ps + keys[m] > s:
-                            kept.append((s, ps + keys[m] - 1))
-                        s = pe + keys[m] + 1
-                        m += 1
-                    if s <= e:
-                        kept.append((s, e))
-                pieces[i:j] = kept
+                _cut(pieces, keys, keys, ps, pe)
                 if len(pieces) > limit:
                     break
             else:
                 return _from_ranges(pieces, grid)
         starts, ends = map(list, zip(*parts))
-        count = len(starts)
-        first, last = starts[0], ends[-1]
         for i in sorted(range(shift_count), key=lambda i: abs(2 * i + 1 - shift_count)):
-            d = keys[i]
-            lo = bisect_left(pieces, first + d, key=itemgetter(1))
-            hi = bisect_right(pieces, last + d, key=itemgetter(0))
-            kept = []
-            for s, e in pieces[lo:hi]:
-                j = bisect_left(ends, s - d)
-                while j < count and starts[j] + d <= e:
-                    if starts[j] + d > s:
-                        kept.append((s, starts[j] + d - 1))
-                    s = ends[j] + d + 1
-                    j += 1
-                if s <= e:
-                    kept.append((s, e))
-            pieces[lo:hi] = kept
+            _cut(pieces, starts, ends, keys[i], keys[i])
         return _from_ranges(pieces, grid)
 
     def complement_within(self, frame: Interval) -> "IntervalUnion":
@@ -531,7 +514,9 @@ class IntervalUnion:
 
     def is_subset(self, other: "IntervalUnion") -> bool:
         grid = lcm(self.grid, other.grid)
-        return not _minus(self._on(grid), other._on(grid))
+        pieces, cuts = list(self._on(grid)), other._on(grid)
+        _cut(pieces, [s for s, _ in cuts], [e for _, e in cuts], 0, 0)
+        return not pieces
 
     # -- affine maps ---------------------------------------------------
 

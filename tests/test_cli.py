@@ -736,6 +736,24 @@ def test_refused_stage_computes_no_bracket(tmp_path, capsys, monkeypatch, comman
     )
 
 
+@pytest.mark.parametrize("fmt, calls", [("csv", 0), ("json", 4)])
+def test_diff_bounds_serializes_brackets_only_for_json(
+    tmp_path, ternary_spec, monkeypatch, fmt, calls
+):
+    # One bracket object per stage 0-3 for JSON; the CSV rows hold none.
+    from cantordiff import cli
+
+    serialized = []
+    real = cli.bracket_to_obj
+    monkeypatch.setattr(cli, "bracket_to_obj", lambda b: serialized.append(b) or real(b))
+    code = main(
+        ["diff-bounds", "--spec", str(ternary_spec), "--max-stage", "3",
+         "--format", fmt, "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+    assert len(serialized) == calls
+
+
 def _run_python(code: str) -> str:
     """Standard output of ``code`` run in a fresh interpreter."""
     src = str(Path(cantordiff.__file__).parents[1])

@@ -19,6 +19,8 @@ from cantordiff.intervals import (
     UNIT,
     Interval,
     IntervalUnion,
+    _cut,
+    _interval,
     _row_sums,
     normalize,
     points_union,
@@ -605,3 +607,98 @@ def test_measure_inclusion_exclusion(a, b):
 @given(unions())
 def test_reflect_involution(a):
     assert a.reflect().reflect() == a
+
+
+# ---------------------------------------------------------------------
+# the cut loop, on the key ranges of unions with integer ends (grid 1)
+
+
+def key_union(ranges):
+    return normalize(_interval(s, e, 1) for s, e in ranges)
+
+
+def key_ranges(*parts):
+    return list(normalize(parts).ranges)
+
+
+def check_cut(pieces, starts, ends, a, b):
+    """``_cut`` against the oracle difference by the union of its ranges,
+    and its pieces left normalized as they stand."""
+    ranges = [(s + a, e + b) for s, e in zip(starts, ends)]
+    expected = oracle.oracle_difference(key_union(pieces), key_union(ranges))
+    pieces = list(pieces)
+    _cut(pieces, starts, ends, a, b)
+    assert key_union(pieces) == expected
+    assert key_union(pieces).ranges == tuple(pieces)
+
+
+def check_cut_translates(pieces, shifts, part):
+    """Phase 1's shape: the interval ``part`` moved by each shift; the
+    translates overlap where it is longer than the step between shifts."""
+    keys = sorted({3 * t for t in shifts})
+    check_cut(pieces, keys, keys, *key_ranges(part)[0])
+
+
+def check_cut_shifted(pieces, family, d):
+    """The shape of phase 2 and of ``difference``: disjoint ranges, all
+    moved by ``d``."""
+    check_cut(pieces, [s for s, _ in family], [e for _, e in family], 3 * d, 3 * d)
+
+
+@pytest.mark.parametrize(
+    "pieces, shifts, part",
+    [
+        ((iv(0, 3),), (), iv(0, 0)),  # no translates
+        # translates [0, 2], [1, 3], [2, 4]: a piece across their hull,
+        # one that touches the hull closed at its start and one open at
+        # its end, and one that starts with the first translate
+        ((iv(-2, 5),), (0, 1, 2), iv(0, 2)),
+        ((iv(-2, 0), Interval(4, 5, False, True)), (0, 1, 2), iv(0, 2)),
+        ((iv(0, 1),), (0, 1, 2), Interval(0, 2, True, False)),
+        # translates [0, 1], [2, 3], [4, 5]: a piece touching two of them
+        # closed, and one that touches the hull closed at its end
+        ((iv(1, 2), iv(5, 6)), (0, 2, 4), iv(0, 1)),
+    ],
+)
+def test_cut_translates_cases(pieces, shifts, part):
+    check_cut_translates(key_ranges(*pieces), shifts, part)
+
+
+@pytest.mark.parametrize(
+    "pieces, family, d",
+    [
+        ((iv(0, 3),), (), 0),  # an empty family
+        # closed touches at the hull's start and end, open touches there,
+        # and a range that starts or ends where a piece does
+        ((iv(0, 3), iv(5, 7)), (iv(3, 5),), 0),
+        ((Interval(0, 3, True, False), Interval(5, 7, False, True)), (iv(3, 5),), 0),
+        ((iv(0, 3), iv(7, 9)), (iv(1, 2), iv(4, 5)), 2),
+        ((iv(0, 3), iv(5, 7)), (Interval(0, 1, True, False), iv(2, 3)), 0),
+        ((iv(-4, 0), iv(2, 6)), (iv(-1, 1), Interval.open(2, 3)), -1),
+    ],
+)
+def test_cut_disjoint_cases(pieces, family, d):
+    check_cut_shifted(key_ranges(*pieces), key_ranges(*family), d)
+
+
+def int_interval(x, y, lo_closed, hi_closed):
+    if x == y:
+        return Interval.point(x)
+    return Interval(min(x, y), max(x, y), lo_closed, hi_closed)
+
+
+small_ints = st.integers(-4, 4)
+int_intervals = st.builds(int_interval, small_ints, small_ints, st.booleans(), st.booleans())
+int_key_ranges = st.lists(int_intervals, max_size=5).map(lambda p: key_ranges(*p))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(int_key_ranges, st.lists(small_ints, max_size=6), int_intervals)
+def test_cut_overlapping_translates(pieces, shifts, part):
+    check_cut_translates(pieces, shifts, part)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(int_key_ranges, int_key_ranges, small_ints)
+def test_cut_disjoint_ranges(pieces, family, d):
+    check_cut_shifted(pieces, family, d)
