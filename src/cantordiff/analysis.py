@@ -30,11 +30,12 @@ brackets:
   construction.
 
 The gap-dominance certificates extend single translates to whole
-intervals: if a gap G is at least as long as every component of the
-stage inside a window [a, b] (with a, b stage endpoints), then any gap
-revealed later inside that window sits strictly inside some current
-component and is therefore strictly shorter than G.  That converts the
-"longer than every gap, seen or unseen" hypothesis into a finite check,
+intervals: if an interval G inside a stage gap is at least as long as
+every component of the stage inside a window [a, b] (with a, b stage
+endpoints), then any gap revealed later inside that window sits
+strictly inside some current component and is therefore strictly
+shorter than G.  That converts the "longer than every gap, seen or
+unseen" hypothesis into a finite check on the components and G alone,
 which is the soundness argument this module rests on.
 """
 
@@ -56,7 +57,6 @@ from .constructions import (
     DEFAULT_BUDGET,
     CantorStage,
     CentralSpec,
-    GapRecord,
     central_stage,
     max_binary_stage,
     rightmost_branch_gap_end,
@@ -183,7 +183,7 @@ class DominantGapCertificate:
     lands the gap exactly onto its twin.
     """
 
-    gap: GapRecord
+    gap: Interval
     window_lo: Fraction
     window_hi: Fraction
     mode: str  # "strict" | "non-strict"
@@ -196,17 +196,19 @@ class DominantGapCertificate:
 
 def dominant_gap_certificate(
     stage: CantorStage,
-    gap: GapRecord,
+    gap: Interval,
     window_lo: Fraction | int,
     window_hi: Fraction | int,
 ) -> DominantGapCertificate:
     """Certify (gap.lo - b, gap.hi - a) inside the difference set, where
     [a, b] = [window_lo, window_hi].
 
-    Soundness of the finite check: a, b are stage endpoints, so the
-    window slices whole components; any gap revealed after this stage
-    lies strictly inside the interior of a current component of the
-    window and is strictly shorter than the longest such component.
+    Soundness of the finite check: the gap lies in a stage gap, so in
+    the complement forever; a, b are stage endpoints, so the window
+    slices whole components, and its gaps seen so far are [a, b] minus
+    them.  Any gap revealed after this stage lies strictly inside the
+    interior of a current component of the window and is strictly
+    shorter than the longest such component.
     Requiring |gap| >= that component length therefore bounds every
     unseen gap strictly below |gap|, and only recorded ties can force
     exceptions.
@@ -219,20 +221,18 @@ def dominant_gap_certificate(
         )
     if a > b:
         raise NotCertifiableError("window ends out of order")
-    interval = gap.interval
-    if a <= interval.lo and interval.hi <= b:
+    if a <= gap.lo and gap.hi <= b:
         raise NotCertifiableError("window must not contain the gap")
-    gap_length = interval.length
+    if gap.is_point or not IntervalUnion((gap,)).is_subset(stage.gap_union()):
+        raise NotCertifiableError(
+            f"{gap} is not an interval of positive length in a stage-{stage.n} gap"
+        )
+    gap_length = gap.length
     window = IntervalUnion((Interval.closed(a, b),))
     max_component = stage.components.intersect(window).max_component_length()
-    # The recorded gaps inside [a, b], tested on their numerators.
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    recorded = [
-        g for g in stage.gaps if an * g.grid <= g.lo * ad and g.hi * bd <= bn * g.grid
-    ]
-    lengths = [Fraction(g.hi - g.lo, g.grid) for g in recorded]
-    max_recorded = max(lengths, default=Fraction(0))
-    certified = Interval.open(interval.lo - b, interval.hi - a)
+    recorded = window.difference(stage.components)
+    max_recorded = recorded.max_component_length()
+    certified = Interval.open(gap.lo - b, gap.hi - a)
     if gap_length < max_component:
         raise NotCertifiableError(
             f"gap length {gap_length} is below the window's component bound "
@@ -243,11 +243,7 @@ def dominant_gap_certificate(
             f"a recorded gap of length {max_recorded} exceeds the gap's {gap_length}"
         )
     exceptions = tuple(
-        sorted(
-            interval.lo - Fraction(g.lo, g.grid)
-            for g, length in zip(recorded, lengths)
-            if length == gap_length
-        )
+        sorted(gap.lo - g.lo for g in recorded.parts if g.length == gap_length)
     )
     mode = "non-strict" if exceptions else "strict"
     return DominantGapCertificate(
@@ -390,7 +386,7 @@ def rightmost_gap_chain(
     for k in steps:
         # The rightmost gap created at step k lies on the all-ones branch.
         gap = gaps[k]
-        lo, hi = gap.interval.lo, gap.interval.hi
+        lo, hi = gap.lo, gap.hi
         closed_lo = 1 - spec.component_length(k - 1) * (1 + spec.ratio(k)) / 2
         if (lo, hi) != (closed_lo, 1 - spec.component_length(k)):
             raise InvariantError(

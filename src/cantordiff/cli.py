@@ -39,13 +39,19 @@ __all__ = ["main", "entrypoint"]
 _SUITE_NAMES = ("ccp", "cspm", "steinhaus", "t13", "tab", "tamc", "ts3")
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` whole; a failed write removes the file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _write_files(files: dict[Path, str]) -> None:
+    """Write each text to its path whole; if any write fails, every file
+    the call opened is removed, and a path it could not open is kept."""
+    written: list[Path] = []
     try:
-        path.write_text(text, encoding="utf-8", newline="\n")
+        for path, text in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="\n") as file:
+                written.append(path)
+                file.write(text)
     except BaseException:
-        path.unlink(missing_ok=True)
+        for path in written:
+            path.unlink(missing_ok=True)
         raise
 
 
@@ -124,17 +130,18 @@ def _write_rows(
             [*map(str, record.values()), *(decimal_str(row[c]) for c in decimals)]
             for record, row in zip(records, rows)
         ]
-        _write_text(out / f"{stem}.csv", _csv_text(header, lines))
+        files = {out / f"{stem}.csv": _csv_text(header, lines)}
     else:
         for record, fields in zip(records, extra or ()):
             record.update(fields)
-        _write_text(out / f"{stem}.json", dump_json(records))
+        files = {out / f"{stem}.json": dump_json(records)}
     if args.plot_data:
         plot_lines = [" ".join(("# n", *decimals))] + [
             " ".join((str(row["n"]), *(decimal_str(row[c]) for c in decimals)))
             for row in rows
         ]
-        _write_text(out / f"{stem}.dat", "\n".join(plot_lines) + "\n")
+        files[out / f"{stem}.dat"] = "\n".join(plot_lines) + "\n"
+    _write_files(files)
 
 
 def _cmd_diff_bounds(args: argparse.Namespace) -> int:
@@ -186,16 +193,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = dump_json(report)
     if args.out:
         out = Path(args.out)
-        _write_text(out / f"verify_{args.suite}.json", payload)
+        files = {out / f"verify_{args.suite}.json": payload}
         if args.format == "csv":
             rows = [
                 [a["id"], a["status"], a["description"]]
                 for a in report["assertions"]
             ]
-            _write_text(
-                out / f"verify_{args.suite}.csv",
-                _csv_text(["id", "status", "description"], rows),
-            )
+            table = _csv_text(["id", "status", "description"], rows)
+            files[out / f"verify_{args.suite}.csv"] = table
+        _write_files(files)
     else:
         print(payload, end="", flush=True)
     for a in report["assertions"]:

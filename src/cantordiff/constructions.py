@@ -196,11 +196,11 @@ class CantorStage:
         """The frame minus the components."""
         return self.components.complement_within(self.frame)
 
-    def rightmost_gaps(self) -> dict[int, GapRecord]:
-        """The gap each step k cut on the all-ones branch, by step: its
-        address is k - 1 ones.  Empty for a composite stage."""
+    def rightmost_gaps(self) -> dict[int, Interval]:
+        """The open gap each step k cut on the all-ones branch, by step:
+        its record's address is k - 1 ones.  Empty for a composite stage."""
         return {
-            g.stage_created: g
+            g.stage_created: g.interval
             for g in self.gaps
             if g.address == "1" * (g.stage_created - 1)
         }

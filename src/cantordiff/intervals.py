@@ -513,10 +513,7 @@ class IntervalUnion:
         return IntervalUnion((frame,)).difference(self)
 
     def is_subset(self, other: "IntervalUnion") -> bool:
-        grid = lcm(self.grid, other.grid)
-        pieces, cuts = list(self._on(grid)), other._on(grid)
-        _cut(pieces, [s for s, _ in cuts], [e for _, e in cuts], 0, 0)
-        return not pieces
+        return self.difference(other).is_empty
 
     # -- affine maps ---------------------------------------------------
 

@@ -70,7 +70,7 @@ def _check(
 
 def _certificate_obj(cert) -> dict[str, Any]:
     return {
-        "gap": interval_to_obj(cert.gap.interval),
+        "gap": interval_to_obj(cert.gap),
         "window": [format_rational(cert.window_lo), format_rational(cert.window_hi)],
         "mode": cert.mode,
         "certified": interval_to_obj(cert.certified),
@@ -200,7 +200,7 @@ def _suite_ts3(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str, 
     # The edge strip of stage n >= 3 reaches in to the right end of the
     # all-ones gap cut at step n - 2; the core is the last stage's.
     gaps = stage.rightmost_gaps()
-    widths = [1 - gaps[k].interval.hi for k in range(1, max_stage - 1)]
+    widths = [1 - gaps[k].hi for k in range(1, max_stage - 1)]
     assertions.append(
         _check(
             all(a > b for a, b in zip(widths, widths[1:])),
@@ -268,7 +268,7 @@ def _suite_tamc(spec: FamilySpec, max_stage: int, budget: int) -> list[dict[str,
     _require(CentralSpec, spec, "tamc")
     depth = min(max_stage, 6) if max_stage >= 1 else 1
     chain = rightmost_gap_chain(spec, depth, budget=budget)
-    ends = [Fraction(cert.gap.hi, cert.gap.grid) for cert in chain]
+    ends = [cert.gap.hi for cert in chain]
     assertions = [
         _check(
             all(a < b for a, b in zip(ends, ends[1:])),

@@ -317,6 +317,32 @@ def minkowski_composite_components(a, b):
 
 
 # ---------------------------------------------------------------------
+# the record scan that found a dominance window's gaps before
+# cantordiff.analysis.dominant_gap_certificate read them off the components
+
+
+def record_scan_window(stage, gap, a, b):
+    """``max_recorded_gap_in_window`` and ``exceptions`` of the dominance
+    certificate of the interval ``gap`` on the window [a, b]: the gap
+    records whose numerators lie in [a, b], the longest of their
+    lengths, and ``gap.lo`` less the left end of each as long as ``gap``."""
+    a, b = Fraction(a), Fraction(b)
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    recorded = [
+        g for g in stage.gaps if an * g.grid <= g.lo * ad and g.hi * bd <= bn * g.grid
+    ]
+    lengths = [Fraction(g.hi - g.lo, g.grid) for g in recorded]
+    exceptions = tuple(
+        sorted(
+            gap.lo - Fraction(g.lo, g.grid)
+            for g, length in zip(recorded, lengths)
+            if length == gap.length
+        )
+    )
+    return max(lengths, default=Fraction(0)), exceptions
+
+
+# ---------------------------------------------------------------------
 # the one-phase filter that the two phases of minus_translates replaced
 
 

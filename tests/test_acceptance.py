@@ -165,7 +165,7 @@ def test_c3_t13_certification():
                 assert result.passed, (spec, k)
                 stage = central_stage(spec, k + 2)
                 gap = next(
-                    g
+                    g.interval
                     for g in stage.gaps
                     if g.stage_created == k + 1 and g.address == "1" * k
                 )
@@ -243,7 +243,7 @@ def test_c6_tamc_chain():
     with _Criterion("C6", "rightmost-gap chains certify countability", 30):
         for spec in (TERNARY, HALVING):
             chain = rightmost_gap_chain(spec, 6)
-            ends = [cert.gap.interval.hi for cert in chain]
+            ends = [cert.gap.hi for cert in chain]
             assert all(a < b for a, b in zip(ends, ends[1:]))
             assert ends[-1] > F(99, 100)
             exception_counts = [len(cert.exceptions) for cert in chain]

@@ -435,6 +435,48 @@ class TestBracket:
             DiffBracket(**{**values, **fields})
 
 
+# Tab pairs whose largest component shrinks at every step to stage 6.
+_TAB_SPECS = (
+    TAB,
+    CompositeSpec(TERNARY, TERNARY),
+    CompositeSpec(CentralSpec.constant(F(2, 5)), CentralSpec.constant(F(1, 4))),
+)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """A central, perturbed or tab stage 0 to 6, a window between two of
+    its endpoints, and the open gap of a record of that stage or of a
+    later one, which a stage before its step holds inside a component."""
+    central = st.builds(
+        lambda listed, tail: CentralSpec(ListRatios(tuple(listed), tail)),
+        st.lists(_ratios, max_size=3),
+        _ratios,
+    )
+    family = draw(st.sampled_from(("central", "perturbed", "tab")))
+    if family == "central":
+        build, spec = central_stage, draw(central)
+    elif family == "perturbed":
+        shrink = st.fractions(min_value=F(1, 10), max_value=F(2, 5), max_denominator=10)
+        build, spec = perturbed_stage, PerturbedSpec(draw(_ratios), draw(shrink))
+    else:
+        build, spec = composite_stage, draw(st.sampled_from(_TAB_SPECS))
+    n = draw(st.integers(0, 6))
+    stage = build(spec, n)
+    later = build(spec, draw(st.integers(max(n, 1), 6)))
+    gap = draw(st.sampled_from(later.gaps)).interval
+    ends = st.sampled_from(stage.endpoints)
+    a, b = sorted(draw(st.lists(ends, min_size=2, max_size=2)))
+    return stage, gap, a, b
+
+
+def _certificate_or_refusal(stage, gap, a, b):
+    try:
+        return dominant_gap_certificate(stage, gap, a, b)
+    except NotCertifiableError as refusal:
+        return str(refusal)
+
+
 def _certified_union(cert):
     """The certified interval of ``cert`` less its exceptions."""
     return IntervalUnion((cert.certified,)).difference(points_union(cert.exceptions))
@@ -443,7 +485,7 @@ def _certified_union(cert):
 class TestDominantGapCertificate:
     def test_strict_window(self):
         s2 = central_stage(TERNARY, 2)
-        gap = next(g for g in s2.gaps if g.stage_created == 1)
+        gap = next(g.interval for g in s2.gaps if g.stage_created == 1)
         cert = dominant_gap_certificate(s2, gap, 0, F(1, 3))
         assert cert.mode == "strict"
         assert cert.certified == Interval.open(0, F(2, 3))
@@ -451,7 +493,7 @@ class TestDominantGapCertificate:
 
     def test_degenerate_windows_give_origin_neighborhood(self):
         s1 = central_stage(TERNARY, 1)
-        gap = s1.gaps[0]
+        gap = s1.gaps[0].interval
         left = dominant_gap_certificate(s1, gap, F(1, 3), F(1, 3))
         right = dominant_gap_certificate(s1, gap, F(2, 3), F(2, 3))
         assert left.certified == Interval.open(0, F(1, 3))
@@ -465,41 +507,125 @@ class TestDominantGapCertificate:
         # window [0, 1/3] holds the equal-length gap (1/9, 2/9), so the
         # certificate degrades to non-strict with one exception
         s2 = central_stage(TERNARY, 2)
-        gap = next(g for g in s2.gaps if g.address == "1")
+        gap = next(g.interval for g in s2.gaps if g.address == "1")
         cert = dominant_gap_certificate(s2, gap, 0, F(1, 3))
         assert cert.mode == "non-strict"
         assert cert.certified == Interval.open(F(4, 9), F(8, 9))
-        assert cert.exceptions == (gap.interval.lo - F(1, 9),)
+        assert cert.exceptions == (gap.lo - F(1, 9),)
         assert not _certified_union(cert).contains_point(F(2, 3))
 
     def test_rejects_window_containing_gap(self):
         s1 = central_stage(TERNARY, 1)
         with pytest.raises(NotCertifiableError):
-            dominant_gap_certificate(s1, s1.gaps[0], 0, 1)
+            dominant_gap_certificate(s1, s1.gaps[0].interval, 0, 1)
 
     def test_rejects_non_endpoint_window(self):
         s1 = central_stage(TERNARY, 1)
         with pytest.raises(NotCertifiableError):
-            dominant_gap_certificate(s1, s1.gaps[0], 0, F(1, 2))
+            dominant_gap_certificate(s1, s1.gaps[0].interval, 0, F(1, 2))
 
     def test_rejects_gap_below_component_bound(self):
         # ratio 1/5: the stage-1 gap is 1/5 long, but the window [0, 2/5]
         # holds a whole component 2/5 long, which later gaps may split
         s1 = central_stage(CentralSpec(ListRatios((), F(1, 5))), 1)
         with pytest.raises(NotCertifiableError, match="component bound 2/5"):
-            dominant_gap_certificate(s1, s1.gaps[0], 0, F(2, 5))
+            dominant_gap_certificate(s1, s1.gaps[0].interval, 0, F(2, 5))
 
     def test_rejects_dominated_gap(self):
         # window [1/3, 1] contains the stage-1 gap, three times longer
         s2 = central_stage(TERNARY, 2)
-        small = next(g for g in s2.gaps if g.address == "0")
+        small = next(g.interval for g in s2.gaps if g.address == "0")
         with pytest.raises(NotCertifiableError):
             dominant_gap_certificate(s2, small, F(1, 3), 1)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(certificate_inputs())
+    def test_window_gaps_match_the_record_scan(self, inputs):
+        stage, gap, a, b = inputs
+        max_recorded, exceptions = oracle.record_scan_window(stage, gap, a, b)
+        max_component = max(
+            (c.length for c in stage.components.parts if a <= c.lo and c.hi <= b),
+            default=F(0),
+        )
+        refused = (
+            gap not in {g.interval for g in stage.gaps}
+            or a <= gap.lo and gap.hi <= b
+            or gap.length < max_component
+            or max_recorded > gap.length
+        )
+        if refused:
+            with pytest.raises(NotCertifiableError):
+                dominant_gap_certificate(stage, gap, a, b)
+            return
+        cert = dominant_gap_certificate(stage, gap, a, b)
+        assert cert.max_component_in_window == max_component
+        assert cert.max_recorded_gap_in_window == max_recorded
+        assert cert.exceptions == exceptions
+
+    @pytest.mark.parametrize(
+        "family, n", [("ternary", 3), ("perturbed", 3), ("tab", 2)]
+    )
+    def test_every_window_matches_the_record_scan(self, family, n):
+        # every gap on every endpoint window: ternary ties are common, so
+        # non-strict certificates are checked too
+        stage = BUILTIN_FAMILIES[family](n)
+        modes = set()
+        for record in stage.gaps:
+            gap = record.interval
+            for i, a in enumerate(stage.endpoints):
+                for b in stage.endpoints[i:]:
+                    outcome = _certificate_or_refusal(stage, gap, a, b)
+                    if isinstance(outcome, str):
+                        continue
+                    modes.add(outcome.mode)
+                    expected = oracle.record_scan_window(stage, gap, a, b)
+                    assert (
+                        outcome.max_recorded_gap_in_window,
+                        outcome.exceptions,
+                    ) == expected, (gap, a, b)
+        assert "strict" in modes
+        assert family != "ternary" or "non-strict" in modes
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(certificate_inputs())
+    def test_needs_no_gap_records(self, inputs):
+        stage, gap, a, b = inputs
+        bare = CantorStage(stage.n, stage.components, (), stage.family)
+        assert _certificate_or_refusal(bare, gap, a, b) == _certificate_or_refusal(
+            stage, gap, a, b
+        )
+
+    def test_rejects_an_interval_overlapping_a_component(self):
+        # (1/4, 2/3) reaches into the component [0, 1/3]; on the window
+        # [2/3, 1] it passes every other check
+        s1 = central_stage(TERNARY, 1)
+        with pytest.raises(NotCertifiableError, match=r"in a stage-1 gap$"):
+            dominant_gap_certificate(s1, Interval.open(F(1, 4), F(2, 3)), F(2, 3), 1)
+
+    def test_rejects_a_gap_of_a_later_stage(self):
+        # step 2 cuts (1/9, 2/9) out of the stage-1 component [0, 1/3]; on
+        # the degenerate window [1/3, 1/3] it passes every other check
+        s1 = central_stage(TERNARY, 1)
+        later = Interval.open(F(1, 9), F(2, 9))
+        assert later in {g.interval for g in central_stage(TERNARY, 2).gaps}
+        with pytest.raises(NotCertifiableError, match=r"in a stage-1 gap$"):
+            dominant_gap_certificate(s1, later, F(1, 3), F(1, 3))
+
+    def test_rejects_a_point(self):
+        s1 = central_stage(TERNARY, 1)
+        with pytest.raises(NotCertifiableError, match=r"of positive length"):
+            dominant_gap_certificate(s1, Interval.point(F(1, 2)), F(1, 3), F(1, 3))
+
+    def test_accepts_an_interval_inside_a_gap(self):
+        s1 = central_stage(TERNARY, 1)
+        cert = dominant_gap_certificate(s1, Interval.closed(F(4, 9), F(5, 9)), 1, 1)
+        assert cert.certified == Interval.open(F(-5, 9), F(-4, 9))
+        assert cert.mode == "strict"
 
     def test_rejects_window_ends_out_of_order(self):
         s1 = central_stage(TERNARY, 1)
         with pytest.raises(NotCertifiableError, match="^window ends out of order$"):
-            dominant_gap_certificate(s1, s1.gaps[0], F(1, 3), F(0))
+            dominant_gap_certificate(s1, s1.gaps[0].interval, F(1, 3), F(0))
 
 
 _shifts = st.fractions(min_value=-1, max_value=1, max_denominator=12)
@@ -617,15 +743,15 @@ class TestPredictedPoints:
 class TestGapChain:
     def test_ternary_chain(self):
         chain = rightmost_gap_chain(TERNARY, 2)
-        assert chain[0].gap.interval == Interval.open(F(1, 3), F(2, 3))
-        assert chain[1].gap.interval == Interval.open(F(7, 9), F(8, 9))
+        assert chain[0].gap == Interval.open(F(1, 3), F(2, 3))
+        assert chain[1].gap == Interval.open(F(7, 9), F(8, 9))
         assert chain[0].certified == Interval.open(0, F(2, 3))
         assert chain[1].certified == Interval.open(F(2, 3), F(8, 9))
 
     def test_right_ends_geometric(self):
         chain = rightmost_gap_chain(TERNARY, 6)
         for k, cert in enumerate(chain, start=1):
-            assert cert.gap.interval.hi == 1 - F(1, 3) ** k
+            assert cert.gap.hi == 1 - F(1, 3) ** k
 
     def test_depth_zero_is_refused(self):
         with pytest.raises(ValueError, match="^depth must be >= 1$"):
@@ -633,7 +759,7 @@ class TestGapChain:
 
     def test_halving_first_link(self):
         chain = rightmost_gap_chain(HALVING, 1)
-        assert chain[0].gap.interval == Interval.open(F(1, 4), F(3, 4))
+        assert chain[0].gap == Interval.open(F(1, 4), F(3, 4))
 
     def test_consecutive_certificates_tile(self):
         chain = rightmost_gap_chain(HALVING, 5)
@@ -658,13 +784,14 @@ class TestGapChain:
             gaps = read(stage)
             if moved == "neighbour":
                 gaps[2] = next(
-                    g for g in stage.gaps if g.stage_created == 2 and g.address == "0"
+                    g.interval
+                    for g in stage.gaps
+                    if g.stage_created == 2 and g.address == "0"
                 )
             else:
-                gap = gaps[2]
-                lo, hi = gap.interval.lo, gap.interval.hi
+                lo, hi = gaps[2].lo, gaps[2].hi
                 lo, hi = (lo - F(1, 81), hi) if moved == "lo" else (lo, hi + F(1, 81))
-                gaps[2] = oracle.gap_record(gap.address, Interval.open(lo, hi), 2)
+                gaps[2] = Interval.open(lo, hi)
             return gaps
 
         monkeypatch.setattr(CantorStage, "rightmost_gaps", misread)
@@ -677,7 +804,7 @@ class TestGapChain:
         # tiny first removal, huge second: the chain starts at step 2
         spec = CentralSpec(ListRatios((F(1, 100), F(1, 2)), F(1, 3)))
         chain = rightmost_gap_chain(spec, 1)
-        assert chain[0].gap.stage_created == 2
+        assert chain[0].gap.hi == 1 - spec.component_length(2)
 
 
 class TestZoneRows:

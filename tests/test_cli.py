@@ -711,6 +711,31 @@ def test_a_report_cut_short_is_removed(tmp_path, args, spec_text, name, cap):
 
 
 @pytest.mark.parametrize(
+    "args,written,blocked",
+    [
+        pytest.param(["verify", "ccp", "--format", "csv"], "verify_ccp.json",
+                     "verify_ccp.csv", id="verify-csv"),
+        pytest.param(["diff-bounds", "--plot-data"], "diff_bounds.json",
+                     "diff_bounds.dat", id="diff-bounds-plot-data"),
+    ],
+)
+def test_a_report_blocked_by_a_directory_leaves_no_file(
+    tmp_path, ternary_spec, capsys, args, written, blocked
+):
+    # The second file of the call cannot be opened, as a directory holds
+    # its name: the first, already written, is removed, the directory kept.
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    code = main([*args, "--spec", str(ternary_spec), "--max-stage", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    assert sorted(p.name for p in out.iterdir()) == [blocked]
+    assert not any((out / blocked).iterdir())
+    assert not (out / written).exists()
+
+
+@pytest.mark.parametrize(
     "command",
     [("diff-bounds",), ("measure-scan",), ("verify", "steinhaus")],
     ids="-".join,

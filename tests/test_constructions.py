@@ -776,7 +776,7 @@ class TestRightmostGaps:
         assert list(gaps) == list(range(1, n + 1))
         for k, gap in gaps.items():
             lo = 1 - spec.component_length(k - 1) * (1 + spec.ratio(k)) / 2
-            assert gap.interval == Interval.open(lo, 1 - spec.component_length(k))
+            assert gap == Interval.open(lo, 1 - spec.component_length(k))
 
     @pytest.mark.parametrize(
         "spec",
@@ -787,7 +787,7 @@ class TestRightmostGaps:
         for n, expected in zip(range(9), oracle.oracle_perturbed_stages(spec)):
             # the records run by step, then left to right, so the last
             # record of a step is the one cut on the all-ones branch
-            rightmost = {g.stage_created: g for g in expected.gaps}
+            rightmost = {g.stage_created: g.interval for g in expected.gaps}
             assert perturbed_stage(spec, n).rightmost_gaps() == rightmost, n
 
     @pytest.mark.parametrize(

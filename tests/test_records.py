@@ -57,7 +57,7 @@ def _samples():
     ternary = CentralSpec.constant(F(1, 3))
     stages = [central_stage(ternary, n) for n in (1, 2)]
     brackets = [difference_bracket(s) for s in stages]
-    gap = next(g for g in stages[1].gaps if g.stage_created == 1)
+    gap = next(g.interval for g in stages[1].gaps if g.stage_created == 1)
     return {
         Interval: [Interval.closed(0, 1), Interval.open(0, 1)],
         IntervalUnion: [
