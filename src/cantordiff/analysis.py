@@ -9,7 +9,7 @@ brackets:
   complement forever, since C lies inside the components by definition,
   and every component endpoint stays in C forever, so the union of all
   gap-minus-endpoint translates is certified inside D, at every depth.
-  Both sets are read off the components, not off the gap records.
+  Both sets are read off the components.
   It is computed as [-1,1] minus the outer missing bracket, which the
   kernel operation ``IntervalUnion.minus_translates`` filters down from
   [-1,1] instead of summing every gap with every endpoint: first the

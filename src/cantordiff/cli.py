@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from .constructions import DEFAULT_BUDGET, CantorStage, max_binary_stage, stages_through
 from .errors import CantorDiffError
 from .jsonio import (
+    _all_or_none,
     bracket_to_obj,
     decimal_str,
     dump_json,
@@ -42,17 +43,11 @@ _SUITE_NAMES = ("ccp", "cspm", "steinhaus", "t13", "tab", "tamc", "ts3")
 def _write_files(files: dict[Path, str]) -> None:
     """Write each text to its path whole; if any write fails, every file
     the call opened is removed, and a path it could not open is kept."""
-    written: list[Path] = []
-    try:
+    with _all_or_none() as open_text:
         for path, text in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8", newline="\n") as file:
-                written.append(path)
+            with open_text(path) as file:
                 file.write(text)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
 
 
 def _csv_text(header: list[str], rows: Iterable[list[str]]) -> str:

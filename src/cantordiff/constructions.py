@@ -1,12 +1,12 @@
 """Stage-by-stage generators for the four Cantor-set families.
 
 Stage n of a spec is a deterministic pure function of (spec, n): an
-immutable :class:`CantorStage` holding the closed component union and
-the labeled gap records accumulated so far.  The stage endpoints and the
-gap union are read off the component keys, never stored beside them.
-Component endpoints are preserved by every refinement step in every
-family, so each stage endpoint belongs to the limit set; the certified
-analysis in :mod:`cantordiff.analysis` depends on exactly that.
+immutable :class:`CantorStage` holding the closed component union and,
+for each gap, the stage it first appeared in.  The stage endpoints, the
+gaps and the gap union are read off the component keys, never stored
+beside them.  Component endpoints are preserved by every refinement step
+in every family, so each stage endpoint belongs to the limit set; the
+certified analysis in :mod:`cantordiff.analysis` depends on exactly that.
 
 Stages are built on the integer keys of :mod:`cantordiff.intervals`.
 Each family's step generator yields only its stage-m component union; a
@@ -14,9 +14,7 @@ binary step computes its cuts as whole closed keys on a step grid and
 cuts every key range at once.  One assembler (``_assembled``) turns the
 unions of every family into stages: it reads the gaps as the key ranges
 between consecutive components, and a gap of stage m is new iff it is no
-gap of stage m - 1.  Each gap record holds its ends as numerators on its
-canonical grid, made from the key range of the gap, so no ``Fraction``
-is made per gap.
+gap of stage m - 1.
 
 A composite stage's sum ``(A_m + B_m + 1/2) & [1/2, 1]`` is built from
 the previous stage where the sources allow it.  With both sources
@@ -43,8 +41,8 @@ import itertools
 import threading
 import warnings
 from fractions import Fraction
-from math import gcd, lcm
-from operator import eq, ne, sub
+from math import lcm
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -67,8 +65,6 @@ from .intervals import (
 __all__ = [
     "DEFAULT_BUDGET",
     "max_binary_stage",
-    "NodeAddress",
-    "GapRecord",
     "CantorStage",
     "ConstantRatios",
     "ListRatios",
@@ -100,89 +96,24 @@ def max_binary_stage(budget: int) -> int:
     return max(budget, 0).bit_length() - 1
 
 
-NodeAddress = str  # binary string, "" for the root interval
-
-
-def _check_address(address: str) -> None:
-    # strip stops at the first character outside "01" from either side
-    if address.strip("01"):
-        raise ValueError(f"address must be a binary string, got {address!r}")
-
-
-@_record
-class GapRecord:
-    """An open interval removed during construction.
-
-    ``address`` names the component the gap was cut from (None for a
-    family that is not binary); ``stage_created`` is the first stage
-    whose gaps hold it.  The gap is ``(lo/grid, hi/grid)``, held as its
-    two end numerators on its canonical grid (``gcd(grid, lo, hi) ==
-    1``), so the generated ``==`` and ``hash`` are set equality and no
-    ``Fraction`` is made until ``interval`` decodes it.  A record is made
-    from its gap's key range ``[s, e]`` on ``grid`` (see
-    ``cantordiff.intervals``), which must be open at both ends: then
-    ``s <= e`` is the ``lo < hi`` that ``Interval`` checks.
-    """
-
-    address: NodeAddress | None
-    lo: int
-    hi: int
-    grid: int
-    stage_created: int
-
-    def __new__(
-        cls, address: NodeAddress | None, s: int, e: int, grid: int, stage_created: int
-    ) -> "GapRecord":
-        if address is not None:
-            _check_address(address)
-        if s % 3 != 1 or e % 3 != 2:
-            raise ValueError("gap intervals are open at both ends")
-        if s > e:
-            raise ValueError(f"gap key range [{s}, {e}] is empty")
-        lo, hi = s // 3, (e + 1) // 3
-        g = gcd(grid, lo, hi)
-        if g > 1:
-            lo, hi, grid = lo // g, hi // g, grid // g
-        record = object.__new__(cls)
-        _set_address(record, address)
-        _set_lo(record, lo)
-        _set_hi(record, hi)
-        _set_grid(record, grid)
-        _set_stage(record, stage_created)
-        return record
-
-    @property
-    def interval(self) -> Interval:
-        """The open gap, decoded from the numerators on each access."""
-        return Interval(
-            Fraction(self.lo, self.grid), Fraction(self.hi, self.grid), False, False
-        )
-
-
-# The slot setters, which a frozen record leaves usable and which cost
-# less than object.__setattr__.
-_set_address, _set_lo, _set_hi, _set_grid, _set_stage = (
-    getattr(GapRecord, name).__set__
-    for name in ("address", "lo", "hi", "grid", "stage_created")
-)
-
-
 @_record
 class CantorStage:
     """Finite-stage approximation of a Cantor set on ``frame``, [0, 1]
     for every family.
 
-    ``components`` are the surviving closed parts and ``gaps`` the
-    removal records ordered by (stage_created, position), whose
-    intervals tile the frame with the components.  The endpoints and
-    the gap union are not stored: they are read off the component keys,
-    so they cannot disagree with the components.
+    ``components`` are the surviving closed parts, and ``born[i]`` is the
+    first stage whose gaps hold gap i, counted from the left.  Everything
+    else is read off the component keys, so it cannot disagree with the
+    components: the endpoints, the gap union and the gaps, the frame minus
+    the components.  ``binary`` marks a stage whose step k cut one gap
+    inside each component of stage k - 1.
     """
 
     n: int
     components: IntervalUnion
-    gaps: tuple[GapRecord, ...]
+    born: tuple[int, ...]
     family: str
+    binary: bool
     notes: tuple[str, ...] = ()
 
     frame = UNIT
@@ -192,18 +123,21 @@ class CantorStage:
         """The sorted distinct component endpoints."""
         return self.components.endpoints()
 
+    @property
+    def gaps(self) -> tuple[Interval, ...]:
+        """The open gaps, left to right."""
+        return self.gap_union().parts
+
     def gap_union(self) -> IntervalUnion:
         """The frame minus the components."""
         return self.components.complement_within(self.frame)
 
     def rightmost_gaps(self) -> dict[int, Interval]:
-        """The open gap each step k cut on the all-ones branch, by step:
-        its record's address is k - 1 ones.  Empty for a composite stage."""
-        return {
-            g.stage_created: g.interval
-            for g in self.gaps
-            if g.address == "1" * (g.stage_created - 1)
-        }
+        """The open gap each step k cut on the all-ones branch, by step: the
+        rightmost gap born at k.  Empty unless the stage is binary."""
+        if not self.binary:
+            return {}
+        return dict(sorted(zip(self.born, self.gaps), key=lambda gap: gap[0]))
 
 
 # ---------------------------------------------------------------------
@@ -343,45 +277,31 @@ def _assembled(
 ) -> Iterator[CantorStage]:
     """The stages of a family from its stage-m component unions, m = 0, 1, ...
 
-    Every family has this one rule for its gap records.  The gaps are
-    read off the key ranges between consecutive components, whose hull
-    must be [0, 1].  Components only shrink, so gaps only grow: a gap of
-    stage m is new iff it is no gap of stage m - 1, and a gap that
-    disappears never comes back.  When ``binary``, each step must add
-    one new gap inside each component and keep every old gap, and the
-    gap cut from component i of stage m - 1 is named by i as an
-    (m - 1)-digit binary string; other new gaps are unnamed.  Records
-    are ordered by (stage_created, position): the old ones that are
-    still gaps, then the new ones.  A stage whose longest component is
-    no shorter than the previous stage's gets a note.
+    Every family has this one rule for the birth stage of its gaps.  The
+    gaps are read off the key ranges between consecutive components, whose
+    hull must be [0, 1].  Components only shrink, so gaps only grow: a gap
+    of stage m is new iff it is no gap of stage m - 1, and a gap that
+    disappears never comes back.  When ``binary``, each step must add one
+    new gap inside each component and keep every old gap.  A stage whose
+    longest component is no shorter than the previous stage's gets a note.
     """
-    grid, ordered, old, longest = 1, (), {}, None  # old: ordered's gaps, left: right
+    grid, old, longest = 1, {}, None  # old: the last stage's gaps, (left, right): born
     for m, union in enumerate(unions):
         common = lcm(grid, union.grid)
         k, grid = common // grid, common
-        old = dict(zip(map(k.__mul__, old), map(k.__mul__, old.values())))
+        old = {(k * s, k * e): b for (s, e), b in old.items()}
         keys = list(itertools.chain.from_iterable(union._on(grid)))
         if not keys or keys[0] != 0 or keys[-1] != 3 * grid:
             raise InvariantError(f"{family} stage {m} does not span [0, 1]")
-        lefts, rights = keys[1:-1:2], keys[2::2]  # the gaps, by position
-        is_new = list(map(ne, map(old.get, lefts), rights))
+        gaps = list(zip(keys[1:-1:2], keys[2::2]))  # by position
+        born = tuple(map(old.get, gaps, itertools.repeat(m)))
         # One new gap in each component: new and old gaps alternate.
-        if binary and m and is_new != [True, False] * len(old) + [True]:
+        alternate = [True, False] * len(old) + [True]
+        if binary and m and list(map(m.__eq__, born)) != alternate:
             raise InvariantError(
                 f"{family} stage {m} does not cut each component once, keeping its gaps"
             )
-        if is_new.count(False) < len(old):  # some old gaps grew into new ones
-            kept = list(map(eq, map(dict(zip(lefts, rights)).get, old), old.values()))
-            ordered = tuple(itertools.compress(ordered, kept))
-            old = dict(itertools.compress(old.items(), kept))
-        lefts = list(itertools.compress(lefts, is_new))
-        rights = list(itertools.compress(rights, is_new))
-        names = itertools.repeat(None)
-        if binary and m:
-            names = map("".join, itertools.product("01", repeat=m - 1))
-        new = zip(lefts, rights, names)
-        ordered += tuple([GapRecord(a, e + 1, s - 1, grid, m) for e, s, a in new])
-        old.update(zip(lefts, rights))
+        old = dict(zip(gaps, born))
         notes: tuple[str, ...] = ()
         previous = longest
         longest = Fraction(max(map(sub, keys[1::2], keys[::2])), 3 * grid)
@@ -393,7 +313,7 @@ def _assembled(
             )
             warnings.warn(message, stacklevel=2)
             notes = (message,)
-        yield CantorStage(m, union, ordered, family, notes=notes)
+        yield CantorStage(m, union, born, family, binary, notes)
 
 
 def _split(
@@ -412,7 +332,7 @@ def _split(
 #
 # Every family spec answers one protocol: family, the family name of its
 # stages; binary (True when stage n has exactly 2^n components, so the
-# CLI clamps its stage to the budget and the assembler names each new
+# CLI clamps its stage to the budget and the stage writer names each
 # gap by the component it was cut from; False when a stage must be
 # built to count them); stage(n, budget=...) for its unit-frame stage
 # through the family's public function; and _steps(), the generator of

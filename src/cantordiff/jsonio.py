@@ -4,6 +4,11 @@ Rationals serialize as canonical "p/q" strings (q > 0, reduced); the
 decimal column emitted next to them in CSV is a 20-significant-digit
 approximation and is explicitly non-authoritative.
 
+A stage's gaps are listed by (birth stage, position).  Gap i lies
+between components i and i + 1, and on a binary stage the gaps born at
+step m are named, left to right, by the (m - 1)-digit binary strings of
+the components of stage m - 1 they were cut from.
+
 Stage files have one fixed layout, so ``write_stage_files`` streams
 each stage's ``stage_NNN.json`` and ``gaps_NNN.csv`` in one pass, piece
 by piece into the open files, with no whole-file string.  The general
@@ -21,26 +26,27 @@ as that of the gap table.
 
 from __future__ import annotations
 
+import itertools
 import json
+from contextlib import contextmanager
 from decimal import Context
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping
 
 from .constructions import (
     CantorStage,
     CentralSpec,
     CompositeSpec,
     ConstantRatios,
-    GapRecord,
     GeometricRatios,
     GreedySpec,
     ListRatios,
     PerturbedSpec,
     RatioRule,
 )
-from .errors import InvalidSpecError, InvariantError
+from .errors import InvalidSpecError
 from .intervals import Interval, IntervalUnion
 
 __all__ = [
@@ -111,23 +117,37 @@ def union_to_obj(union: IntervalUnion) -> list[dict[str, Any]]:
     return [interval_to_obj(p) for p in union.parts]
 
 
-def _gap_to_obj(gap: GapRecord) -> dict[str, Any]:
-    interval = gap.interval
-    return {
-        "address": gap.address,
-        "lo": format_rational(interval.lo),
-        "hi": format_rational(interval.hi),
-        "stage_created": gap.stage_created,
-    }
+def _gap_order(stage: CantorStage) -> Iterator[tuple[int, str | None, int]]:
+    """Each gap's position, address and birth stage, by (birth stage,
+    position).  A binary stage's gaps born at step m are named by the
+    (m - 1)-digit binary strings in order; other gaps have no address."""
+    born = stage.born
+    order = sorted(range(len(born)), key=born.__getitem__)  # stable
+    names: Iterable[str | None] = itertools.repeat(None)
+    if stage.binary:
+        names = itertools.chain.from_iterable(
+            map("".join, itertools.product("01", repeat=m - 1))
+            for m in range(1, stage.n + 1)
+        )
+    return zip(order, names, map(born.__getitem__, order))
 
 
 def stage_to_obj(stage: CantorStage) -> dict[str, Any]:
+    gaps = stage.gaps
     return {
         "family": stage.family,
         "n": stage.n,
         "frame": interval_to_obj(stage.frame),
         "components": union_to_obj(stage.components),
-        "gaps": [_gap_to_obj(g) for g in stage.gaps],
+        "gaps": [
+            {
+                "address": address,
+                "lo": format_rational(gaps[i].lo),
+                "hi": format_rational(gaps[i].hi),
+                "stage_created": born,
+            }
+            for i, address, born in _gap_order(stage)
+        ],
         "endpoints": [format_rational(e) for e in stage.endpoints],
         "notes": list(stage.notes),
     }
@@ -155,17 +175,18 @@ GAP_TABLE_HEADER = [
 
 def gap_table_rows(stage: CantorStage) -> Iterator[list[str]]:
     """One row per gap, the ``GAP_TABLE_HEADER`` columns: the cells of
-    the gap table that ``write_stage_files`` writes, read off each
-    record alone."""
-    for g in stage.gaps:
+    the gap table that ``write_stage_files`` writes, read off each gap's
+    decoded interval."""
+    gaps = stage.gaps
+    for i, address, born in _gap_order(stage):
+        lo, hi = gaps[i].lo, gaps[i].hi
         yield [
-            "-" if g.address is None else g.address,
-            _ratio_text(g.lo, g.grid),
-            _ratio_text(g.hi, g.grid),
-            str(g.stage_created),
-            # rounding p/grid unreduced gives decimal_str's text
-            str(_DECIMALS.divide(g.lo, g.grid)),
-            str(_DECIMALS.divide(g.hi, g.grid)),
+            "-" if address is None else address,
+            format_rational(lo),
+            format_rational(hi),
+            str(born),
+            decimal_str(lo),
+            decimal_str(hi),
         ]
 
 
@@ -173,6 +194,26 @@ def gap_table_rows(stage: CantorStage) -> Iterator[list[str]]:
 # the stage writer
 
 _BOOL = ("false", "true")
+
+
+@contextmanager
+def _all_or_none() -> Iterator[Callable[[Path], IO[str]]]:
+    """A function that opens a path as a UTF-8 text file for writing; if
+    the block fails, every path it opened is removed.  A path it could
+    not open is kept, since the call wrote nothing there."""
+    opened: list[Path] = []
+
+    def open_text(path: Path) -> IO[str]:
+        file = open(path, "w", encoding="utf-8", newline="\n")
+        opened.append(path)
+        return file
+
+    try:
+        yield open_text
+    except BaseException:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def write_stage_files(stages: Iterable[CantorStage], out: Path) -> None:
@@ -185,18 +226,11 @@ def write_stage_files(stages: Iterable[CantorStage], out: Path) -> None:
     left behind, whole or half written.
     """
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
+    with _all_or_none() as open_text:
         for stage in stages:
-            paths = (out / f"stage_{stage.n:03d}.json", out / f"gaps_{stage.n:03d}.csv")
-            written += paths
-            with open(paths[0], "w", encoding="utf-8", newline="\n") as stage_file, \
-                    open(paths[1], "w", encoding="utf-8", newline="\n") as gap_file:
+            with open_text(out / f"stage_{stage.n:03d}.json") as stage_file, \
+                    open_text(out / f"gaps_{stage.n:03d}.csv") as gap_file:
                 _write_stage(stage, stage_file.write, gap_file.write)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
 
 
 def _write_stage(
@@ -224,7 +258,7 @@ def _write_stage(
     )
     put(',\n  "gaps": ')
     put_row(",".join(GAP_TABLE_HEADER) + "\n")
-    _put_list(put, _gap_jsons(stage, dict(zip(ends, texts)), put_row))
+    _put_list(put, _gap_jsons(stage, ends, texts, put_row))
     put(f',\n  "n": {stage.n},\n  "notes": ')
     # json.dumps escapes a note as the encoder of dump_json does
     _put_list(put, map(json.dumps, stage.notes))
@@ -270,29 +304,25 @@ def _component_jsons(
 
 
 def _gap_jsons(
-    stage: CantorStage, texts: dict[int, str], put_row: Callable[[str], Any]
+    stage: CantorStage, ends: list[int], texts: list[str], put_row: Callable[[str], Any]
 ) -> Iterator[str]:
     """Each gap's stage-file record, its gap table row put as it goes.
 
-    The gaps tile the frame with the components, so each gap end is a
-    component end: its text is ``texts`` at its numerator on the stage
-    grid.  An address is a binary string (``constructions._check_address``),
-    so neither JSON nor CSV escapes or quotes it.
+    ``ends`` are the component end numerators on the stage grid, a point
+    part's once, and ``texts`` their texts.  Gap i runs from the last end
+    of component i to the first of component i + 1, at ``stops[i] - 1``
+    and ``stops[i]``.  An address is a binary string, so neither JSON nor
+    CSV escapes or quotes it.
     """
-    grid = stage.components.grid
-    for g in stage.gaps:
-        scale, rest = divmod(grid, g.grid)
-        lo, hi = texts.get(g.lo * scale), texts.get(g.hi * scale)
-        if rest or lo is None or hi is None:
-            raise InvariantError(
-                f"stage {stage.n}: gap ({_ratio_text(g.lo, g.grid)}, "
-                f"{_ratio_text(g.hi, g.grid)}) does not end at component ends"
-            )
-        address, created = g.address, g.stage_created
+    grid, ranges = stage.components.grid, stage.components.ranges
+    stops = list(itertools.accumulate(1 + (s != e) for s, e in ranges))
+    for i, address, created in _gap_order(stage):
+        j = stops[i]
+        p, q, lo, hi = ends[j - 1], ends[j], texts[j - 1], texts[j]
         # rounding p/grid unreduced gives decimal_str's text
         put_row(
             f"{'-' if address is None else address},{lo},{hi},{created},"
-            f"{_DECIMALS.divide(g.lo, g.grid)!s},{_DECIMALS.divide(g.hi, g.grid)!s}\n"
+            f"{_DECIMALS.divide(p, grid)!s},{_DECIMALS.divide(q, grid)!s}\n"
         )
         address = "null" if address is None else f'"{address}"'
         yield (

@@ -15,6 +15,9 @@ that the two phases of ``IntervalUnion.minus_translates`` replaced.
 
 ``oracle_stages`` builds a spec's stages with the per-part ``Fraction``
 builders that the key builders of ``cantordiff.constructions`` replaced.
+Each of its stages keeps a ``GapRecord`` per gap, with its address and
+the stage that made it, as the library's stages did before they kept one
+birth stage per gap and read everything else off the components.
 """
 
 import csv
@@ -23,15 +26,13 @@ import itertools
 from bisect import bisect_left
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from cantordiff import constructions
 from cantordiff.analysis import ShiftInclusionResult
 from cantordiff.constructions import (
-    CantorStage,
     CentralSpec,
     CompositeSpec,
-    GapRecord,
     PerturbedSpec,
     dyadic_candidates,
     quartic_margin,
@@ -43,10 +44,11 @@ from cantordiff.intervals import (
     IntervalUnion,
     _encode,
     _from_ranges,
+    _record,
     normalize,
     points_union,
 )
-from cantordiff.jsonio import format_rational
+from cantordiff.jsonio import format_rational, interval_to_obj, stage_to_obj
 
 
 def _common_scale(*unions):
@@ -255,8 +257,8 @@ def oracle_endpoints(stage):
 
 
 def oracle_gap_union(stage):
-    """The union of the gap records' intervals."""
-    return normalize(g.interval for g in stage.gaps)
+    """The frame minus the components, by elementary subdivision."""
+    return oracle_complement_within(stage.components, stage.frame)
 
 
 # ---------------------------------------------------------------------
@@ -329,7 +331,9 @@ def record_scan_window(stage, gap, a, b):
     a, b = Fraction(a), Fraction(b)
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     recorded = [
-        g for g in stage.gaps if an * g.grid <= g.lo * ad and g.hi * bd <= bn * g.grid
+        g
+        for g in recorded_gaps(stage)
+        if an * g.grid <= g.lo * ad and g.hi * bd <= bn * g.grid
     ]
     lengths = [Fraction(g.hi - g.lo, g.grid) for g in recorded]
     exceptions = tuple(
@@ -389,9 +393,9 @@ def oracle_inner_difference(stage):
     """
     endpoints = oracle_endpoints(stage)
     translated = []
-    for g in stage.gaps:
+    for g in oracle_gap_union(stage).parts:
         for e in endpoints:
-            translated.append((g.interval.lo - e, g.interval.hi - e))
+            translated.append((g.lo - e, g.hi - e))
     translated.sort()
     merged = []
     for lo, hi in translated:
@@ -408,7 +412,7 @@ def oracle_covered_measure(stage):
     without building the merged structure."""
     endpoints = oracle_endpoints(stage)
     translated = sorted(
-        (g.interval.lo - e, g.interval.hi - e) for g in stage.gaps for e in endpoints
+        (g.lo - e, g.hi - e) for g in oracle_gap_union(stage).parts for e in endpoints
     )
     total = Fraction(0)
     cur_lo = cur_hi = None
@@ -437,10 +441,11 @@ def oracle_decimal_str(q):
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-def oracle_gap_table_rows(stage):
-    """One row per gap, each decimal cell in its own 20-digit context."""
+def oracle_gap_table_rows(records):
+    """One row per gap record, each decimal cell in its own 20-digit
+    context."""
     rows = []
-    for g in stage.gaps:
+    for g in records:
         rows.append(
             [
                 g.address if g.address is not None else "-",
@@ -454,15 +459,15 @@ def oracle_gap_table_rows(stage):
     return rows
 
 
-def oracle_gap_table(stage):
-    """The text of ``gaps_NNN.csv``: the header and the rows through
-    ``csv.writer``."""
+def oracle_gap_table(records):
+    """The text of ``gaps_NNN.csv`` for the gap records: the header and
+    the rows through ``csv.writer``."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(
         ["address", "lo", "hi", "stage_created", "lo_decimal", "hi_decimal"]
     )
-    writer.writerows(oracle_gap_table_rows(stage))
+    writer.writerows(oracle_gap_table_rows(records))
     return buffer.getvalue()
 
 
@@ -495,18 +500,135 @@ def fractions_made(monkeypatch, call):
 
 
 # ---------------------------------------------------------------------
-# the Fraction stage builders that cantordiff.constructions replaced
-# with cuts on the integer keys: every part is an Interval, every cut a
-# pair of Fractions, and each composite gap is dated through a dict
-# keyed by its ends.  Each generator yields the spec's stages from 0.
+# the gap records that cantordiff.constructions replaced with one birth
+# stage per gap: a record names its gap's address, its ends and the
+# stage that made it, and a stage lists them by (stage, position)
 
-_QUARTER = Fraction(1, 4)
+
+@_record
+class GapRecord:
+    """An open gap removed during construction.
+
+    ``address`` names the component the gap was cut from (None for a
+    family that is not binary); ``stage_created`` is the first stage
+    whose gaps hold it.  The gap is ``(lo/grid, hi/grid)``, held as its
+    two end numerators on its canonical grid (``gcd(grid, lo, hi) ==
+    1``), so ``==`` and ``hash`` are set equality.  A record is made
+    from its gap's key range ``[s, e]`` on ``grid`` (see
+    ``cantordiff.intervals``), which must be open at both ends.
+    """
+
+    address: str | None
+    lo: int
+    hi: int
+    grid: int
+    stage_created: int
+
+    def __new__(cls, address, s, e, grid, stage_created):
+        # strip stops at the first character outside "01" from either side
+        if address is not None and address.strip("01"):
+            raise ValueError(f"address must be a binary string, got {address!r}")
+        if s % 3 != 1 or e % 3 != 2:
+            raise ValueError("gap intervals are open at both ends")
+        if s > e:
+            raise ValueError(f"gap key range [{s}, {e}] is empty")
+        lo, hi = s // 3, (e + 1) // 3
+        g = gcd(grid, lo, hi)
+        record = object.__new__(cls)
+        record.__setstate__((address, lo // g, hi // g, grid // g, stage_created))
+        return record
+
+    @property
+    def interval(self):
+        """The open gap."""
+        return Interval(
+            Fraction(self.lo, self.grid), Fraction(self.hi, self.grid), False, False
+        )
 
 
 def gap_record(address, interval, stage):
     """The ``GapRecord`` of the open ``interval``, made from its key range."""
     ((s, e),), grid = _encode((interval,))
     return GapRecord(address, s, e, grid, stage)
+
+
+@_record
+class OracleStage:
+    """A stage as its components and its gap records."""
+
+    n: int
+    components: IntervalUnion
+    gaps: tuple
+    family: str
+    notes: tuple = ()
+
+    frame = UNIT
+
+    @property
+    def born(self):
+        """Each gap's ``stage_created``, left to right."""
+        by_position = sorted(self.gaps, key=lambda g: g.interval.lo)
+        return tuple(g.stage_created for g in by_position)
+
+    def rightmost_gaps(self):
+        """The gap each step k cut on the all-ones branch, by step: the
+        record whose address is k - 1 ones."""
+        return {
+            g.stage_created: g.interval
+            for g in self.gaps
+            if g.address == "1" * (g.stage_created - 1)
+        }
+
+
+def recorded_gaps(stage):
+    """The gap records of a library stage, as ``stage_to_obj`` lists them."""
+    return tuple(
+        gap_record(
+            g["address"],
+            Interval.open(Fraction(g["lo"]), Fraction(g["hi"])),
+            g["stage_created"],
+        )
+        for g in stage_to_obj(stage)["gaps"]
+    )
+
+
+def as_oracle_stage(stage):
+    """A library stage as an ``OracleStage``, its records read off
+    ``stage_to_obj``."""
+    return OracleStage(
+        stage.n, stage.components, recorded_gaps(stage), stage.family, stage.notes
+    )
+
+
+def oracle_stage_obj(stage):
+    """What ``stage_to_obj`` gives for an ``OracleStage``, read off its
+    decoded components and its records."""
+    return {
+        "family": stage.family,
+        "n": stage.n,
+        "frame": interval_to_obj(stage.frame),
+        "components": [interval_to_obj(p) for p in stage.components.parts],
+        "gaps": [
+            {
+                "address": g.address,
+                "lo": format_rational(g.interval.lo),
+                "hi": format_rational(g.interval.hi),
+                "stage_created": g.stage_created,
+            }
+            for g in stage.gaps
+        ],
+        "endpoints": [format_rational(e) for e in oracle_endpoints(stage)],
+        "notes": list(stage.notes),
+    }
+
+
+# ---------------------------------------------------------------------
+# the Fraction stage builders that cantordiff.constructions replaced
+# with cuts on the integer keys: every part is an Interval, every cut a
+# pair of Fractions, and each composite gap is dated through a dict
+# keyed by its ends.  Each generator yields the spec's stages from 0.
+
+_QUARTER = Fraction(1, 4)
 
 
 def _split(n, parts, cuts, gaps):
@@ -523,7 +645,7 @@ def _split(n, parts, cuts, gaps):
 def oracle_central_stages(spec):
     parts = (UNIT,)
     gaps = []
-    yield CantorStage(0, IntervalUnion(parts), (), "central")
+    yield OracleStage(0, IntervalUnion(parts), (), "central")
     for n in itertools.count(1):
         ratio = spec.ratio(n)
         cuts = []
@@ -532,14 +654,14 @@ def oracle_central_stages(spec):
             child = (length - ratio * length) / 2
             cuts.append((part.lo + child, part.hi - child))
         parts = _split(n, parts, cuts, gaps)
-        yield CantorStage(n, IntervalUnion(parts), tuple(gaps), "central")
+        yield OracleStage(n, IntervalUnion(parts), tuple(gaps), "central")
 
 
 def oracle_perturbed_stages(spec):
     parts = (UNIT,)
     gaps = []
     c = spec.c1
-    yield CantorStage(0, IntervalUnion(parts), (), "perturbed")
+    yield OracleStage(0, IntervalUnion(parts), (), "perturbed")
     for n in itertools.count(1):
         if n > 1:
             leftmost_len = parts[0].hi - parts[0].lo
@@ -567,7 +689,7 @@ def oracle_perturbed_stages(spec):
                 g = min(spec.interior_gap_fraction * c, (part.hi - part.lo) / 2)
                 cuts.append((mid - g / 2, mid + g / 2))
         parts = _split(n, parts, cuts, gaps)
-        yield CantorStage(n, IntervalUnion(parts), tuple(gaps), "perturbed")
+        yield OracleStage(n, IntervalUnion(parts), tuple(gaps), "perturbed")
 
 
 def oracle_composite_stages(a_components, b_components, family):
@@ -594,7 +716,7 @@ def oracle_composite_stages(a_components, b_components, family):
             created = gap_created.setdefault((part.lo, part.hi), m)
             gaps.append(gap_record(None, part, created))
         ordered = tuple(sorted(gaps, key=lambda g: g.stage_created))
-        yield CantorStage(m, components, ordered, family, notes=notes)
+        yield OracleStage(m, components, ordered, family, notes=notes)
 
 
 def _closed_within(part, from_left):

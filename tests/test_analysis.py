@@ -68,7 +68,7 @@ BUILTIN_FAMILIES = {
 
 def _hand_stage(*components):
     """A stage on [0,1] built from its components alone, without gaps."""
-    return CantorStage(1, normalize(components), (), "central")
+    return CantorStage(1, normalize(components), (), "central", False)
 
 
 _ratios = st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=10)
@@ -464,7 +464,7 @@ def certificate_inputs(draw):
     n = draw(st.integers(0, 6))
     stage = build(spec, n)
     later = build(spec, draw(st.integers(max(n, 1), 6)))
-    gap = draw(st.sampled_from(later.gaps)).interval
+    gap = draw(st.sampled_from(later.gaps))
     ends = st.sampled_from(stage.endpoints)
     a, b = sorted(draw(st.lists(ends, min_size=2, max_size=2)))
     return stage, gap, a, b
@@ -485,7 +485,7 @@ def _certified_union(cert):
 class TestDominantGapCertificate:
     def test_strict_window(self):
         s2 = central_stage(TERNARY, 2)
-        gap = next(g.interval for g in s2.gaps if g.stage_created == 1)
+        gap = s2.rightmost_gaps()[1]
         cert = dominant_gap_certificate(s2, gap, 0, F(1, 3))
         assert cert.mode == "strict"
         assert cert.certified == Interval.open(0, F(2, 3))
@@ -493,7 +493,7 @@ class TestDominantGapCertificate:
 
     def test_degenerate_windows_give_origin_neighborhood(self):
         s1 = central_stage(TERNARY, 1)
-        gap = s1.gaps[0].interval
+        gap = s1.gaps[0]
         left = dominant_gap_certificate(s1, gap, F(1, 3), F(1, 3))
         right = dominant_gap_certificate(s1, gap, F(2, 3), F(2, 3))
         assert left.certified == Interval.open(0, F(1, 3))
@@ -507,7 +507,7 @@ class TestDominantGapCertificate:
         # window [0, 1/3] holds the equal-length gap (1/9, 2/9), so the
         # certificate degrades to non-strict with one exception
         s2 = central_stage(TERNARY, 2)
-        gap = next(g.interval for g in s2.gaps if g.address == "1")
+        gap = s2.rightmost_gaps()[2]  # (7/9, 8/9), cut from component "1"
         cert = dominant_gap_certificate(s2, gap, 0, F(1, 3))
         assert cert.mode == "non-strict"
         assert cert.certified == Interval.open(F(4, 9), F(8, 9))
@@ -517,24 +517,24 @@ class TestDominantGapCertificate:
     def test_rejects_window_containing_gap(self):
         s1 = central_stage(TERNARY, 1)
         with pytest.raises(NotCertifiableError):
-            dominant_gap_certificate(s1, s1.gaps[0].interval, 0, 1)
+            dominant_gap_certificate(s1, s1.gaps[0], 0, 1)
 
     def test_rejects_non_endpoint_window(self):
         s1 = central_stage(TERNARY, 1)
         with pytest.raises(NotCertifiableError):
-            dominant_gap_certificate(s1, s1.gaps[0].interval, 0, F(1, 2))
+            dominant_gap_certificate(s1, s1.gaps[0], 0, F(1, 2))
 
     def test_rejects_gap_below_component_bound(self):
         # ratio 1/5: the stage-1 gap is 1/5 long, but the window [0, 2/5]
         # holds a whole component 2/5 long, which later gaps may split
         s1 = central_stage(CentralSpec(ListRatios((), F(1, 5))), 1)
         with pytest.raises(NotCertifiableError, match="component bound 2/5"):
-            dominant_gap_certificate(s1, s1.gaps[0].interval, 0, F(2, 5))
+            dominant_gap_certificate(s1, s1.gaps[0], 0, F(2, 5))
 
     def test_rejects_dominated_gap(self):
         # window [1/3, 1] contains the stage-1 gap, three times longer
         s2 = central_stage(TERNARY, 2)
-        small = next(g.interval for g in s2.gaps if g.address == "0")
+        small = s2.gaps[0]  # (1/9, 2/9), cut from component "0"
         with pytest.raises(NotCertifiableError):
             dominant_gap_certificate(s2, small, F(1, 3), 1)
 
@@ -548,7 +548,7 @@ class TestDominantGapCertificate:
             default=F(0),
         )
         refused = (
-            gap not in {g.interval for g in stage.gaps}
+            gap not in stage.gaps
             or a <= gap.lo and gap.hi <= b
             or gap.length < max_component
             or max_recorded > gap.length
@@ -570,8 +570,7 @@ class TestDominantGapCertificate:
         # non-strict certificates are checked too
         stage = BUILTIN_FAMILIES[family](n)
         modes = set()
-        for record in stage.gaps:
-            gap = record.interval
+        for gap in stage.gaps:
             for i, a in enumerate(stage.endpoints):
                 for b in stage.endpoints[i:]:
                     outcome = _certificate_or_refusal(stage, gap, a, b)
@@ -590,7 +589,8 @@ class TestDominantGapCertificate:
     @given(certificate_inputs())
     def test_needs_no_gap_records(self, inputs):
         stage, gap, a, b = inputs
-        bare = CantorStage(stage.n, stage.components, (), stage.family)
+        # no birth stages and no binary flag: the certificate reads neither
+        bare = CantorStage(stage.n, stage.components, (), stage.family, False)
         assert _certificate_or_refusal(bare, gap, a, b) == _certificate_or_refusal(
             stage, gap, a, b
         )
@@ -607,7 +607,7 @@ class TestDominantGapCertificate:
         # the degenerate window [1/3, 1/3] it passes every other check
         s1 = central_stage(TERNARY, 1)
         later = Interval.open(F(1, 9), F(2, 9))
-        assert later in {g.interval for g in central_stage(TERNARY, 2).gaps}
+        assert later in central_stage(TERNARY, 2).gaps
         with pytest.raises(NotCertifiableError, match=r"in a stage-1 gap$"):
             dominant_gap_certificate(s1, later, F(1, 3), F(1, 3))
 
@@ -625,7 +625,7 @@ class TestDominantGapCertificate:
     def test_rejects_window_ends_out_of_order(self):
         s1 = central_stage(TERNARY, 1)
         with pytest.raises(NotCertifiableError, match="^window ends out of order$"):
-            dominant_gap_certificate(s1, s1.gaps[0].interval, F(1, 3), F(0))
+            dominant_gap_certificate(s1, s1.gaps[0], F(1, 3), F(0))
 
 
 _shifts = st.fractions(min_value=-1, max_value=1, max_denominator=12)
@@ -785,7 +785,7 @@ class TestGapChain:
             if moved == "neighbour":
                 gaps[2] = next(
                     g.interval
-                    for g in stage.gaps
+                    for g in oracle.recorded_gaps(stage)
                     if g.stage_created == 2 and g.address == "0"
                 )
             else:

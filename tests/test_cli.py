@@ -736,6 +736,32 @@ def test_a_report_blocked_by_a_directory_leaves_no_file(
 
 
 @pytest.mark.parametrize(
+    "args,blocked",
+    [
+        pytest.param(["construct"], "stage_001.json", id="construct"),
+        pytest.param(["verify", "ccp", "--format", "csv"], "verify_ccp.csv",
+                     id="verify-csv"),
+    ],
+)
+def test_a_path_the_call_could_not_open_is_kept(
+    tmp_path, ternary_spec, capsys, args, blocked
+):
+    # A dangling symlink whose target's directory is missing holds the
+    # name of a file of the call, which cannot be opened: every file the
+    # call wrote is removed, and the symlink, which it never wrote, stays.
+    out = tmp_path / "out"
+    out.mkdir()
+    target = tmp_path / "missing" / "target"
+    (out / blocked).symlink_to(target)
+    code = main([*args, "--spec", str(ternary_spec), "--max-stage", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
+    assert sorted(p.name for p in out.iterdir()) == [blocked]
+    assert (out / blocked).is_symlink() and os.readlink(out / blocked) == str(target)
+
+
+@pytest.mark.parametrize(
     "command",
     [("diff-bounds",), ("measure-scan",), ("verify", "steinhaus")],
     ids="-".join,

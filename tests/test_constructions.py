@@ -12,7 +12,6 @@ from cantordiff.constructions import (
     CantorStage,
     CentralSpec,
     CompositeSpec,
-    GapRecord,
     GreedySpec,
     ListRatios,
     PerturbedSpec,
@@ -31,8 +30,10 @@ from cantordiff.errors import (
     InvariantError,
 )
 from cantordiff.intervals import UNIT, Interval, IntervalUnion, normalize
+from cantordiff.jsonio import stage_to_obj
 
 import oracle
+from oracle import GapRecord
 
 
 TERNARY = CentralSpec.constant(F(1, 3))
@@ -70,6 +71,8 @@ def stage_list(build, spec, n_max):
 
 
 class TestGapRecord:
+    # The oracle's records compare as sets of points, which the oracle
+    # stages' comparisons with the library's stage-file records rely on.
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(st.integers(1, 10**6), st.integers(0, 10**6), st.integers(1, 10**6),
            st.integers(1, 50))
@@ -114,14 +117,16 @@ class TestCentral:
         assert s.components == normalize(
             [Interval.closed(0, F(1, 3)), Interval.closed(F(2, 3), 1)]
         )
-        assert len(s.gaps) == 1
-        assert s.gaps[0].address == ""
-        assert s.gaps[0].interval == Interval.open(F(1, 3), F(2, 3))
+        assert s.gaps == (Interval.open(F(1, 3), F(2, 3)),)
+        assert s.born == (1,)
+        assert oracle.recorded_gaps(s) == (
+            oracle.gap_record("", Interval.open(F(1, 3), F(2, 3)), 1),
+        )
 
     def test_stage2_lengths(self):
         s = central_stage(TERNARY, 2)
         assert all(p.length == F(1, 9) for p in s.components.parts)
-        new_gaps = [g for g in s.gaps if g.stage_created == 2]
+        new_gaps = [g for g in oracle.recorded_gaps(s) if g.stage_created == 2]
         assert all(g.interval.length == F(1, 9) for g in new_gaps)
         assert sorted(g.address for g in new_gaps) == ["0", "1"]
 
@@ -148,7 +153,7 @@ class TestCentral:
         assert set(prev.endpoints) <= set(nxt.endpoints)
 
     def test_gaps_are_addressed_by_their_index_in_the_step(self):
-        gaps = central_stage(HALVING, 8).gaps
+        gaps = oracle.recorded_gaps(central_stage(HALVING, 8))
         for k in range(1, 9):
             addresses = [g.address for g in gaps if g.stage_created == k]
             width = k - 1
@@ -183,9 +188,7 @@ class TestCentral:
         stages = stage_list(central_stage, TERNARY, 6)
         for prev, nxt in zip(stages, stages[1:]):
             assert nxt.components.is_subset(prev.components)
-            prev_gaps = {(g.interval.lo, g.interval.hi) for g in prev.gaps}
-            next_gaps = {(g.interval.lo, g.interval.hi) for g in nxt.gaps}
-            assert prev_gaps <= next_gaps
+            assert set(prev.gaps) <= set(nxt.gaps)
         for s in stages:
             recorded = oracle.oracle_gap_union(s)
             assert s.components.union(recorded) == normalize([s.frame])
@@ -202,7 +205,7 @@ class TestCentral:
         assert rightmost_branch_gap_end(HALVING, 0) == F(3, 4)
         # read off the stage: the stage-1 gap of the halving set ends at 3/4
         s = central_stage(HALVING, 1)
-        assert s.gaps[0].interval.hi == rightmost_branch_gap_end(HALVING, 0)
+        assert s.gaps[0].hi == rightmost_branch_gap_end(HALVING, 0)
 
     def test_varying_ratio_list(self):
         spec = CentralSpec(ListRatios((F(1, 2),), F(1, 3)))
@@ -217,11 +220,11 @@ class TestPerturbed:
         assert s.components == normalize(
             [Interval.closed(0, F(2, 5)), Interval.closed(F(3, 5), 1)]
         )
-        assert s.gaps[0].interval == Interval.open(F(2, 5), F(3, 5))
+        assert s.gaps == (Interval.open(F(2, 5), F(3, 5)),)
 
     def test_stage2_alignment(self):
         s = perturbed_stage(PERTURBED, 2)
-        by_address = {g.address: g.interval for g in s.gaps}
+        by_address = {g.address: g.interval for g in oracle.recorded_gaps(s)}
         assert by_address["0"] == Interval.open(F(1, 5), F(3, 10))
         assert by_address["1"] == Interval.open(F(7, 10), F(4, 5))
 
@@ -231,13 +234,13 @@ class TestPerturbed:
             assert parts[0].length == parts[-1].length
 
     def test_aligned_gaps_match_and_dominate_left(self):
-        s = perturbed_stage(PERTURBED, 7)
+        records = oracle.recorded_gaps(perturbed_stage(PERTURBED, 7))
         for created in range(1, 8):
-            same_stage = [g for g in s.gaps if g.stage_created == created]
+            same_stage = [g for g in records if g.stage_created == created]
             left = next(g for g in same_stage if g.address == "0" * (created - 1))
             right = next(g for g in same_stage if g.address == "1" * (created - 1))
             assert left.interval.length == right.interval.length
-            for other in s.gaps:
+            for other in records:
                 if other.interval.hi <= left.interval.lo:
                     assert other.interval.length < left.interval.length
 
@@ -254,7 +257,11 @@ class TestPerturbed:
     def test_interior_gap_fraction(self):
         spec = PerturbedSpec(F(1, 5), interior_gap_fraction=F(1, 2))
         s = perturbed_stage(spec, 3)
-        stage3 = {g.address: g.interval for g in s.gaps if g.stage_created == 3}
+        stage3 = {
+            g.address: g.interval
+            for g in oracle.recorded_gaps(s)
+            if g.stage_created == 3
+        }
         # aligned gaps keep the full length c3 = 1/20, interior ones halve it
         assert stage3["00"].length == F(1, 20)
         assert stage3["11"].length == F(1, 20)
@@ -288,9 +295,7 @@ class TestComposite:
             b = half_scaled_components(spec.b_source, m)
             assert stage.components == oracle.minkowski_composite_components(a, b)
             assert stage.endpoints == oracle.oracle_endpoints(stage)
-            assert {g.interval for g in stage.gaps} == set(
-                stage.components.complement_within(UNIT).parts
-            )
+            assert stage.gaps == oracle.oracle_gap_union(stage).parts
 
     def test_stage1_builtin(self):
         s = composite_stage(TAB, 1)
@@ -316,9 +321,7 @@ class TestComposite:
         stages = stage_list(composite_stage, spec, 5)
         for prev, nxt in zip(stages, stages[1:]):
             assert nxt.components.is_subset(prev.components)
-            prev_gaps = {(g.interval.lo, g.interval.hi) for g in prev.gaps}
-            next_gaps = {(g.interval.lo, g.interval.hi) for g in nxt.gaps}
-            assert prev_gaps <= next_gaps
+            assert set(prev.gaps) <= set(nxt.gaps)
         for s in stages:
             whole = s.components.union(oracle.oracle_gap_union(s))
             assert whole == normalize([s.frame])
@@ -347,7 +350,9 @@ class TestGreedy:
         tab = CompositeSpec(HALVING, source)
         for n in range(9):
             s = composite_stage(tab, n)
-            expected = CantorStage(s.n, s.components, s.gaps, "greedy", s.notes)
+            expected = CantorStage(
+                s.n, s.components, s.born, "greedy", False, s.notes
+            )
             assert greedy_stage(GreedySpec(source), n) == expected, n
 
     @pytest.mark.parametrize(
@@ -459,7 +464,7 @@ class TestGreedyFailureModes:
         # margin, they are still tab (central 1/2, B).
         tab = composite_stage(CompositeSpec(HALVING, spec.b_source), 1)
         assert greedy_stage(spec, 1) == CantorStage(
-            tab.n, tab.components, tab.gaps, "greedy", tab.notes
+            tab.n, tab.components, tab.born, "greedy", False, tab.notes
         )
 
     def test_budget_guard(self):
@@ -566,6 +571,7 @@ class TestStagesReadOffComponents:
         ids=["ternary", "geometric-1_4", "perturbed", "tab", "halving", "greedy"],
     )
     def test_endpoints_and_gap_union_match_the_records(self, build):
+        # the oracle decodes the components and subdivides the frame
         for n in range(7):
             stage = build(n)
             assert stage.endpoints == oracle.oracle_endpoints(stage), n
@@ -610,9 +616,18 @@ def assert_stages_match_the_oracle(spec, build, n_max):
                 build(spec, n)
             assert str(caught.value) == str(refusal)
             return
-        # components, every gap's interval, address and stage_created,
-        # the notes, the family and the frame
-        assert build(spec, n) == stage, n
+        assert_stage_is_the_oracles(build(spec, n), stage)
+
+
+def assert_stage_is_the_oracles(built, expected):
+    """The components, the notes, the family, the frame and the stage-file
+    records (each gap's interval, address and stage_created, in order) of
+    ``built`` are those of the oracle stage ``expected``, and so are the
+    birth stages and the all-ones gaps."""
+    n = built.n
+    assert oracle.as_oracle_stage(built) == expected, n
+    assert built.born == expected.born, n
+    assert built.rightmost_gaps() == expected.rightmost_gaps(), n
 
 
 @st.composite
@@ -722,7 +737,7 @@ class TestKeyBuildersMatchTheFractionOracle:
             a_stages.__getitem__, lambda m: zero, "tab"
         )
         for m in range(4):
-            assert next(built) == next(expected), m
+            assert_stage_is_the_oracles(next(built), next(expected))
 
 
 def unions_of(*stages):
@@ -752,7 +767,8 @@ class TestAssembler:
             next(stages)
         # a family that is not binary dates the same gaps without a check
         stages = list(constructions._assembled(unions, "tab", False))
-        assert {g.address for s in stages for g in s.gaps} == {None}
+        addresses = {g["address"] for s in stages for g in stage_to_obj(s)["gaps"]}
+        assert addresses == {None}
 
     @pytest.mark.parametrize(
         "parts",
@@ -788,6 +804,7 @@ class TestRightmostGaps:
             # the records run by step, then left to right, so the last
             # record of a step is the one cut on the all-ones branch
             rightmost = {g.stage_created: g.interval for g in expected.gaps}
+            assert rightmost == expected.rightmost_gaps(), n
             assert perturbed_stage(spec, n).rightmost_gaps() == rightmost, n
 
     @pytest.mark.parametrize(
@@ -800,6 +817,23 @@ class TestRightmostGaps:
             assert build(n).rightmost_gaps() == {}, n
 
 
+# a shrink below 1/2 keeps every aligned gap below half its component
+_shrinks = st.fractions(min_value=F(1, 10), max_value=F(2, 5), max_denominator=10)
+_unit_specs = st.one_of(
+    central_specs(), st.builds(PerturbedSpec, _ratios, _shrinks, _ratios)
+)
+
+
+class TestGapBirths:
+    # A stage keeps each gap's birth stage; the stage file's addresses and
+    # record order, and the all-ones gaps, are closed forms of it.
+    @pytest.mark.filterwarnings("ignore:max component length did not decrease")
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.one_of(_unit_specs, st.builds(CompositeSpec, _unit_specs, _unit_specs)))
+    def test_births_addresses_and_order_are_the_oracles(self, spec):
+        assert_stages_match_the_oracle(spec, lambda s, n: s.stage(n), 7)
+
+
 class TestBuildersWorkOnTheKeys:
     @pytest.mark.parametrize(
         "spec, n, per_step",
@@ -809,21 +843,21 @@ class TestBuildersWorkOnTheKeys:
     def test_no_fraction_per_gap_record(
         self, spec, n, per_step, monkeypatch, fresh_sequences
     ):
-        # Gap records hold numerators, so the only Fractions are a few
-        # per step for the lengths and ratios: 61 and 158 when written.
+        # A stage keeps one birth stage per gap and no gap end, so the
+        # only Fractions are a few per step for the lengths and ratios:
+        # 61 and 158 when written.
         stage, made = oracle.fractions_made(monkeypatch, lambda: spec.stage(n))
-        assert len(made) <= per_step * n < len(stage.gaps), len(made)
+        assert len(made) <= per_step * n < len(stage.born), len(made)
 
     def test_composite_keeps_the_records_of_unchanged_gaps(self):
-        # Every gap of tab 1/2, 1/2 stays a gap of the next stage.
+        # Every gap of tab 1/2, 1/2 stays a gap of the next stage, born
+        # at the same stage.
         stages = stage_list(composite_stage, TAB, 8)
         for prev, cur in zip(stages, stages[1:]):
-            earlier = {g.interval: g for g in prev.gaps}
-            kept = [g for g in cur.gaps if g.interval in earlier]
-            assert len(kept) == len(prev.gaps), cur.n
-            for g in kept:
-                assert g is earlier[g.interval], (cur.n, g)
-                assert g.stage_created == earlier[g.interval].stage_created
+            born = dict(zip(cur.gaps, cur.born))
+            assert {g: born.get(g) for g in prev.gaps} == dict(
+                zip(prev.gaps, prev.born)
+            ), cur.n
 
     @pytest.mark.filterwarnings("ignore:max component length did not decrease")
     @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from cantordiff.constructions import (
     CentralSpec,
     CompositeSpec,
     ConstantRatios,
-    GapRecord,
     GeometricRatios,
     GreedyCertificate,
     GreedySpec,
@@ -49,7 +48,7 @@ DEFAULTS = {
     ShiftInclusionResult: {"violation_stage": None, "witness": None},
 }
 # Their constructors are their own ``__new__``, not a generated __init__.
-NO_INIT = (IntervalUnion, GapRecord)
+NO_INIT = (IntervalUnion,)
 
 
 def _samples():
@@ -57,15 +56,13 @@ def _samples():
     ternary = CentralSpec.constant(F(1, 3))
     stages = [central_stage(ternary, n) for n in (1, 2)]
     brackets = [difference_bracket(s) for s in stages]
-    gap = next(g.interval for g in stages[1].gaps if g.stage_created == 1)
+    gap = stages[1].rightmost_gaps()[1]  # (1/3, 2/3)
     return {
         Interval: [Interval.closed(0, 1), Interval.open(0, 1)],
         IntervalUnion: [
             IntervalUnion((UNIT,)),
             IntervalUnion((Interval.open(0, F(1, 2)),)),
         ],
-        # the gap (1/3, 2/3): open keys 3 + 1 and 6 - 1 on the grid 3
-        GapRecord: [GapRecord("", 4, 5, 3, 1), GapRecord(None, 4, 5, 3, 1)],
         CantorStage: stages,
         ConstantRatios: [ConstantRatios(F(1, 3)), ConstantRatios(F(1, 2))],
         ListRatios: [ListRatios((F(1, 3),), F(1, 2)), ListRatios((), F(1, 2))],
@@ -104,7 +101,7 @@ def test_every_record_class_is_sampled():
         for cls in vars(importlib.import_module(f"cantordiff.{name}")).values()
         if isinstance(cls, type) and "__match_args__" in vars(cls)
     }
-    assert records == set(SAMPLES) and len(records) == 15
+    assert records == set(SAMPLES) and len(records) == 14
 
 
 def _twin(cls):
@@ -186,8 +183,8 @@ class TestAgainstDataclass:
         assert _values(record) == _values(SAMPLES[cls][0])
 
     def test_copies_and_pickles_are_equal_records(self, cls):
-        # made past __init__ and __new__: GapRecord's __new__ takes a key
-        # range, which its fields do not hold
+        # made past __init__ and __new__: IntervalUnion's __new__ takes
+        # parts, which its fields do not hold
         for record in SAMPLES[cls]:
             for made in (
                 copy.copy(record),
